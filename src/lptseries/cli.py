@@ -168,10 +168,29 @@ def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _golden_mismatch(golden: dict, produced: dict) -> str | None:
-    """Locate the first difference between two machine documents."""
-    if golden.get("order") != produced.get("order"):
-        return f"order: golden {golden.get('order')} vs computed {produced.get('order')}"
-    for g_entry, p_entry in zip(golden.get("energies", ()), produced.get("energies", ())):
+    """Locate the first difference between two machine documents.
+
+    The potential is compared first, so a golden made for another problem
+    is named as such, and then the number of energy orders, so a truncated
+    golden cannot pass on the orders it still has.
+    """
+    g_potential = golden.get("potential")
+    if not isinstance(g_potential, dict):
+        g_potential = {}
+    p_potential = produced["potential"]
+    if g_potential != p_potential:
+        keys = sorted(key for key in set(g_potential) | set(p_potential)
+                      if g_potential.get(key) != p_potential.get(key))
+        return f"potential differs from the golden's in {', '.join(keys)}"
+    if golden.get("order") != produced["order"]:
+        return f"order: golden {golden.get('order')} vs computed {produced['order']}"
+    g_energies, p_energies = golden.get("energies", []), produced["energies"]
+    if len(g_energies) != len(p_energies):
+        return (
+            f"energies: golden has {len(g_energies)} orders "
+            f"vs computed {len(p_energies)}"
+        )
+    for g_entry, p_entry in zip(g_energies, p_energies):
         k = p_entry["k"]
         if g_entry != p_entry:
             g_terms = {(r["deg_n"], r["deg_lam"]): r["coeff"] for r in g_entry["terms"]}

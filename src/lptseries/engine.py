@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polys import ZERO, BiPoly, N, Scalar, _as_fraction
+from .polys import ONE, ZERO, BiPoly, N, Pair, Scalar, _as_fraction, mirror_pairs
 
 
 class PotentialError(ValueError):
@@ -152,13 +152,34 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
     if i_max < 0:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     two_m_omega = 2 * spec.m * spec.omega
+    minus_two_m = BiPoly.constant(-2 * spec.m)
     row = [BiPoly.constant(-spec.m * spec.omega)]
     for i in range(1, i_max + 1):
-        acc = -2 * spec.m * spec.f(i)
-        for p in range(1, i):
-            acc = acc + row[p] * row[i - p]
-        row.append(acc.scale_div(two_m_omega))
+        doubled, once = mirror_pairs(row, i, lo=1)
+        once.append((spec.f(i), minus_two_m))
+        row.append(BiPoly.dot(once, doubled).scale_div(two_m_omega))
     return row
+
+
+def _cross_pairs(
+    rows: list[list[BiPoly]], k: int, i: int, lo: int
+) -> tuple[list[Pair], list[Pair]]:
+    """``sum_{j=lo}^{k-lo} sum_{p=0}^{i} C[j][p] C[k-j][i-p]`` as ``(doubled, once)``.
+
+    The term (j, p) equals the term (k-j, i-p), so each pair of rows
+    j < k-j is listed once, in ``doubled``; the middle row j = k/2 is
+    folded the same way in p by ``mirror_pairs``.
+    """
+    doubled = [
+        (rows[j][p], rows[k - j][i - p])
+        for j in range(lo, (k + 1) // 2)
+        for p in range(i + 1)
+    ]
+    once: list[Pair] = []
+    if k % 2 == 0 and lo <= k // 2:
+        mid_doubled, once = mirror_pairs(rows[k // 2], i)
+        doubled += mid_doubled
+    return doubled, once
 
 
 def laurent_row(
@@ -178,6 +199,12 @@ def laurent_row(
     filled in ascending i, so the same-row sum only touches entries already
     present.  The skipped slot i = 2k-2 is the residue of C_k(x) at the
     origin; node counting fixes it to n for k = 1 and 0 afterwards.
+
+    Each cell is one call of the shared kernel ``BiPoly.dot``.  The
+    cross-row products come from ``_cross_pairs``, which folds the
+    j <-> k-j mirror: each pair of rows is multiplied once and the partial
+    sum is doubled once per cell.  The same-row products carry the factor
+    2 already, so they join the doubled part.
 
     With ``parity_shortcut`` and an even potential, odd-index entries are
     zero by symmetry and are stored without evaluating the recursion; the
@@ -200,15 +227,10 @@ def laurent_row(
         if skip_odd and i % 2 == 1:
             row.append(ZERO)
             continue
-        acc = (3 - 2 * k + i) * table.rows[k - 1][i]
-        for j in range(1, k):
-            left = table.rows[j]
-            right = table.rows[k - j]
-            for p in range(i + 1):
-                acc = acc + left[p] * right[i - p]
-        for p in range(1, i + 1):
-            acc = acc + 2 * (c0[p] * row[i - p])
-        row.append(acc.scale_div(two_m_omega))
+        doubled, once = _cross_pairs(table.rows, k, i, lo=1)
+        doubled += [(c0[p], row[i - p]) for p in range(1, i + 1)]
+        once.append((table.rows[k - 1][i], BiPoly.constant(3 - 2 * k + i)))
+        row.append(BiPoly.dot(once, doubled).scale_div(two_m_omega))
     table.rows.append(row)
     return table
 
@@ -221,13 +243,9 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     slot = 2 * k - 2
     if k < 1 or len(table.rows) <= k or len(table.rows[k]) <= slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
-    acc = table.rows[k - 1][slot]
-    for j in range(k + 1):
-        left = table.rows[j]
-        right = table.rows[k - j]
-        for p in range(slot + 1):
-            acc = acc + left[p] * right[slot - p]
-    return (-acc).scale_div(2 * spec.m)
+    doubled, once = _cross_pairs(table.rows, k, slot, lo=0)
+    once.append((table.rows[k - 1][slot], ONE))
+    return BiPoly.dot(once, doubled).scale_div(-2 * spec.m)
 
 
 @dataclass(frozen=True)
@@ -285,19 +303,21 @@ def first_power_identity_failure(
     This re-checks it for every k = 1..order and i = 0..i_max, including
     the residue slots the row recursion never computed.  Returns the first
     failing (k, i), or None when every identity holds.
+
+    The sums go through the same kernel and pair listing as the recursion
+    (``BiPoly.dot``, ``_cross_pairs``), so this checks that the table is
+    consistent with its own identities; it is not an independent method.
+    An independent exact check needs a method that shares no logic with
+    the recursion, such as hypervirial plus Hellmann-Feynman perturbation
+    theory.
     """
     for k in range(1, table.order + 1):
-        minus_two_m_ek = BiPoly.constant(-2 * spec.m) * series.e[k]
+        minus_two_m_ek = series.e[k] * (-2 * spec.m)
         for i in range(table.i_max + 1):
-            acc = (3 - 2 * k + i) * table.rows[k - 1][i]
-            for j in range(k + 1):
-                left = table.rows[j]
-                right = table.rows[k - j]
-                for p in range(i + 1):
-                    if left[p] and right[i - p]:
-                        acc = acc + left[p] * right[i - p]
+            doubled, once = _cross_pairs(table.rows, k, i, lo=0)
+            once.append((table.rows[k - 1][i], BiPoly.constant(3 - 2 * k + i)))
             expected = minus_two_m_ek if i == 2 * k - 2 else ZERO
-            if acc != expected:
+            if BiPoly.dot(once, doubled) != expected:
                 return (k, i)
     return None
 

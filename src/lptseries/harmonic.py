@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import PotentialSpec, expand
-from .polys import ZERO, BiPoly, N
+from .polys import ZERO, BiPoly, N, mirror_pairs
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,9 @@ def d_sequence(order: int) -> DSequence:
         raise ValueError(f"order must be >= 1, got {order}")
     d: list[BiPoly] = [ZERO, N]
     for k in range(2, order + 1):
-        acc = (3 - 2 * k) * d[k - 1]
-        for j in range(1, k):
-            acc = acc + d[j] * d[k - j]
-        d.append(acc.scale_div(2))
+        doubled, once = mirror_pairs(d, k, lo=1)
+        once.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
+        d.append(BiPoly.dot(once, doubled).scale_div(2))
     return DSequence(order=order, d=tuple(d))
 
 

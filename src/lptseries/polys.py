@@ -1,12 +1,12 @@
 """Exact scalars and bivariate polynomials used by all recursions.
 
-Scalars are arbitrary-precision rationals, represented by the standard
-library's ``fractions.Fraction`` (always canonical: reduced, positive
-denominator).  ``str()`` of a Fraction is the textual interchange form
-used everywhere in this package: ``"p/q"``, or ``"p"`` when the
-denominator is 1.  ``parse_rational`` is the strict inverse; it rejects
-floating-point literals on purpose, so exact data can never silently
-lose precision on the way in.
+Scalars that cross the public API are arbitrary-precision rationals,
+represented by the standard library's ``fractions.Fraction`` (always
+canonical: reduced, positive denominator).  ``str()`` of a Fraction is
+the textual interchange form used everywhere in this package: ``"p/q"``,
+or ``"p"`` when the denominator is 1.  ``parse_rational`` is the strict
+inverse; it rejects floating-point literals on purpose, so exact data can
+never silently lose precision on the way in.
 
 ``BiPoly`` is a sparse polynomial in two formal symbols:
 
@@ -14,17 +14,23 @@ lose precision on the way in.
              recursion run covers the ground state and every excitation;
 * ``lam`` -- the coupling constant of the anharmonic terms.
 
-Terms live in a dict mapping ``(deg_n, deg_lam)`` to a nonzero Fraction,
-so structural equality of two polynomials is exactly mathematical
-equality.  Values are immutable after construction and every operation
-is a pure function; instances can be shared freely between threads.
+Inside, a polynomial is integer numerators over one shared denominator:
+``_terms`` maps ``(deg_n, deg_lam)`` to a nonzero int and ``_den`` is a
+positive int with ``gcd(_den, *numerators) == 1``.  That form is
+canonical, so structural equality of two polynomials is exactly
+mathematical equality, and arithmetic runs on plain ints with one gcd
+reduction per result instead of one per coefficient.  ``BiPoly.dot`` is
+the sum-of-products kernel every convolution in the package goes through.
+Values are immutable after construction and every operation is a pure
+function; instances can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -59,15 +65,18 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+Pair = tuple["BiPoly", "BiPoly"]
+
+
 class BiPoly:
     """Sparse exact polynomial in the symbols ``n`` and ``lam``.
 
-    The term map never stores a zero coefficient, so ``==`` on two
-    instances is polynomial identity.  Arithmetic accepts ints and
-    Fractions wherever a polynomial is expected.
+    Stored as nonzero integer numerators over one reduced positive
+    denominator, so ``==`` on two instances is polynomial identity.
+    Arithmetic accepts ints and Fractions wherever a polynomial is expected.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | Iterable = ()):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -76,12 +85,21 @@ class BiPoly:
             if deg_n < 0 or deg_lam < 0:
                 raise ValueError(f"negative exponent in term {(deg_n, deg_lam)}")
             key = (int(deg_n), int(deg_lam))
-            total = clean.get(key, Fraction(0)) + _as_fraction(coeff)
-            if total == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = total
-        self._terms = clean
+            clean[key] = clean.get(key, Fraction(0)) + _as_fraction(coeff)
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._terms = {
+            key: c.numerator * (den // c.denominator) for key, c in clean.items() if c
+        }
+        self._den = den if self._terms else 1
+
+    @staticmethod
+    def _reduced(terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
+        """Canonical instance from integer numerators over ``den > 0``."""
+        g = gcd(den, *terms.values())
+        result = BiPoly.__new__(BiPoly)
+        result._terms = {key: num // g for key, num in terms.items() if num}
+        result._den = den // g
+        return result
 
     # -- constructors ---------------------------------------------------
 
@@ -117,26 +135,14 @@ class BiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = out.get(key, Fraction(0)) + coeff
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+        return BiPoly.dot(((self, ONE), (other, ONE)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
         result = BiPoly.__new__(BiPoly)
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
+        result._terms = {key: -num for key, num in self._terms.items()}
+        result._den = self._den
         return result
 
     def __sub__(self, other) -> "BiPoly":
@@ -155,31 +161,39 @@ class BiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return ZERO
-        out: dict[tuple[int, int], Fraction] = {}
-        for (an, al), ac in self._terms.items():
-            for (bn, bl), bc in other._terms.items():
-                key = (an + bn, al + bl)
-                total = out.get(key, Fraction(0)) + ac * bc
-                if total == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+        return BiPoly.dot(((self, other),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Iterable[Pair], doubled: Iterable[Pair] = ()) -> "BiPoly":
+        """Exact ``sum a*b`` over ``pairs`` plus ``2 * sum a*b`` over ``doubled``.
+
+        Every product is added into one integer map over the common
+        denominator of all pairs, the ``doubled`` partial sum is doubled
+        once before the other pairs join it, and the result is reduced
+        once at the end.  Pairs with a zero operand are skipped.
+        """
+        twice = [(a, b) for a, b in doubled if a._terms and b._terms]
+        once = [(a, b) for a, b in pairs if a._terms and b._terms]
+        den = lcm(*(a._den * b._den for a, b in twice + once))
+        out: dict[tuple[int, int], int] = {}
+        _accumulate(out, twice, den)
+        for key in out:
+            out[key] *= 2
+        _accumulate(out, once, den)
+        return BiPoly._reduced(out, den)
 
     def scale_div(self, scalar: Scalar) -> "BiPoly":
         """Divide every coefficient exactly by a nonzero scalar."""
         s = _as_fraction(scalar)
         if s == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: coeff / s for key, coeff in self._terms.items()}
-        return result
+        factor = s.denominator if s > 0 else -s.denominator
+        return BiPoly._reduced(
+            {key: num * factor for key, num in self._terms.items()},
+            self._den * abs(s.numerator),
+        )
 
     # -- queries ----------------------------------------------------------
 
@@ -188,16 +202,19 @@ class BiPoly:
         n_val = _as_fraction(n_value)
         lam_val = _as_fraction(lam_value)
         total = Fraction(0)
-        for (deg_n, deg_lam), coeff in self._terms.items():
-            total += coeff * n_val**deg_n * lam_val**deg_lam
-        return total
+        for (deg_n, deg_lam), num in self._terms.items():
+            total += num * n_val**deg_n * lam_val**deg_lam
+        return total / self._den
 
     def coefficient(self, deg_n: int, deg_lam: int) -> Fraction:
-        return self._terms.get((deg_n, deg_lam), Fraction(0))
+        return Fraction(self._terms.get((deg_n, deg_lam), 0), self._den)
 
     def terms_sorted(self) -> list[tuple[int, int, Fraction]]:
         """Terms as ``(deg_n, deg_lam, coeff)``, ascending exponent order."""
-        return [(dn, dl, self._terms[(dn, dl)]) for dn, dl in sorted(self._terms)]
+        return [
+            (dn, dl, Fraction(self._terms[(dn, dl)], self._den))
+            for dn, dl in sorted(self._terms)
+        ]
 
     def to_records(self) -> list[dict]:
         """Machine-format term records, ascending exponent order."""
@@ -225,20 +242,18 @@ class BiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        keys = sorted(self._terms, key=lambda k: (k[0], k[1]), reverse=True)
         pieces: list[str] = []
-        for dn, dl in keys:
-            coeff = self._terms[(dn, dl)]
+        for dn, dl, coeff in reversed(self.terms_sorted()):
             symbols = []
             if dn:
                 symbols.append("n" if dn == 1 else f"n^{dn}")
@@ -259,6 +274,34 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly<{self}>"
+
+
+def _accumulate(out: dict[tuple[int, int], int], pairs: list[Pair], den: int) -> None:
+    """Add the numerators of every ``a*b`` over the denominator ``den`` into ``out``."""
+    get = out.get
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        b_terms = b._terms.items()
+        for (an, al), a_num in a._terms.items():
+            a_num *= scale
+            for (bn, bl), b_num in b_terms:
+                key = (an + bn, al + bl)
+                out[key] = get(key, 0) + a_num * b_num
+
+
+def mirror_pairs(
+    seq: Sequence[BiPoly], total: int, lo: int = 0
+) -> tuple[list[Pair], list[Pair]]:
+    """``sum_{p=lo}^{total-lo} seq[p]*seq[total-p]`` as ``(doubled, once)`` pairs.
+
+    The products for p and total-p are equal, so each such pair is listed
+    once in ``doubled``; the middle product p = total/2, when it is in
+    range, is listed in ``once``.  Feed both lists to ``BiPoly.dot``.
+    """
+    doubled = [(seq[p], seq[total - p]) for p in range(lo, (total + 1) // 2)]
+    mid = total // 2
+    once = [(seq[mid], seq[mid])] if total % 2 == 0 and lo <= mid else []
+    return doubled, once
 
 
 ZERO = BiPoly()

@@ -5,6 +5,7 @@ import pytest
 
 from lptseries.engine import (
     CTable,
+    _cross_pairs,
     PotentialError,
     PotentialSpec,
     TableError,
@@ -19,7 +20,7 @@ from lptseries.engine import (
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
-from conftest import rand_fraction
+from conftest import rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 
@@ -148,6 +149,19 @@ class TestLaurentRows:
             laurent_row(2, table, spec)
         with pytest.raises(TableError):
             laurent_row(0, table, spec)
+
+    @pytest.mark.parametrize("k,i,lo", [(1, 0, 0), (1, 3, 1), (2, 2, 1), (3, 4, 0),
+                                        (4, 3, 1), (4, 6, 0), (5, 5, 1)])
+    def test_cross_pairs_fold_the_double_sum(self, k, i, lo):
+        rng = random.Random(100 * k + 10 * i + lo)
+        rows = [[rand_bipoly(rng) for _ in range(i + 1)] for _ in range(k + 1)]
+        doubled, once = _cross_pairs(rows, k, i, lo)
+        plain = ZERO
+        for j in range(lo, k - lo + 1):
+            for p in range(i + 1):
+                plain = plain + rows[j][p] * rows[k - j][i - p]
+        assert BiPoly.dot(once, doubled) == plain
+        assert 2 * len(doubled) + len(once) == (k - 2 * lo + 1) * (i + 1)
 
     def test_energy_requires_complete_rows(self):
         spec = validate_potential(PotentialSpec.make(1, 1))

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, parse_rational
+from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, mirror_pairs, parse_rational
 
 from conftest import rand_bipoly, rand_fraction
 
@@ -131,3 +132,101 @@ class TestRendering:
         assert (N * N * LAM).degree_lam() == 1
         assert ZERO.degree_n() == -1
         assert LAM.is_lam_only() and not N.is_lam_only() and ZERO.is_lam_only()
+
+
+def fraction_terms(poly: BiPoly) -> dict[tuple[int, int], Fraction]:
+    return {(dn, dl): c for dn, dl, c in poly.terms_sorted()}
+
+
+def reference_dot(pairs) -> dict[tuple[int, int], Fraction]:
+    """Sum of products with one Fraction per coefficient, independent of BiPoly arithmetic."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for a, b in pairs:
+        for (an, al), ac in fraction_terms(a).items():
+            for (bn, bl), bc in fraction_terms(b).items():
+                key = (an + bn, al + bl)
+                out[key] = out.get(key, Fraction(0)) + ac * bc
+    return {key: c for key, c in out.items() if c}
+
+
+def assert_canonical(poly: BiPoly) -> None:
+    nums = list(poly._terms.values())
+    assert isinstance(poly._den, int) and poly._den > 0
+    assert all(isinstance(num, int) and num != 0 for num in nums)
+    assert gcd(poly._den, *nums) == 1
+
+
+def odd_bipoly(rng) -> BiPoly:
+    """Random polynomial with odd and even denominators, negative values and zero."""
+    if rng.random() < 0.15:
+        return ZERO
+    return rand_bipoly(rng, max_terms=5) + BiPoly.constant(
+        Fraction(rng.randint(-9, 9), rng.choice([1, 3, 5, 7, 15]))
+    )
+
+
+class TestScalarLayer:
+    def test_dot_equals_the_fraction_reference(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            pairs = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 6))]
+            doubled = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 4))]
+            result = BiPoly.dot(pairs, doubled)
+            assert_canonical(result)
+            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+
+    def test_dot_skips_zero_operands_and_cancels(self):
+        assert BiPoly.dot([]) == ZERO
+        assert BiPoly.dot([(ZERO, N), (LAM, ZERO)]) == ZERO
+        assert BiPoly.dot([(N, ONE), (-N, ONE)]) == ZERO
+        assert BiPoly.dot([(N, HALF * ONE)], [(N, Fraction(1, 4) * ONE)]) == N
+
+    def test_ring_operations_match_the_fraction_reference(self):
+        rng = random.Random(32)
+        for _ in range(150):
+            a, b = odd_bipoly(rng), odd_bipoly(rng)
+            assert fraction_terms(a * b) == reference_dot([(a, b)])
+            assert fraction_terms(a + b) == reference_dot([(a, ONE), (b, ONE)])
+            assert fraction_terms(a - b) == reference_dot([(a, ONE), (b, -ONE)])
+
+    def test_every_operation_returns_canonical_form(self):
+        rng = random.Random(33)
+        for _ in range(150):
+            a, b = odd_bipoly(rng), odd_bipoly(rng)
+            s = rand_fraction(rng, max_den=15, nonzero=True)
+            for value in (a, b, a + b, a - b, -a, a * b, a * s, a + s,
+                          a.scale_div(s), BiPoly.from_records(a.to_records())):
+                assert_canonical(value)
+        assert ZERO._den == 1 and (N - N)._den == 1
+
+    def test_equal_polynomials_share_one_representation(self):
+        a = BiPoly({(1, 0): Fraction(2, 6), (0, 1): Fraction(5, 15)})
+        b = (N + LAM).scale_div(3)
+        assert a._terms == b._terms == {(1, 0): 1, (0, 1): 1} and a._den == b._den == 3
+        assert a == b and hash(a) == hash(b)
+
+    def test_scale_div_by_a_negative_rational(self):
+        value = (N + HALF).scale_div(Fraction(-3, 5))
+        assert value == BiPoly({(1, 0): Fraction(-5, 3), (0, 0): Fraction(-5, 6)})
+        assert_canonical(value)
+        assert value.scale_div(Fraction(-5, 3)) == N + HALF
+
+    def test_coefficients_are_reduced_fractions(self):
+        poly = BiPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (0, 0): 5})
+        assert poly._den == 4
+        for dn, dl, coeff in poly.terms_sorted():
+            assert type(coeff) is Fraction and coeff == poly.coefficient(dn, dl)
+        assert poly.coefficient(1, 0).denominator == 2
+        assert poly.coefficient(0, 0).denominator == 1
+        assert poly.coefficient(0, 2) == Fraction(-3, 4)
+        assert type(poly.coefficient(3, 3)) is Fraction and poly.coefficient(3, 3) == 0
+        assert poly.to_records()[0] == {"deg_n": 0, "deg_lam": 0, "coeff": "5"}
+
+    @pytest.mark.parametrize("total,lo", [(0, 0), (1, 0), (4, 0), (5, 1), (6, 1), (1, 1), (2, 1)])
+    def test_mirror_pairs_fold_the_symmetric_sum(self, total, lo):
+        rng = random.Random(total * 10 + lo)
+        seq = [odd_bipoly(rng) for _ in range(total + 1)]
+        doubled, once = mirror_pairs(seq, total, lo)
+        plain = [(seq[p], seq[total - p]) for p in range(lo, total - lo + 1)]
+        assert len(doubled) * 2 + len(once) == len(plain)
+        assert fraction_terms(BiPoly.dot(once, doubled)) == reference_dot(plain)
