@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,11 +93,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.order is not None:
         if args.order < 1:
             raise ConfigError(f"--order must be >= 1, got {args.order}")
-        cfg = RunConfig(cfg.potential, args.order, cfg.fmt, cfg.parity_shortcut, cfg.oracle)
+        cfg = replace(cfg, order=args.order)
     if args.fmt is not None:
-        cfg = RunConfig(cfg.potential, cfg.order, args.fmt, cfg.parity_shortcut, cfg.oracle)
+        cfg = replace(cfg, fmt=args.fmt)
     if args.parity_shortcut:
-        cfg = RunConfig(cfg.potential, cfg.order, cfg.fmt, True, cfg.oracle)
+        cfg = replace(cfg, parity_shortcut=True)
     return cfg
 
 
@@ -165,6 +166,32 @@ def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         _emit(render_pretty(cfg, series), args)
     return EXIT_OK
+
+
+def _not_machine_document(golden) -> str | None:
+    """Why a parsed golden file cannot be a machine document, or None.
+
+    Checks only the structure `_golden_mismatch` reads: a top-level object
+    whose ``energies`` is a list of objects, each with a list of term
+    records keyed by integer ``deg_n`` and ``deg_lam`` and a ``coeff``.
+    """
+    if not isinstance(golden, dict):
+        return f"top level is a JSON {type(golden).__name__}, not an object"
+    energies = golden.get("energies", [])
+    if not isinstance(energies, list):
+        return f"energies is a JSON {type(energies).__name__}, not a list"
+    for index, entry in enumerate(energies):
+        if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
+            return f"energies[{index}] has no list of terms"
+        for record in entry["terms"]:
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("deg_n"), int)
+                and isinstance(record.get("deg_lam"), int)
+                and "coeff" in record
+            ):
+                return f"energies[{index}] has a term that is not a deg_n/deg_lam/coeff record"
+    return None
 
 
 def _golden_mismatch(golden: dict, produced: dict) -> str | None:
@@ -248,7 +275,10 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             series.e[1] == oscillator_e1
             and all(not series.e[k] for k in range(2, cfg.order + 1)),
         )
-        record("harmonic-crosscheck", crosscheck_with_engine(cfg.order))
+        # the crosscheck's own table is the m = omega = 1 oscillator: reuse ours if it is one
+        unit = cfg.potential.m == cfg.potential.omega == 1
+        record("harmonic-crosscheck",
+               crosscheck_with_engine(cfg.order, table if unit else None))
         ds = d_sequence(max(cfg.order, 5))
         hermite_ok, detail = True, ""
         for n in range(0, 9):
@@ -265,6 +295,11 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             golden = json.loads(Path(args.golden).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read golden file {args.golden}: {exc}") from None
+        malformed = _not_machine_document(golden)
+        if malformed:
+            raise ConfigError(
+                f"golden file {args.golden} is not a machine document: {malformed}"
+            )
         produced = machine_document(cfg, series)
         mismatch = _golden_mismatch(golden, produced)
         record("golden-comparison", mismatch is None, mismatch or "")

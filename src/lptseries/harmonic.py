@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import PotentialSpec, expand
+from .engine import CTable, PotentialSpec, expand
 from .polys import ZERO, BiPoly, N, mirror_pairs
 
 
@@ -112,13 +112,15 @@ def hermite_ratio_check(n: int, p: NodePolynomial) -> bool:
     return True
 
 
-def crosscheck_with_engine(order: int) -> bool:
+def crosscheck_with_engine(order: int, table: CTable | None = None) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
-    Builds the harmonic table (m = omega = 1) with the full engine and
-    demands every row k = 1..order is the single term d_k at index 0.
+    Builds the harmonic table (m = omega = 1) with the full engine, unless
+    the caller passes that table already built to ``order``, and demands
+    every row k = 1..order is the single term d_k at index 0.
     """
-    table, _series = expand(PotentialSpec.make(1, 1), order)
+    if table is None:
+        table, _series = expand(PotentialSpec.make(1, 1), order)
     ds = d_sequence(order)
     for k in range(1, order + 1):
         if table.rows[k][0] != ds.d[k]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lptseries import cli, engine, harmonic
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
 from lptseries.engine import expand
@@ -116,6 +117,41 @@ class TestCheck:
         assert out.splitlines()[-1] == (
             "golden-comparison: FAIL potential differs from the golden's in f"
         )
+
+    @pytest.mark.parametrize("document, why", [
+        ([1, 2], "top level is a JSON list, not an object"),
+        ({"order": 11, "energies": [{"k": 1}]}, "energies[0] has no list of terms"),
+        ({"order": 11, "energies": {"1": []}}, "energies is a JSON dict, not a list"),
+        ({"energies": [{"k": 1, "terms": [{"deg_n": 0, "deg_lam": 0}]}]},
+         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+        ({"energies": [{"k": 1, "terms": [{"deg_n": [0], "deg_lam": 0, "coeff": "1"}]}]},
+         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+    ], ids=["list", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
+            "list-as-degree"])
+    def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, document, why):
+        path = write_golden(tmp_path, document)
+        code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: golden file {path} is not a machine document: {why}\n"
+
+    @pytest.mark.parametrize("m, builds", [(1, 1), (2, 2)])
+    def test_harmonic_check_reuses_a_unit_oscillator_table(
+        self, capsys, tmp_path, monkeypatch, m, builds
+    ):
+        calls = []
+
+        def counting_expand(*args, **kwargs):
+            calls.append(args)
+            return engine.expand(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "expand", counting_expand)
+        monkeypatch.setattr(harmonic, "expand", counting_expand)
+        config = tmp_path / "harmonic.ini"
+        config.write_text(f"[potential]\nm = {m}\nomega = 1\n\n[run]\norder = 6\n")
+        code, out, _ = run(capsys, "check", "--config", config)
+        assert code == EXIT_OK
+        assert "harmonic-crosscheck: PASS" in out.splitlines()
+        assert len(calls) == builds
 
     def test_unreadable_golden(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--config", SEXTIC_INI,

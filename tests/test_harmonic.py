@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
+from lptseries.engine import CTable, PotentialSpec, expand
 from lptseries.harmonic import (
     NodePolynomial,
     crosscheck_with_engine,
@@ -109,6 +110,15 @@ class TestEngineCrosscheck:
     @pytest.mark.parametrize("order", [2, 10, 20])
     def test_generic_recursion_restores_closed_form(self, order):
         assert crosscheck_with_engine(order)
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_passed_table_with_one_corrupted_row_fails(self, slot):
+        table, _ = expand(PotentialSpec.make(1, 1), 8)
+        assert crosscheck_with_engine(8, table)
+        rows = [list(row) for row in table.rows]
+        rows[5][slot] = rows[5][slot] + N
+        corrupted = CTable(order=table.order, i_max=table.i_max, rows=rows)
+        assert not crosscheck_with_engine(8, corrupted)
 
     def test_anharmonic_rows_are_not_single_residues(self, sextic_expansion):
         table, _ = sextic_expansion

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lptseries.cli import EXIT_INVALID, main
 from lptseries.engine import PotentialSpec, expand
 from lptseries.oracle import (
     AsymptoticBreakdown,
     BasisNotConverged,
+    EigensolverError,
     OracleProblem,
     build_hamiltonian,
     compare_series,
@@ -22,6 +24,8 @@ from lptseries.oracle import (
     report_text,
 )
 from lptseries.polys import LAM
+
+from conftest import GOLDEN_DIR
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,49 @@ class TestJacobi:
     def test_count_bounded_by_dimension(self):
         with pytest.raises(ValueError):
             lowest_eigenvalues(np.eye(3), 4)
+
+
+QUARTIC = PotentialSpec.make(1, 1, {2: LAM})
+
+
+class TestLapack:
+    """`lowest_eigenvalues` (LAPACK) against the Jacobi sweep as reference."""
+
+    @pytest.mark.parametrize("spec, lam, basis", [
+        (PotentialSpec.make(1, 1), 0, 40),
+        (PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}), Fraction(1, 1000), 60),
+        (QUARTIC, Fraction(1, 100), 120),
+        (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 20), 60),
+    ], ids=["harmonic", "sextic", "quartic", "cubic-quartic"])
+    def test_agrees_with_jacobi_on_oracle_hamiltonians(self, spec, lam, basis):
+        problem = problem_from_potential(spec, lam, basis_size=basis,
+                                         check_size=basis + 20, levels=(0, 1, 2, 3))
+        h = build_hamiltonian(problem)
+        lapack = lowest_eigenvalues(h, 6)
+        assert np.max(np.abs(lapack - jacobi_eigenvalues(h)[:6])) < 1e-12
+
+    def test_quartic_levels_match_the_jacobi_era_values(self):
+        problem = problem_from_potential(QUARTIC, Fraction(1, 100), basis_size=120,
+                                         check_size=160, levels=tuple(range(6)))
+        values, _shift = converged_levels(problem)
+        jacobi_era = [0.5072562045246038, 1.5356482782968066, 2.590845796190706,
+                      3.6710949422258063, 4.774913118655517, 5.9010266741126385]
+        assert np.max(np.abs(values - jacobi_era)) < 1e-12
+
+    def test_lapack_failure_is_an_eigensolver_error(self, monkeypatch, capsys):
+        def fail(_h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            lowest_eigenvalues(np.eye(3), 2)
+        code = main(["verify", "--config", str(GOLDEN_DIR / "sextic.ini")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().out.startswith("oracle not converged:")
+
+    def test_rejects_asymmetric_input(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            lowest_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
 
 
 class TestMatrixElements:
