@@ -103,7 +103,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

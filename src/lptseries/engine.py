@@ -136,9 +136,6 @@ class CTable:
     i_max: int
     rows: list[list[BiPoly]] = field(default_factory=list)
 
-    def cell(self, k: int, i: int) -> BiPoly:
-        return self.rows[k][i]
-
 
 def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
     """Leading-order row: series coefficients of -sqrt(2 m V(x)) / x.

@@ -17,6 +17,14 @@ Two safeguards make a reported eigenvalue trustworthy:
 
 Everything in this module deliberately runs in double precision; the
 exact side of every comparison lives in `engine`.
+
+numpy is imported on first use, inside each function that needs it, and
+not at module level.  Only ``verify`` diagonalizes, yet `cli` imports
+this module for every command: ``main`` catches `OracleError`, and the
+benchmark's tracer binds this module's functions when it installs, before
+any command runs.  A module-level import would make ``expand`` and
+``check``, which never touch numpy, pay its import (most of the
+interpreter's start-up time) on every run.
 """
 
 from __future__ import annotations
@@ -24,11 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .engine import EnergySeries, PotentialSpec, evaluate_energy, validate_potential
 from .polys import Scalar, _as_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OracleError(RuntimeError):
@@ -110,6 +120,8 @@ def problem_from_potential(
 def position_matrix(n_basis: int, m: float, omega: float) -> np.ndarray:
     """Position operator in the oscillator basis: tridiagonal, hbar = 1,
     <i|x|i+1> = sqrt((i+1) / (2 m omega))."""
+    import numpy as np
+
     if n_basis < 2:
         raise ValueError(f"basis must have at least 2 states, got {n_basis}")
     x = np.zeros((n_basis, n_basis))
@@ -127,6 +139,8 @@ def build_hamiltonian(problem: OracleProblem) -> np.ndarray:
 
 
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> np.ndarray:
+    import numpy as np
+
     h = np.diag(problem.omega * (np.arange(n_basis) + 0.5))
     if problem.powers:
         x = position_matrix(n_basis, problem.m, problem.omega)
@@ -150,6 +164,8 @@ def jacobi_eigenvalues(
     for the LAPACK path, and the benchmark's tracer binds its name.
     Deleting it waits on a benchmark change that drops that name.
     """
+    import numpy as np
+
     a = np.array(h, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -203,6 +219,8 @@ def jacobi_eigenvalues(
 
 def lowest_eigenvalues(h: np.ndarray, count: int) -> np.ndarray:
     """The ``count`` smallest eigenvalues of a symmetric matrix, ascending."""
+    import numpy as np
+
     if count > h.shape[0]:
         raise ValueError(f"asked for {count} eigenvalues of a {h.shape[0]}-dim matrix")
     if not np.allclose(h, h.T, atol=0.0):
@@ -221,6 +239,8 @@ def diagonal_matrix_element(
     Exact (up to rounding) once the basis holds level + power/2 states,
     since x only couples neighbouring basis states.
     """
+    import numpy as np
+
     x = position_matrix(n_basis, m, omega)
     return float(np.linalg.matrix_power(x, power)[level, level])
 
@@ -233,6 +253,8 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     spectrum must be strictly increasing and positive, else the result
     is rejected.
     """
+    import numpy as np
+
     problem.validate()
     count = max(problem.levels) + 1
     base = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)

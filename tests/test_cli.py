@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,39 @@ class TestInvalidInput:
         code, out, err = run(capsys, command, "--config", SEXTIC_INI, "--order", 0)
         assert code == EXIT_INVALID and out == ""
         assert "--order must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["expand", "check", "verify"])
+    def test_unwritable_output(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, command, "--config", SEXTIC_INI, "--out", path)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith(f"error: cannot write output {path}: ")
+        assert "No such file or directory" in err
+
+
+class TestNumpyImport:
+    """Only ``verify`` loads numpy; ``expand`` and ``check`` never pay its import.
+
+    Each command runs in a fresh interpreter, because this process has
+    already imported numpy.
+    """
+
+    SCRIPT = (
+        "import sys\n"
+        "from lptseries.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize("command, loads_numpy",
+                             [("expand", False), ("check", False), ("verify", True)])
+    def test_numpy_is_loaded_only_by_verify(self, tmp_path, command, loads_numpy):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, command,
+             "--config", str(SEXTIC_INI), "--out", str(tmp_path / "out.txt")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{EXIT_OK} {loads_numpy}\n"
