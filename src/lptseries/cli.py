@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the output format from the config")
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
-        p.add_argument("--parity-shortcut", action="store_true",
-                       help="skip odd Laurent slots for even potentials")
 
     p_expand = sub.add_parser("expand", help="compute energy series coefficients")
     add_common(p_expand)
@@ -96,8 +94,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, order=args.order)
     if args.fmt is not None:
         cfg = replace(cfg, fmt=args.fmt)
-    if args.parity_shortcut:
-        cfg = replace(cfg, parity_shortcut=True)
     return cfg
 
 
@@ -161,7 +157,7 @@ def render_pretty(cfg: RunConfig, series: EnergySeries) -> str:
 
 
 def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _, series = expand(cfg.potential, cfg.order, parity_shortcut=cfg.parity_shortcut)
+    _, series = expand(cfg.potential, cfg.order)
     if cfg.fmt == "machine":
         _emit(render_machine(cfg, series), args)
     elif cfg.fmt == "csv":
@@ -236,7 +232,7 @@ def _golden_mismatch(golden: dict, produced: dict) -> str | None:
 
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
-    table, series = expand(cfg.potential, cfg.order, parity_shortcut=cfg.parity_shortcut)
+    table, series = expand(cfg.potential, cfg.order)
     lines: list[str] = []
     failed = False
 
@@ -314,7 +310,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.oracle is None:
         raise ConfigError("verify requires an [oracle] section in the config")
-    _, series = expand(cfg.potential, cfg.order, parity_shortcut=cfg.parity_shortcut)
+    # built first, so a bad [oracle] section is refused before the expansion
     problem = problem_from_potential(
         cfg.potential,
         cfg.oracle.lam,
@@ -322,6 +318,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         check_size=cfg.oracle.check_size,
         levels=cfg.oracle.levels,
     )
+    _, series = expand(cfg.potential, cfg.order)
     try:
         report = compare_series(series, problem)
     except AsymptoticBreakdown as exc:

@@ -62,7 +62,6 @@ class RunConfig:
     potential: PotentialSpec
     order: int = 4
     fmt: str = "pretty"
-    parity_shortcut: bool = False
     oracle: OracleConfig | None = field(default=None)
 
 
@@ -108,15 +107,6 @@ def _parse_int(section: str, key: str, text: str) -> int:
         return int(text.strip())
     except ValueError:
         raise ConfigError(f"{section}.{key}: not an integer: {text!r}") from None
-
-
-def _parse_bool(section: str, key: str, text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{section}.{key}: not a boolean: {text!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -165,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
 
-    order, fmt, shortcut = 4, "pretty", False
+    order, fmt = 4, "pretty"
     if parser.has_section("run"):
         for key, raw in parser["run"].items():
             if key == "order":
@@ -178,8 +168,6 @@ def parse_config(text: str) -> RunConfig:
                     raise ConfigError(
                         f"run.format: {fmt!r} is not one of {'/'.join(FORMATS)}"
                     )
-            elif key == "parity_shortcut":
-                shortcut = _parse_bool("run", key, raw)
             else:
                 raise ConfigError(f"unknown key run.{key}")
 
@@ -209,13 +197,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("oracle.lambda is required when [oracle] is present")
         oracle = OracleConfig(lam=lam, basis_size=basis, check_size=check, levels=levels)
 
-    return RunConfig(
-        potential=potential,
-        order=order,
-        fmt=fmt,
-        parity_shortcut=shortcut,
-        oracle=oracle,
-    )
+    return RunConfig(potential=potential, order=order, fmt=fmt, oracle=oracle)
 
 
 def _render_lam_poly(poly: BiPoly) -> str:
@@ -236,11 +218,7 @@ def render_config(cfg: RunConfig) -> str:
     parser["potential"] = {"m": str(cfg.potential.m), "omega": str(cfg.potential.omega)}
     for i, poly in cfg.potential.terms:
         parser["potential"][f"f{i}"] = _render_lam_poly(poly)
-    parser["run"] = {
-        "order": str(cfg.order),
-        "format": cfg.fmt,
-        "parity_shortcut": "true" if cfg.parity_shortcut else "false",
-    }
+    parser["run"] = {"order": str(cfg.order), "format": cfg.fmt}
     if cfg.oracle is not None:
         parser["oracle"] = {
             "lambda": str(cfg.oracle.lam),

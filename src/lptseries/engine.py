@@ -158,33 +158,44 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
     return row
 
 
+def _nonzero_cells(rows: list[list[BiPoly]]) -> list[dict[int, BiPoly]]:
+    """Per row, its nonzero cells by index, in ascending index order."""
+    # ``cell._terms`` rather than ``bool(cell)``: this visits every cell of
+    # the table once per row, and the method call would double its cost
+    return [{p: cell for p, cell in enumerate(row) if cell._terms} for row in rows]
+
+
 def _cross_pairs(
-    rows: list[list[BiPoly]], k: int, i: int, lo: int
+    nonzero: list[dict[int, BiPoly]], k: int, i: int, lo: int
 ) -> tuple[list[Pair], list[Pair]]:
     """``sum_{j=lo}^{k-lo} sum_{p=0}^{i} C[j][p] C[k-j][i-p]`` as ``(doubled, once)``.
 
-    The term (j, p) equals the term (k-j, i-p), so each pair of rows
-    j < k-j is listed once, in ``doubled``; the middle row j = k/2 is
-    folded the same way in p by ``mirror_pairs``.
+    ``nonzero`` holds the table's rows as built by ``_nonzero_cells``, so
+    only terms whose two cells are both nonzero are listed.  The term
+    (j, p) equals the term (k-j, i-p), so each pair of rows j < k-j is
+    listed once, in ``doubled``; the middle row j = k/2 is folded the same
+    way in p.
     """
     doubled = [
-        (rows[j][p], rows[k - j][i - p])
+        (a, b)
         for j in range(lo, (k + 1) // 2)
-        for p in range(i + 1)
+        for p, a in nonzero[j].items()
+        if p <= i and (b := nonzero[k - j].get(i - p)) is not None
     ]
     once: list[Pair] = []
     if k % 2 == 0 and lo <= k // 2:
-        mid_doubled, once = mirror_pairs(rows[k // 2], i)
-        doubled += mid_doubled
+        mid = nonzero[k // 2]
+        for p, a in mid.items():
+            if 2 * p >= i:
+                if 2 * p == i:
+                    once.append((a, a))
+                break
+            if (b := mid.get(i - p)) is not None:
+                doubled.append((a, b))
     return doubled, once
 
 
-def laurent_row(
-    k: int,
-    table: CTable,
-    spec: PotentialSpec,
-    parity_shortcut: bool = False,
-) -> CTable:
+def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
     """Append row k to the table.
 
     For i != 2k-2 the power-matching recursion gives
@@ -203,9 +214,11 @@ def laurent_row(
     sum is doubled once per cell.  The same-row products carry the factor
     2 already, so they join the doubled part.
 
-    With ``parity_shortcut`` and an even potential, odd-index entries are
-    zero by symmetry and are stored without evaluating the recursion; the
-    result is identical to the generic path.
+    Only products of two nonzero cells are listed.  The nonzero indices of
+    the finished rows are collected once per row, and the same-row sum
+    walks the nonzero entries of C[0]; the zero cells of an even
+    potential's odd slots, or of the oscillator's off-residue slots, are
+    never visited.
     """
     if k < 1:
         raise TableError(f"row index must be >= 1, got {k}")
@@ -214,20 +227,27 @@ def laurent_row(
             f"row {k} requested but only rows 0..{len(table.rows) - 1} are built"
         )
     two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
-    c0 = table.rows[0]
-    skip_odd = parity_shortcut and spec.is_even
+    nonzero = _nonzero_cells(table.rows)
+    c0_tail = [(p, cell) for p, cell in nonzero[0].items() if p >= 1]
+    previous = nonzero[k - 1]
     row: list[BiPoly] = []
+    row_nonzero: dict[int, BiPoly] = {}
     for i in range(table.i_max + 1):
         if i == 2 * k - 2:
-            row.append(N if k == 1 else ZERO)
-            continue
-        if skip_odd and i % 2 == 1:
-            row.append(ZERO)
-            continue
-        doubled, once = _cross_pairs(table.rows, k, i, lo=1)
-        doubled += [(c0[p], row[i - p]) for p in range(1, i + 1)]
-        once.append((table.rows[k - 1][i], BiPoly.constant(3 - 2 * k + i)))
-        row.append(BiPoly.dot(once, doubled).scale_div(two_m_omega))
+            cell = N if k == 1 else ZERO
+        else:
+            doubled, once = _cross_pairs(nonzero, k, i, lo=1)
+            doubled += [
+                (a, b)
+                for p, a in c0_tail
+                if p <= i and (b := row_nonzero.get(i - p)) is not None
+            ]
+            if i in previous and 3 - 2 * k + i:
+                once.append((previous[i], BiPoly.constant(3 - 2 * k + i)))
+            cell = BiPoly.dot(once, doubled).scale_div(two_m_omega)
+        row.append(cell)
+        if cell:
+            row_nonzero[i] = cell
     table.rows.append(row)
     return table
 
@@ -240,8 +260,10 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     slot = 2 * k - 2
     if k < 1 or len(table.rows) <= k or len(table.rows[k]) <= slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
-    doubled, once = _cross_pairs(table.rows, k, slot, lo=0)
-    once.append((table.rows[k - 1][slot], ONE))
+    nonzero = _nonzero_cells([row[: slot + 1] for row in table.rows[: k + 1]])
+    doubled, once = _cross_pairs(nonzero, k, slot, lo=0)
+    if table.rows[k - 1][slot]:
+        once.append((table.rows[k - 1][slot], ONE))
     return BiPoly.dot(once, doubled).scale_div(-2 * spec.m)
 
 
@@ -263,11 +285,7 @@ class EnergySeries:
         return self.e[k]
 
 
-def expand(
-    spec: PotentialSpec,
-    order: int,
-    parity_shortcut: bool = False,
-) -> tuple[CTable, EnergySeries]:
+def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
     """Build the full coefficient triangle and energy series to ``order``.
 
     Validates the potential, lays down the leading row to index
@@ -281,7 +299,7 @@ def expand(
     table = CTable(order=order, i_max=i_max, rows=[c0_row(spec, i_max)])
     energies = [ZERO]
     for k in range(1, order + 1):
-        laurent_row(k, table, spec, parity_shortcut=parity_shortcut)
+        laurent_row(k, table, spec)
         energies.append(energy_coefficient(k, table, spec))
     return table, EnergySeries(order=order, e=tuple(energies), spec=spec)
 
@@ -308,11 +326,14 @@ def first_power_identity_failure(
     the recursion, such as hypervirial plus Hellmann-Feynman perturbation
     theory.
     """
+    nonzero = _nonzero_cells(table.rows)
     for k in range(1, table.order + 1):
         minus_two_m_ek = series.e[k] * (-2 * spec.m)
+        previous = nonzero[k - 1]
         for i in range(table.i_max + 1):
-            doubled, once = _cross_pairs(table.rows, k, i, lo=0)
-            once.append((table.rows[k - 1][i], BiPoly.constant(3 - 2 * k + i)))
+            doubled, once = _cross_pairs(nonzero, k, i, lo=0)
+            if i in previous and 3 - 2 * k + i:
+                once.append((previous[i], BiPoly.constant(3 - 2 * k + i)))
             expected = minus_two_m_ek if i == 2 * k - 2 else ZERO
             if BiPoly.dot(once, doubled) != expected:
                 return (k, i)

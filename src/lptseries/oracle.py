@@ -40,6 +40,12 @@ from .polys import Scalar, _as_fraction
 if TYPE_CHECKING:
     import numpy as np
 
+# Largest basis either gate size may have.  The Hamiltonian is a dense
+# float64 matrix, 8 MB at this size and a few of them alive while it is
+# built; memory grows with the square, so a mistyped size such as 100000
+# would ask for tens of GiB before failing.
+MAX_BASIS = 1000
+
 
 class OracleError(RuntimeError):
     """Base class for failures that invalidate the numerical reference."""
@@ -84,6 +90,9 @@ class OracleProblem:
                 f"basis size {self.basis_size} too small for level {top} "
                 f"with an x^{degree} potential"
             )
+        for name, size in (("basis", self.basis_size), ("check basis", self.check_size)):
+            if size > MAX_BASIS:
+                raise ValueError(f"{name} size {size} exceeds the limit of {MAX_BASIS} states")
         if self.check_size <= self.basis_size:
             raise ValueError("check basis must be strictly larger than the base one")
         return self

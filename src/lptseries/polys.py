@@ -19,10 +19,25 @@ Inside, a polynomial is integer numerators over one shared denominator:
 positive int with ``gcd(_den, *numerators) == 1``.  That form is
 canonical, so structural equality of two polynomials is exactly
 mathematical equality, and arithmetic runs on plain ints with one gcd
-reduction per result instead of one per coefficient.  ``BiPoly.dot`` is
-the sum-of-products kernel every convolution in the package goes through.
+reduction per result instead of one per coefficient.
+
+``BiPoly.dot`` is the sum-of-products kernel every convolution in the
+package goes through.  It multiplies by Kronecker substitution: for each
+``lam`` degree an operand is packed into one int, the sum over its ``n``
+coefficients of ``num << (width * deg_n)``, so one product of two packed
+ints is the whole product polynomial in ``n``, computed by CPython's
+big-integer multiply.  ``width`` is chosen per call from the operands'
+numerator bit lengths and term counts, their denominators against the
+common one, and the number of pairs, rounded up to a multiple of 64; it
+keeps every coefficient of the signed sum below half a slot, so the sum
+decodes slot by slot as balanced digits.
+
 Values are immutable after construction and every operation is a pure
-function; instances can be shared freely between threads.
+function; instances can be shared freely between threads.  The one piece
+of state an instance gains after construction, the memo of its packed
+forms, holds a pure function of ``_terms`` per width: a race can only
+build the same entry twice, and ``==``, ``hash`` and every public result
+ignore it.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -76,7 +91,7 @@ class BiPoly:
     Arithmetic accepts ints and Fractions wherever a polynomial is expected.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_packs", "_slot_bits")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | Iterable = ()):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -91,20 +106,31 @@ class BiPoly:
             key: c.numerator * (den // c.denominator) for key, c in clean.items() if c
         }
         self._den = den if self._terms else 1
+        self._packs = {}
+        self._slot_bits = _slot_bits(self._terms, self._den)
+
+    @staticmethod
+    def _raw(terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
+        """Instance holding ``terms`` over ``den`` as given, already canonical."""
+        result = BiPoly.__new__(BiPoly)
+        result._terms = terms
+        result._den = den
+        result._packs = {}
+        result._slot_bits = _slot_bits(terms, den)
+        return result
 
     @staticmethod
     def _reduced(terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
         """Canonical instance from integer numerators over ``den > 0``."""
         g = gcd(den, *terms.values())
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: num // g for key, num in terms.items() if num}
-        result._den = den // g
-        return result
+        return BiPoly._raw({key: num // g for key, num in terms.items() if num}, den // g)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, value: Scalar) -> "BiPoly":
+        if type(value) is int:  # the engine's per-cell weights: skip the Fraction round trip
+            return BiPoly._raw({(0, 0): value} if value else {}, 1)
         return cls({(0, 0): _as_fraction(value)})
 
     @classmethod
@@ -140,10 +166,7 @@ class BiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: -num for key, num in self._terms.items()}
-        result._den = self._den
-        return result
+        return BiPoly._raw({key: -num for key, num in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "BiPoly":
         other = self._coerce(other)
@@ -169,26 +192,60 @@ class BiPoly:
     def dot(pairs: Iterable[Pair], doubled: Iterable[Pair] = ()) -> "BiPoly":
         """Exact ``sum a*b`` over ``pairs`` plus ``2 * sum a*b`` over ``doubled``.
 
-        Every product is added into one integer map over the common
-        denominator of all pairs, the ``doubled`` partial sum is doubled
-        once before the other pairs join it, and the result is reduced
-        once at the end.  Pairs with a zero operand are skipped.
+        Pairs with a zero operand are skipped.  The result is over the
+        common denominator ``den`` of all pairs, so pair (a, b) enters
+        scaled by ``den // (a._den * b._den)``.  The products run on
+        Kronecker-packed ints (module docstring) at one slot width for the
+        call, the smallest multiple of 64 bits that holds every
+        coefficient of the signed sum below half a slot (``_slot_width``
+        derives the bound).  They are summed per ``lam`` degree and per
+        pair denominator, the ``doubled`` partial sums are doubled once,
+        every such group is scaled once, and the sum is decoded and
+        reduced by one gcd.
+
+        Each operand memoises its packed form per width, so a cell that
+        joins many sums, as a table cell does across a row, is packed once
+        per width it meets.  The memo depends only on the operand's value,
+        so sharing instances stays safe.
         """
         twice = [(a, b) for a, b in doubled if a._terms and b._terms]
         once = [(a, b) for a, b in pairs if a._terms and b._terms]
+        if not twice and not once:
+            return ZERO
         den = lcm(*(a._den * b._den for a, b in twice + once))
+        width = _slot_width(twice, once, den)
+        sums: dict[tuple[int, int], int] = {}
+        _add_packed_products(sums, twice, width)
+        for key in sums:
+            sums[key] *= 2
+        _add_packed_products(sums, once, width)
+        total: dict[int, int] = {}
+        for (pair_den, deg_lam), value in sums.items():
+            total[deg_lam] = total.get(deg_lam, 0) + value * (den // pair_den)
         out: dict[tuple[int, int], int] = {}
-        _accumulate(out, twice, den)
-        for key in out:
-            out[key] *= 2
-        _accumulate(out, once, den)
+        for deg_lam, value in total.items():
+            for deg_n, num in _unpack(value, width):
+                out[(deg_n, deg_lam)] = num
         return BiPoly._reduced(out, den)
+
+    def _packed(self, width: int) -> dict[int, int]:
+        """Build and memoise ``{deg_lam: sum of num << (width * deg_n)}``.
+
+        Callers look in ``_packs`` first; this runs once per width.
+        """
+        packed: dict[int, int] = {}
+        for (deg_n, deg_lam), num in self._terms.items():
+            packed[deg_lam] = packed.get(deg_lam, 0) + (num << (width * deg_n))
+        self._packs[width] = packed
+        return packed
 
     def scale_div(self, scalar: Scalar) -> "BiPoly":
         """Divide every coefficient exactly by a nonzero scalar."""
         s = _as_fraction(scalar)
         if s == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
+        if not self._terms:
+            return ZERO
         factor = s.denominator if s > 0 else -s.denominator
         return BiPoly._reduced(
             {key: num * factor for key, num in self._terms.items()},
@@ -276,17 +333,67 @@ class BiPoly:
         return f"BiPoly<{self}>"
 
 
-def _accumulate(out: dict[tuple[int, int], int], pairs: list[Pair], den: int) -> None:
-    """Add the numerators of every ``a*b`` over the denominator ``den`` into ``out``."""
-    get = out.get
+def _slot_bits(terms: dict[tuple[int, int], int], den: int) -> int:
+    """An operand's share of a slot's bits, as ``_slot_width`` adds them up.
+
+    With t terms, largest numerator magnitude below 2**nb and
+    den >= 2**(den.bit_length() - 1), t * (largest coefficient) is below
+    2**(t.bit_length() + nb - den.bit_length() + 1), and that exponent is
+    returned; it may be negative.
+    """
+    top = max(map(abs, terms.values()), default=0)
+    return top.bit_length() + len(terms).bit_length() - den.bit_length() + 1
+
+
+def _slot_width(twice: list[Pair], once: list[Pair], den: int) -> int:
+    """Bits per ``n`` slot for one ``dot`` call: a multiple of 64 (so few
+    widths recur and memoised packs are reused) that no coefficient of the
+    signed sum can overflow.
+
+    Over the common denominator ``den``, a coefficient of one product a*b
+    is ``den`` times a sum of at most min(len(a), len(b)) coefficient
+    products, because each term of a meets at most one term of b at a
+    given exponent.  With den < 2**den.bit_length() that is below
+    2**(den.bit_length() + a._slot_bits + b._slot_bits).  The result adds
+    2*len(twice) + len(once) such products, and balanced decoding needs
+    every coefficient below half a slot: one more bit for the count and
+    one for the sign.
+    """
+    both = twice + once
+    bits = max(a._slot_bits + b._slot_bits for a, b in both)
+    bits += den.bit_length() + (len(both) + len(twice)).bit_length() + 1
+    return -(-bits // 64) * 64
+
+
+def _add_packed_products(
+    sums: dict[tuple[int, int], int], pairs: list[Pair], width: int
+) -> None:
+    """Add every packed ``a*b`` into ``sums[(a._den * b._den, deg_lam)]``."""
     for a, b in pairs:
-        scale = den // (a._den * b._den)
-        b_terms = b._terms.items()
-        for (an, al), a_num in a._terms.items():
-            a_num *= scale
-            for (bn, bl), b_num in b_terms:
-                key = (an + bn, al + bl)
-                out[key] = get(key, 0) + a_num * b_num
+        pair_den = a._den * b._den
+        b_packed = (b._packs.get(width) or b._packed(width)).items()
+        for a_lam, a_int in (a._packs.get(width) or a._packed(width)).items():
+            for b_lam, b_int in b_packed:
+                key = (pair_den, a_lam + b_lam)
+                sums[key] = sums.get(key, 0) + a_int * b_int
+
+
+def _unpack(value: int, width: int) -> Iterator[tuple[int, int]]:
+    """``(deg_n, num)`` for every nonzero slot of a packed ``value``.
+
+    Each slot holds a balanced digit, |num| < 2**(width-1).  Adding half a
+    slot to every slot makes each digit nonnegative without a carry, so
+    the slots are plain little-endian byte fields of the sum.
+    """
+    size = width // 8
+    slots = value.bit_length() // width + 1
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    raw = (value + offset).to_bytes(size * slots, "little")
+    half = 1 << (width - 1)
+    for deg_n in range(slots):
+        num = int.from_bytes(raw[deg_n * size : (deg_n + 1) * size], "little") - half
+        if num:
+            yield deg_n, num
 
 
 def mirror_pairs(

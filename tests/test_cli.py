@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lptseries import cli, engine, harmonic
+from lptseries import cli, engine, harmonic, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
 from lptseries.engine import expand
@@ -17,6 +17,8 @@ SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
 ODDDEN_INI = GOLDEN_DIR / "oddden.ini"
 ODDDEN_GOLDEN = GOLDEN_DIR / "oddden_k8_machine.json"
+MULTILAM_INI = GOLDEN_DIR / "multilam.ini"
+MULTILAM_GOLDEN = GOLDEN_DIR / "multilam_k8_machine.json"
 
 QUARTIC_INI = "[potential]\nm = 1\nomega = 1\nf2 = 1 lam\n\n[run]\norder = 11\n"
 
@@ -76,6 +78,25 @@ class TestOddDenominatorGolden:
         code, out, _ = run(capsys, "check", "--config", ODDDEN_INI, "--golden", ODDDEN_GOLDEN)
         assert code == EXIT_OK
         assert "golden-comparison: PASS" in out.splitlines()
+
+
+class TestMultiLambdaGolden:
+    """Golden whose table cells mix several powers of lam (f2 = lam + 2/5 lam^2),
+    so the kernel packs operands with more than one lam degree."""
+
+    def test_render_machine_reproduces_the_file(self):
+        cfg = parse_config(MULTILAM_INI.read_text())
+        table, series = expand(cfg.potential, cfg.order)
+        assert render_machine(cfg, series) == MULTILAM_GOLDEN.read_text()
+        assert max(len({dl for _, dl, _ in cell.terms_sorted()})
+                   for row in table.rows for cell in row) >= 7
+
+    def test_check_against_it_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "--config", MULTILAM_INI,
+                           "--golden", MULTILAM_GOLDEN)
+        assert code == EXIT_OK
+        assert out.splitlines() == ["power-identity: PASS", "residue-slots: PASS",
+                                    "golden-comparison: PASS"]
 
 
 class TestCheck:
@@ -192,6 +213,23 @@ class TestInvalidInput:
         code, out, err = run(capsys, command, "--config", SEXTIC_INI, "--order", 0)
         assert code == EXIT_INVALID and out == ""
         assert "--order must be >= 1" in err
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("basis = 100000", "basis size 100000 exceeds the limit of 1000 states"),
+        ("basis = 900", "check basis size 1200 exceeds the limit of 1000 states"),
+        ("basis = 60\ncheck_basis = 1001", "check basis size 1001 exceeds"),
+    ], ids=["basis", "derived-check-basis", "check-basis"])
+    def test_oversized_oracle_basis(self, capsys, tmp_path, monkeypatch, sizes, message):
+        def never(*_args):
+            raise AssertionError("neither the series nor the Hamiltonian may be built")
+
+        monkeypatch.setattr(cli, "expand", never)
+        monkeypatch.setattr(oracle, "_hamiltonian_at", never)
+        config = tmp_path / "huge.ini"
+        config.write_text(QUARTIC_INI + f"\n[oracle]\nlambda = 1/100\n{sizes}\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
     def test_unwritable_output(self, capsys, tmp_path, command):

@@ -64,6 +64,8 @@ class TestParse:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="potential.g4"):
             parse_config("[potential]\nm = 1\nomega = 1\ng4 = 1\n")
+        with pytest.raises(ConfigError, match="unknown key run.parity_shortcut"):
+            parse_config("[potential]\nm = 1\nomega = 1\n[run]\nparity_shortcut = true\n")
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match=r"\[extras\]"):
@@ -125,9 +127,9 @@ class TestRoundTrip:
         return [
             RunConfig(potential=sextic, order=11, fmt="machine",
                       oracle=OracleConfig(Fraction(1, 1000), 60, 80, (0, 1, 2, 3))),
-            RunConfig(potential=mixed, order=5, fmt="csv", parity_shortcut=False),
+            RunConfig(potential=mixed, order=5, fmt="csv"),
             RunConfig(potential=validate_potential(PotentialSpec.make(1, 1)),
-                      order=2, fmt="pretty", parity_shortcut=True),
+                      order=2, fmt="pretty"),
             RunConfig(potential=sextic, order=3, fmt="pretty",
                       oracle=OracleConfig(Fraction(1, 10000), 40, None, (0,))),
         ]

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, mirror_pairs, parse_rational
+from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, _unpack, mirror_pairs, parse_rational
 
 from conftest import rand_bipoly, rand_fraction
 
@@ -165,6 +165,22 @@ def odd_bipoly(rng) -> BiPoly:
     )
 
 
+def wide_bipoly(rng, bits=400) -> BiPoly:
+    """Random polynomial for the packed kernel: numerators of up to ``bits``
+    bits and either sign, some of full magnitude, n degrees with gaps, up
+    to four lam degrees, odd and power-of-two denominators; sometimes zero."""
+    if rng.random() < 0.1:
+        return ZERO
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        key = (rng.choice((0, 1, 2, 5, 9)), rng.randint(0, 3))
+        size = bits if rng.random() < 0.3 else rng.randint(1, bits)
+        magnitude = (1 << size) - 1 if rng.random() < 0.5 else rng.getrandbits(size)
+        den = rng.choice((1, 3, 5, 15, 2**rng.randint(1, 90), 3**20 * 7))
+        terms[key] = Fraction(rng.choice((1, -1)) * magnitude, den)
+    return BiPoly(terms)
+
+
 class TestScalarLayer:
     def test_dot_equals_the_fraction_reference(self):
         rng = random.Random(31)
@@ -174,6 +190,73 @@ class TestScalarLayer:
             result = BiPoly.dot(pairs, doubled)
             assert_canonical(result)
             assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+
+    def test_dot_on_wide_numerators_matches_the_fraction_reference(self):
+        rng = random.Random(34)
+        for trial in range(40):
+            many = trial % 4 == 0
+            pairs = [(wide_bipoly(rng), wide_bipoly(rng))
+                     for _ in range(rng.randint(20, 60) if many else rng.randint(0, 6))]
+            doubled = [(wide_bipoly(rng), wide_bipoly(rng)) for _ in range(rng.randint(0, 4))]
+            result = BiPoly.dot(pairs, doubled)
+            assert_canonical(result)
+            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+
+    def test_dot_at_the_largest_slot_values(self):
+        # every numerator of full magnitude and one sign, and every term of a
+        # meeting a term of b in the same slot: the sums the width must hold
+        for bits in (1, 62, 63, 64, 65, 127, 300):
+            top = (1 << bits) - 1
+            a = BiPoly({(n, lam): top for n in range(4) for lam in range(2)})
+            b = BiPoly({(n, lam): -top for n in range(4) for lam in range(2)})
+            pairs, doubled = [(a, b)] * 9, [(b, a)] * 5
+            result = BiPoly.dot(pairs, doubled)
+            assert result.coefficient(3, 1) == -19 * 8 * top * top
+            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+
+    @pytest.mark.parametrize("bits, count, n_terms", [
+        (29, 63, 1), (29, 64, 1), (61, 63, 1), (28, 127, 3), (60, 100, 3),
+    ])
+    def test_dot_just_past_a_64_bit_boundary(self, bits, count, n_terms):
+        # count equal products of full-magnitude numerators, whose largest
+        # slot needs about 2*bits + log2(count * n_terms) bits plus the
+        # sign: sizes just past a multiple of 64, where a bound a few bits
+        # short would round down to a slot too narrow to hold the sum
+        top = (1 << bits) - 1
+        a = BiPoly({(n, 0): top for n in range(n_terms)})
+        for b in (a, -a):
+            pairs = [(a, b)] * count
+            result = BiPoly.dot(pairs)
+            assert fraction_terms(result) == reference_dot(pairs)
+
+    def test_dot_sums_that_cancel_to_zero(self):
+        rng = random.Random(35)
+        for _ in range(20):
+            a, b, c = wide_bipoly(rng), wide_bipoly(rng), wide_bipoly(rng)
+            result = BiPoly.dot([(a, b), (b, a), (-a, c), (c, a)], [(-a, b)])
+            assert result == ZERO and result._den == 1 and not result._terms
+
+    def test_one_pack_serves_two_widths(self):
+        x = BiPoly({(0, 0): Fraction(1, 3), (2, 1): -3, (5, 1): Fraction(7, 2)})
+        narrow = BiPoly.dot([(x, x)])
+        assert set(x._packs) == {64}
+        packed = x._packs[64]
+        assert BiPoly.dot([(x, ONE), (x, x)]) == narrow + x
+        assert x._packs[64] is packed
+        huge = BiPoly.monomial(Fraction(2**300 + 1, 9), deg_n=1, deg_lam=2)
+        wide = BiPoly.dot([(x, huge), (x, x)])
+        assert len(x._packs) == 2 and max(x._packs) > 64
+        assert fraction_terms(wide) == reference_dot([(x, huge), (x, x)])
+        assert fraction_terms(narrow) == reference_dot([(x, x)])
+
+    @pytest.mark.parametrize("width", [64, 128, 576])
+    def test_unpack_balanced_digits_at_the_slot_edges(self, width):
+        edge = (1 << (width - 1)) - 1
+        for digits in ([edge], [-edge], [0, edge, -edge], [-edge, 0, 0, 1],
+                       [1, -1, edge, 0, -edge], [edge, -edge, -1, 1, -edge]):
+            value = sum(d << (width * n) for n, d in enumerate(digits))
+            expected = [(n, d) for n, d in enumerate(digits) if d]
+            assert list(_unpack(value, width)) == expected
 
     def test_dot_skips_zero_operands_and_cancels(self):
         assert BiPoly.dot([]) == ZERO
