@@ -23,7 +23,6 @@ from .engine import (
     first_power_identity_failure,
     laurent_row,
     validate_potential,
-    verify_power_identity,
 )
 from .harmonic import (
     DSequence,
@@ -59,5 +58,4 @@ __all__ = [
     "parse_rational",
     "reconstruct_polynomial",
     "validate_potential",
-    "verify_power_identity",
 ]

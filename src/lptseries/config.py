@@ -22,15 +22,11 @@ string; decimal literals are rejected everywhere except the oracle
 section, whose numbers feed double-precision work anyway.  An ``fN``
 key gives the coefficient of ``x^(N+2)`` as a sum of monomials in the
 formal coupling: ``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``.
-
-``render_config`` is the exact inverse of ``parse_config``:
-``parse_config(render_config(cfg)) == cfg`` for every valid config.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,34 +195,3 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(potential=potential, order=order, fmt=fmt, oracle=oracle)
 
-
-def _render_lam_poly(poly: BiPoly) -> str:
-    pieces = []
-    for _, deg_lam, coeff in poly.terms_sorted():
-        if deg_lam == 0:
-            pieces.append(str(coeff))
-        elif deg_lam == 1:
-            pieces.append(f"{coeff} lam")
-        else:
-            pieces.append(f"{coeff} lam^{deg_lam}")
-    return " + ".join(pieces)
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Deterministic text form; parses back to an equal RunConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["potential"] = {"m": str(cfg.potential.m), "omega": str(cfg.potential.omega)}
-    for i, poly in cfg.potential.terms:
-        parser["potential"][f"f{i}"] = _render_lam_poly(poly)
-    parser["run"] = {"order": str(cfg.order), "format": cfg.fmt}
-    if cfg.oracle is not None:
-        parser["oracle"] = {
-            "lambda": str(cfg.oracle.lam),
-            "basis": str(cfg.oracle.basis_size),
-            "levels": ", ".join(str(level) for level in cfg.oracle.levels),
-        }
-        if cfg.oracle.check_size is not None:
-            parser["oracle"]["check_basis"] = str(cfg.oracle.check_size)
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()

@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polys import ONE, ZERO, BiPoly, N, Pair, Scalar, _as_fraction, mirror_pairs
+from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction, mirror_pairs
+
+# Largest expansion order `expand` accepts.  Cost grows about as K^6.7 and
+# quartic K=60 already takes 122 s on a 2-vCPU host, so a mistyped order
+# such as 200 would run for days before printing anything.
+MAX_ORDER = 100
 
 
 class PotentialError(ValueError):
@@ -80,11 +85,6 @@ class PotentialSpec:
             if j == i:
                 return poly
         return ZERO
-
-    @property
-    def max_power(self) -> int:
-        """Largest anharmonic index i with a nonzero coefficient."""
-        return max((i for i, _ in self.terms), default=0)
 
     @property
     def is_harmonic(self) -> bool:
@@ -133,8 +133,12 @@ class CTable:
     """
 
     order: int
-    i_max: int
     rows: list[list[BiPoly]] = field(default_factory=list)
+
+    @property
+    def i_max(self) -> int:
+        """Last index of every row: the readout of E_order stops at 2*order-2."""
+        return 2 * self.order - 2
 
 
 def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
@@ -158,32 +162,42 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
     return row
 
 
-def _nonzero_cells(rows: list[list[BiPoly]]) -> list[dict[int, BiPoly]]:
-    """Per row, its nonzero cells by index, in ascending index order."""
+def _nonzero_cells(row: list[BiPoly]) -> dict[int, BiPoly]:
+    """A row's nonzero cells by index, in ascending index order."""
     # ``cell._terms`` rather than ``bool(cell)``: this visits every cell of
     # the table once per row, and the method call would double its cost
-    return [{p: cell for p, cell in enumerate(row) if cell._terms} for row in rows]
+    return {p: cell for p, cell in enumerate(row) if cell._terms}
 
 
-def _cross_pairs(
-    nonzero: list[dict[int, BiPoly]], k: int, i: int, lo: int
+def _identity_pairs(
+    nonzero: list[dict[int, BiPoly]], k: int, i: int
 ) -> tuple[list[Pair], list[Pair]]:
-    """``sum_{j=lo}^{k-lo} sum_{p=0}^{i} C[j][p] C[k-j][i-p]`` as ``(doubled, once)``.
+    """Left side of the power-matching identity at (k, i) as ``(once, doubled)``.
 
-    ``nonzero`` holds the table's rows as built by ``_nonzero_cells``, so
-    only terms whose two cells are both nonzero are listed.  The term
-    (j, p) equals the term (k-j, i-p), so each pair of rows j < k-j is
-    listed once, in ``doubled``; the middle row j = k/2 is folded the same
-    way in p.
+    Matching powers of x in the Riccati equation at order hbar^k gives one
+    identity per (k, i):
+
+        (3-2k+i) C[k-1][i] + sum_{j=0}^{k} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
+            = -2 m E_k * [i == 2k-2]
+
+    The row recursion solves it for C[k][i], the energy readout for E_k,
+    and the sweep re-checks it; all three list its left side here.
+
+    ``nonzero[j]`` holds row j's nonzero cells as built by
+    ``_nonzero_cells``, so only terms whose two cells are both nonzero are
+    listed, and a cell missing from row k counts as zero.  The term (j, p)
+    equals the term (k-j, i-p), so each pair of rows j < k-j is listed
+    once, in ``doubled``; the middle row j = k/2 is folded the same way in
+    p.  Feed both lists to ``BiPoly.dot``.
     """
     doubled = [
         (a, b)
-        for j in range(lo, (k + 1) // 2)
+        for j in range((k + 1) // 2)
         for p, a in nonzero[j].items()
         if p <= i and (b := nonzero[k - j].get(i - p)) is not None
     ]
     once: list[Pair] = []
-    if k % 2 == 0 and lo <= k // 2:
+    if k % 2 == 0:
         mid = nonzero[k // 2]
         for p, a in mid.items():
             if 2 * p >= i:
@@ -192,31 +206,26 @@ def _cross_pairs(
                 break
             if (b := mid.get(i - p)) is not None:
                 doubled.append((a, b))
-    return doubled, once
+    weight = 3 - 2 * k + i
+    if weight and (previous := nonzero[k - 1].get(i)) is not None:
+        once.append((previous, BiPoly.constant(weight)))
+    return once, doubled
 
 
 def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
     """Append row k to the table.
 
-    For i != 2k-2 the power-matching recursion gives
+    For i != 2k-2 the right side of the power-matching identity
+    (``_identity_pairs``) is zero, and C[k][i] enters its left side only
+    as 2 C[0][0] C[k][i] = -2 m omega C[k][i].  Cells are filled in
+    ascending i with row k passed in as built so far; C[k][i] is still
+    missing from it, so the listed pairs sum to the rest of the left side,
+    and that sum over 2 m omega is C[k][i].  The skipped slot i = 2k-2 is
+    the residue of C_k(x) at the origin; node counting fixes it to n for
+    k = 1 and 0 afterwards.
 
-        C[k][i] = -[ (3-2k+i) C[k-1][i]
-                     + sum_{j=1}^{k-1} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
-                     + 2 sum_{p=1}^{i} C[0][p] C[k][i-p] ] / (2 C[0][0])
-
-    filled in ascending i, so the same-row sum only touches entries already
-    present.  The skipped slot i = 2k-2 is the residue of C_k(x) at the
-    origin; node counting fixes it to n for k = 1 and 0 afterwards.
-
-    Each cell is one call of the shared kernel ``BiPoly.dot``.  The
-    cross-row products come from ``_cross_pairs``, which folds the
-    j <-> k-j mirror: each pair of rows is multiplied once and the partial
-    sum is doubled once per cell.  The same-row products carry the factor
-    2 already, so they join the doubled part.
-
-    Only products of two nonzero cells are listed.  The nonzero indices of
-    the finished rows are collected once per row, and the same-row sum
-    walks the nonzero entries of C[0]; the zero cells of an even
+    Each cell is one call of the shared kernel ``BiPoly.dot``.  Only
+    products of two nonzero cells are listed; the zero cells of an even
     potential's odd slots, or of the oscillator's off-residue slots, are
     never visited.
     """
@@ -227,24 +236,14 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
             f"row {k} requested but only rows 0..{len(table.rows) - 1} are built"
         )
     two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
-    nonzero = _nonzero_cells(table.rows)
-    c0_tail = [(p, cell) for p, cell in nonzero[0].items() if p >= 1]
-    previous = nonzero[k - 1]
     row: list[BiPoly] = []
     row_nonzero: dict[int, BiPoly] = {}
+    nonzero = [_nonzero_cells(done) for done in table.rows] + [row_nonzero]
     for i in range(table.i_max + 1):
         if i == 2 * k - 2:
             cell = N if k == 1 else ZERO
         else:
-            doubled, once = _cross_pairs(nonzero, k, i, lo=1)
-            doubled += [
-                (a, b)
-                for p, a in c0_tail
-                if p <= i and (b := row_nonzero.get(i - p)) is not None
-            ]
-            if i in previous and 3 - 2 * k + i:
-                once.append((previous[i], BiPoly.constant(3 - 2 * k + i)))
-            cell = BiPoly.dot(once, doubled).scale_div(two_m_omega)
+            cell = BiPoly.dot(*_identity_pairs(nonzero, k, i)).scale_div(two_m_omega)
         row.append(cell)
         if cell:
             row_nonzero[i] = cell
@@ -253,18 +252,15 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
 
 
 def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
-    """Energy coefficient E_k read off at the residue slot i = 2k-2:
-
-    2 m E_k = -C[k-1][2k-2] - sum_{j=0}^{k} sum_{p=0}^{2k-2} C[j][p] C[k-j][2k-2-p]
-    """
+    """Energy coefficient E_k from the power-matching identity
+    (``_identity_pairs``) at the residue slot i = 2k-2, whose right side
+    is -2 m E_k."""
     slot = 2 * k - 2
     if k < 1 or len(table.rows) <= k or len(table.rows[k]) <= slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
-    nonzero = _nonzero_cells([row[: slot + 1] for row in table.rows[: k + 1]])
-    doubled, once = _cross_pairs(nonzero, k, slot, lo=0)
-    if table.rows[k - 1][slot]:
-        once.append((table.rows[k - 1][slot], ONE))
-    return BiPoly.dot(once, doubled).scale_div(-2 * spec.m)
+    # the identity at i = slot reads no cell past the slot
+    nonzero = [_nonzero_cells(row[: slot + 1]) for row in table.rows[: k + 1]]
+    return BiPoly.dot(*_identity_pairs(nonzero, k, slot)).scale_div(-2 * spec.m)
 
 
 @dataclass(frozen=True)
@@ -277,12 +273,6 @@ class EnergySeries:
 
     order: int
     e: tuple[BiPoly, ...]
-    spec: PotentialSpec
-
-    def coefficient(self, k: int) -> BiPoly:
-        if not 0 <= k <= self.order:
-            raise ValueError(f"order {k} outside 0..{self.order}")
-        return self.e[k]
 
 
 def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
@@ -295,13 +285,15 @@ def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
     spec = validate_potential(spec)
     if order < 1:
         raise ValueError(f"expansion order must be >= 1, got {order}")
-    i_max = 2 * order - 2
-    table = CTable(order=order, i_max=i_max, rows=[c0_row(spec, i_max)])
+    if order > MAX_ORDER:
+        raise ValueError(f"expansion order {order} exceeds the limit of {MAX_ORDER}")
+    table = CTable(order)
+    table.rows.append(c0_row(spec, table.i_max))
     energies = [ZERO]
     for k in range(1, order + 1):
         laurent_row(k, table, spec)
         energies.append(energy_coefficient(k, table, spec))
-    return table, EnergySeries(order=order, e=tuple(energies), spec=spec)
+    return table, EnergySeries(order=order, e=tuple(energies))
 
 
 def first_power_identity_failure(
@@ -309,42 +301,26 @@ def first_power_identity_failure(
 ) -> tuple[int, int] | None:
     """Self-consistency sweep over the whole triangle.
 
-    The recursion and the energy readout both derive from one identity per
-    power of x:
+    Re-checks the power-matching identity (``_identity_pairs``) for every
+    k = 1..order and i = 0..i_max, including the residue slots the row
+    recursion never computed.  Returns the first failing (k, i), or None
+    when every identity holds.
 
-        (3-2k+i) C[k-1][i] + sum_{j=0}^{k} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
-            = -2 m E_k * [i == 2k-2]
-
-    This re-checks it for every k = 1..order and i = 0..i_max, including
-    the residue slots the row recursion never computed.  Returns the first
-    failing (k, i), or None when every identity holds.
-
-    The sums go through the same kernel and pair listing as the recursion
-    (``BiPoly.dot``, ``_cross_pairs``), so this checks that the table is
-    consistent with its own identities; it is not an independent method.
-    An independent exact check needs a method that shares no logic with
-    the recursion, such as hypervirial plus Hellmann-Feynman perturbation
-    theory.
+    The sums go through the same kernel and identity helper as the
+    recursion and the readout (``BiPoly.dot``, ``_identity_pairs``), so this
+    checks that the table is consistent with its own identities; it is not
+    an independent method.  An independent exact check needs a method that
+    shares no logic with the recursion, such as hypervirial plus
+    Hellmann-Feynman perturbation theory.
     """
-    nonzero = _nonzero_cells(table.rows)
+    nonzero = [_nonzero_cells(row) for row in table.rows]
     for k in range(1, table.order + 1):
         minus_two_m_ek = series.e[k] * (-2 * spec.m)
-        previous = nonzero[k - 1]
         for i in range(table.i_max + 1):
-            doubled, once = _cross_pairs(nonzero, k, i, lo=0)
-            if i in previous and 3 - 2 * k + i:
-                once.append((previous[i], BiPoly.constant(3 - 2 * k + i)))
             expected = minus_two_m_ek if i == 2 * k - 2 else ZERO
-            if BiPoly.dot(once, doubled) != expected:
+            if BiPoly.dot(*_identity_pairs(nonzero, k, i)) != expected:
                 return (k, i)
     return None
-
-
-def verify_power_identity(
-    table: CTable, series: EnergySeries, spec: PotentialSpec
-) -> bool:
-    """True iff the power-matching identity holds across the whole table."""
-    return first_power_identity_failure(table, series, spec) is None
 
 
 def evaluate_energy(

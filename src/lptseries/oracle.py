@@ -141,13 +141,8 @@ def position_matrix(n_basis: int, m: float, omega: float) -> np.ndarray:
     return x
 
 
-def build_hamiltonian(problem: OracleProblem) -> np.ndarray:
-    """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power."""
-    n = problem.basis_size
-    return _hamiltonian_at(problem, n)
-
-
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> np.ndarray:
+    """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power."""
     import numpy as np
 
     h = np.diag(problem.omega * (np.arange(n_basis) + 0.5))
@@ -238,20 +233,6 @@ def lowest_eigenvalues(h: np.ndarray, count: int) -> np.ndarray:
         return np.linalg.eigvalsh(h)[:count]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-
-
-def diagonal_matrix_element(
-    power: int, level: int, n_basis: int, m: float = 1.0, omega: float = 1.0
-) -> float:
-    """<level| x^power |level> from powers of the truncated position matrix.
-
-    Exact (up to rounding) once the basis holds level + power/2 states,
-    since x only couples neighbouring basis states.
-    """
-    import numpy as np
-
-    x = position_matrix(n_basis, m, omega)
-    return float(np.linalg.matrix_power(x, power)[level, level])
 
 
 def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:

@@ -280,14 +280,6 @@ class BiPoly:
             for dn, dl, c in self.terms_sorted()
         ]
 
-    def degree_n(self) -> int:
-        """Degree in ``n``; -1 for the zero polynomial."""
-        return max((dn for dn, _ in self._terms), default=-1)
-
-    def degree_lam(self) -> int:
-        """Degree in ``lam``; -1 for the zero polynomial."""
-        return max((dl for _, dl in self._terms), default=-1)
-
     def is_lam_only(self) -> bool:
         """True when the polynomial does not involve the symbol ``n``."""
         return all(dn == 0 for dn, _ in self._terms)

@@ -214,6 +214,23 @@ class TestInvalidInput:
         assert code == EXIT_INVALID and out == ""
         assert "--order must be >= 1" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["expand", "check", "verify"])
+    def test_order_above_the_limit(self, capsys, tmp_path, monkeypatch, command, source):
+        def never(*_args):
+            raise AssertionError("no row may be built for a refused order")
+
+        monkeypatch.setattr(engine, "c0_row", never)
+        if source == "flag":
+            argv = ["--config", SEXTIC_INI, "--order", engine.MAX_ORDER + 1]
+        else:
+            config = tmp_path / "huge.ini"
+            config.write_text(SEXTIC_INI.read_text().replace("order = 11", "order = 101"))
+            argv = ["--config", config]
+        code, out, err = run(capsys, command, *argv)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: expansion order 101 exceeds the limit of 100\n"
+
     @pytest.mark.parametrize("sizes, message", [
         ("basis = 100000", "basis size 100000 exceeds the limit of 1000 states"),
         ("basis = 900", "check basis size 1200 exceeds the limit of 1000 states"),

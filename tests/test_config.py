@@ -5,11 +5,8 @@ import pytest
 from lptseries.config import (
     ConfigError,
     OracleConfig,
-    RunConfig,
     parse_config,
-    render_config,
 )
-from lptseries.engine import PotentialSpec, validate_potential
 from lptseries.polys import LAM, BiPoly
 
 SEXTIC_TEXT = """
@@ -111,33 +108,3 @@ class TestParse:
         with pytest.raises(ConfigError, match="too many"):
             parse_config("[potential]\nm = 1\nomega = 1\nf2 = 1/2 lam lam\n")
 
-
-class TestRoundTrip:
-    def make_configs(self):
-        sextic = validate_potential(
-            PotentialSpec.make(1, 1, {4: LAM.scale_div(2)})
-        )
-        mixed = validate_potential(
-            PotentialSpec.make(
-                Fraction(3, 2),
-                2,
-                {1: Fraction(-1, 3), 2: BiPoly({(0, 0): 1, (0, 2): Fraction(5, 7)})},
-            )
-        )
-        return [
-            RunConfig(potential=sextic, order=11, fmt="machine",
-                      oracle=OracleConfig(Fraction(1, 1000), 60, 80, (0, 1, 2, 3))),
-            RunConfig(potential=mixed, order=5, fmt="csv"),
-            RunConfig(potential=validate_potential(PotentialSpec.make(1, 1)),
-                      order=2, fmt="pretty"),
-            RunConfig(potential=sextic, order=3, fmt="pretty",
-                      oracle=OracleConfig(Fraction(1, 10000), 40, None, (0,))),
-        ]
-
-    def test_parse_inverts_render(self):
-        for cfg in self.make_configs():
-            assert parse_config(render_config(cfg)) == cfg
-
-    def test_render_is_deterministic(self):
-        for cfg in self.make_configs():
-            assert render_config(cfg) == render_config(cfg)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lptseries.engine import (
     CTable,
-    _cross_pairs,
+    _identity_pairs,
     _nonzero_cells,
     PotentialError,
     PotentialSpec,
@@ -17,7 +18,6 @@ from lptseries.engine import (
     first_power_identity_failure,
     laurent_row,
     validate_potential,
-    verify_power_identity,
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
@@ -45,7 +45,7 @@ def second_order_closed_form(m, omega, f1, f2) -> BiPoly:
 class TestValidatePotential:
     def test_accepts_harmonic(self):
         spec = validate_potential(PotentialSpec.make(1, 1))
-        assert spec.is_harmonic and spec.max_power == 0
+        assert spec.is_harmonic
 
     def test_accepts_sextic(self):
         spec = validate_potential(PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}))
@@ -123,7 +123,7 @@ class TestLeadingRow:
 class TestLaurentRows:
     def test_harmonic_first_row(self):
         spec = validate_potential(PotentialSpec.make(1, 1))
-        table = CTable(order=2, i_max=2, rows=[c0_row(spec, 2)])
+        table = CTable(order=2, rows=[c0_row(spec, 2)])
         laurent_row(1, table, spec)
         assert table.rows[1][0] == N
         assert all(not table.rows[1][i] for i in (1, 2))
@@ -131,48 +131,59 @@ class TestLaurentRows:
     def test_sextic_first_row_quintic_slot(self):
         # single recursion step gives C[1][4] = -lam (2n + 5) / 4
         spec = validate_potential(PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}))
-        table = CTable(order=3, i_max=4, rows=[c0_row(spec, 4)])
+        table = CTable(order=3, rows=[c0_row(spec, 4)])
         laurent_row(1, table, spec)
         expected = BiPoly({(1, 1): -HALF, (0, 1): Fraction(-5, 4)})
         assert table.rows[1][4] == expected
 
     def test_harmonic_second_row_origin(self):
         spec = validate_potential(PotentialSpec.make(1, 1))
-        table = CTable(order=2, i_max=2, rows=[c0_row(spec, 2)])
+        table = CTable(order=2, rows=[c0_row(spec, 2)])
         laurent_row(1, table, spec)
         laurent_row(2, table, spec)
         assert table.rows[2][0] == (N * N - N).scale_div(2)
 
     def test_out_of_order_rows_rejected(self):
         spec = validate_potential(PotentialSpec.make(1, 1))
-        table = CTable(order=3, i_max=4, rows=[c0_row(spec, 4)])
+        table = CTable(order=3, rows=[c0_row(spec, 4)])
         with pytest.raises(TableError):
             laurent_row(2, table, spec)
         with pytest.raises(TableError):
             laurent_row(0, table, spec)
 
-    @pytest.mark.parametrize("k,i,lo", [(1, 0, 0), (1, 3, 1), (2, 2, 1), (3, 4, 0),
-                                        (4, 3, 1), (4, 6, 0), (5, 5, 1)])
-    def test_cross_pairs_fold_the_double_sum(self, k, i, lo):
-        rng = random.Random(100 * k + 10 * i + lo)
+    @pytest.mark.parametrize("row_k", ["full", "partial"])
+    @pytest.mark.parametrize("k,i", [(1, 0), (1, 3), (2, 2), (3, 3), (3, 4),
+                                     (4, 3), (4, 6), (5, 5)])
+    def test_identity_pairs_list_the_identity(self, k, i, row_k):
+        rng = random.Random(100 * k + 10 * i + (row_k == "partial"))
         rows = [[rand_bipoly(rng) for _ in range(i + 1)] for _ in range(k + 1)]
-        doubled, once = _cross_pairs(_nonzero_cells(rows), k, i, lo)
-        plain = ZERO
-        for j in range(lo, k - lo + 1):
+        if row_k == "partial":
+            # as the row recursion passes it: only the cells before i are built
+            rows[k] = rows[k][:i]
+
+        def cell(j, p):
+            return rows[j][p] if p < len(rows[j]) else ZERO
+
+        once, doubled = _identity_pairs([_nonzero_cells(row) for row in rows], k, i)
+        weight = 3 - 2 * k + i
+        plain = rows[k - 1][i] * weight
+        for j in range(k + 1):
             for p in range(i + 1):
-                plain = plain + rows[j][p] * rows[k - j][i - p]
+                plain = plain + cell(j, p) * cell(k - j, i - p)
         assert BiPoly.dot(once, doubled) == plain
         # exactly the terms whose two cells are nonzero, each mirror pair listed once
         assert all(a and b for a, b in doubled + once)
-        assert 2 * len(doubled) + len(once) == sum(
-            bool(rows[j][p]) and bool(rows[k - j][i - p])
-            for j in range(lo, k - lo + 1)
+        nonzero_terms = sum(
+            bool(cell(j, p)) and bool(cell(k - j, i - p))
+            for j in range(k + 1)
             for p in range(i + 1)
         )
+        nonzero_terms += bool(weight) and bool(rows[k - 1][i])
+        assert 2 * len(doubled) + len(once) == nonzero_terms
 
     def test_energy_requires_complete_rows(self):
         spec = validate_potential(PotentialSpec.make(1, 1))
-        table = CTable(order=2, i_max=2, rows=[c0_row(spec, 2)])
+        table = CTable(order=2, rows=[c0_row(spec, 2)])
         with pytest.raises(TableError):
             energy_coefficient(1, table, spec)
 
@@ -222,7 +233,7 @@ class TestExpand:
     def test_energy_degree_bounded_by_order(self, sextic_expansion):
         _, series = sextic_expansion
         for k in range(1, 12):
-            assert series.e[k].degree_n() <= k
+            assert all(deg_n <= k for deg_n, _, _ in series.e[k].terms_sorted())
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -237,19 +248,32 @@ class TestPowerIdentity:
     def test_holds_on_harmonic_table(self):
         spec = PotentialSpec.make(1, 1)
         table, series = expand(spec, 5)
-        assert verify_power_identity(table, series, validate_potential(spec))
+        assert first_power_identity_failure(table, series, validate_potential(spec)) is None
 
     def test_holds_on_sextic_table(self, sextic_spec, sextic_expansion):
         table, series = sextic_expansion
-        assert verify_power_identity(table, series, validate_potential(sextic_spec))
+        spec = validate_potential(sextic_spec)
+        assert first_power_identity_failure(table, series, spec) is None
 
-    def test_detects_a_mutated_coefficient(self, sextic_spec):
+    # a mutated cell first enters the identity at its own (k, i), through
+    # 2 C[0][0] C[k][i]; (4, 6) is the last cell of an order-4 table
+    @pytest.mark.parametrize("k,i", [(2, 3), (2, 2), (1, 0), (4, 6)],
+                             ids=["odd-slot", "residue-slot", "first-cell", "last-cell"])
+    def test_detects_a_mutated_coefficient(self, sextic_spec, k, i):
         spec = validate_potential(sextic_spec)
         table, series = expand(spec, 4)
-        table.rows[2][3] = table.rows[2][3] + 1
-        failure = first_power_identity_failure(table, series, spec)
-        assert failure is not None
-        assert not verify_power_identity(table, series, spec)
+        assert (table.order, table.i_max) == (4, 6)
+        table.rows[k][i] = table.rows[k][i] + 1
+        assert first_power_identity_failure(table, series, spec) == (k, i)
+
+    def test_detects_a_perturbed_energy(self, sextic_spec):
+        spec = validate_potential(sextic_spec)
+        table, series = expand(spec, 4)
+        e = list(series.e)
+        e[3] = e[3] + 1
+        perturbed = replace(series, e=tuple(e))
+        # E_3 enters only the identity at its readout slot, i = 2*3 - 2
+        assert first_power_identity_failure(table, perturbed, spec) == (3, 4)
 
 
 class TestEvaluateEnergy:

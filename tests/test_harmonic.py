@@ -117,7 +117,7 @@ class TestEngineCrosscheck:
         assert crosscheck_with_engine(8, table)
         rows = [list(row) for row in table.rows]
         rows[5][slot] = rows[5][slot] + N
-        corrupted = CTable(order=table.order, i_max=table.i_max, rows=rows)
+        corrupted = CTable(order=table.order, rows=rows)
         assert not crosscheck_with_engine(8, corrupted)
 
     def test_anharmonic_rows_are_not_single_residues(self, sextic_expansion):

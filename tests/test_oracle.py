@@ -11,10 +11,9 @@ from lptseries.oracle import (
     BasisNotConverged,
     EigensolverError,
     OracleProblem,
-    build_hamiltonian,
+    _hamiltonian_at,
     compare_series,
     converged_levels,
-    diagonal_matrix_element,
     jacobi_eigenvalues,
     lowest_eigenvalues,
     optimal_truncation,
@@ -57,7 +56,7 @@ class TestHamiltonian:
     def test_harmonic_is_diagonal(self):
         problem = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=10,
                                          check_size=14, levels=(0,))
-        h = build_hamiltonian(problem)
+        h = _hamiltonian_at(problem, problem.basis_size)
         assert np.allclose(np.diag(h), np.arange(10) + 0.5)
         assert np.allclose(h - np.diag(np.diag(h)), 0.0)
 
@@ -65,7 +64,7 @@ class TestHamiltonian:
         # <0|x^6|0> = 15/8, so with lam = 1 the (0,0) entry is 1/2 + 15/16
         problem = problem_from_potential(sextic_spec, 1, basis_size=30,
                                          check_size=40, levels=(0,))
-        h = build_hamiltonian(problem)
+        h = _hamiltonian_at(problem, problem.basis_size)
         assert h[0, 0] == pytest.approx(0.5 + 15 / 16, abs=1e-12)
 
     def test_zero_coupling_reduces_to_harmonic(self, sextic_spec):
@@ -73,7 +72,8 @@ class TestHamiltonian:
                                       check_size=16, levels=(0,))
         harmonic = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=12,
                                           check_size=16, levels=(0,))
-        assert np.allclose(build_hamiltonian(free), build_hamiltonian(harmonic))
+        assert np.allclose(_hamiltonian_at(free, free.basis_size),
+                           _hamiltonian_at(harmonic, harmonic.basis_size))
 
     def test_basis_must_contain_target_states(self, sextic_spec):
         with pytest.raises(ValueError, match="too small"):
@@ -97,7 +97,7 @@ class TestJacobi:
     def test_harmonic_spectrum_to_twelve_digits(self):
         problem = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=40,
                                          check_size=54, levels=(0, 1, 2, 3))
-        vals = lowest_eigenvalues(build_hamiltonian(problem), 4)
+        vals = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), 4)
         assert np.max(np.abs(vals - (np.arange(4) + 0.5))) < 1e-12
 
     def test_rejects_asymmetric_input(self):
@@ -124,7 +124,7 @@ class TestLapack:
     def test_agrees_with_jacobi_on_oracle_hamiltonians(self, spec, lam, basis):
         problem = problem_from_potential(spec, lam, basis_size=basis,
                                          check_size=basis + 20, levels=(0, 1, 2, 3))
-        h = build_hamiltonian(problem)
+        h = _hamiltonian_at(problem, problem.basis_size)
         lapack = lowest_eigenvalues(h, 6)
         assert np.max(np.abs(lapack - jacobi_eigenvalues(h)[:6])) < 1e-12
 
@@ -155,18 +155,18 @@ class TestLapack:
 class TestMatrixElements:
     @pytest.mark.parametrize("n", range(6))
     def test_x_squared_closed_form(self, n):
-        value = diagonal_matrix_element(2, n, 50)
+        value = np.linalg.matrix_power(position_matrix(50, 1.0, 1.0), 2)[n, n]
         assert abs(value - (n + 0.5)) < 1e-10
 
     @pytest.mark.parametrize("n", range(6))
     def test_x_sixth_closed_form(self, n):
-        value = diagonal_matrix_element(6, n, 50)
+        value = np.linalg.matrix_power(position_matrix(50, 1.0, 1.0), 6)[n, n]
         closed = (20 * n**3 + 30 * n**2 + 40 * n + 15) / 8
         assert abs(value - closed) < 1e-10 * max(1.0, closed)
 
     def test_scaled_x_squared(self):
         # <n|x^2|n> = (n + 1/2)/(m omega)
-        value = diagonal_matrix_element(2, 3, 40, m=2.0, omega=0.5)
+        value = np.linalg.matrix_power(position_matrix(40, 2.0, 0.5), 2)[3, 3]
         assert value == pytest.approx(3.5 / (2.0 * 0.5), rel=1e-12)
 
 

@@ -128,9 +128,8 @@ class TestRendering:
         assert all(isinstance(r["coeff"], str) for r in records)
 
     def test_degrees(self):
-        assert (N * N * LAM).degree_n() == 2
-        assert (N * N * LAM).degree_lam() == 1
-        assert ZERO.degree_n() == -1
+        assert (N * N * LAM).terms_sorted() == [(2, 1, 1)]
+        assert ZERO.terms_sorted() == []
         assert LAM.is_lam_only() and not N.is_lam_only() and ZERO.is_lam_only()
 
 
