@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
+from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .engine import (
     EnergySeries,
     PotentialError,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="problem configuration file")
         p.add_argument("--order", type=int, metavar="K",
                        help="override the expansion order from the config")
-        p.add_argument("--format", dest="fmt", choices=("pretty", "csv", "machine"),
+        p.add_argument("--format", dest="fmt", choices=FORMATS,
                        help="override the output format from the config")
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
@@ -274,15 +274,11 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             series.e[1] == oscillator_e1
             and all(not series.e[k] for k in range(2, cfg.order + 1)),
         )
-        # the crosscheck's own table is the m = omega = 1 oscillator: reuse ours if it is one
-        unit = cfg.potential.m == cfg.potential.omega == 1
-        record("harmonic-crosscheck",
-               crosscheck_with_engine(cfg.order, table if unit else None))
-        ds = d_sequence(max(cfg.order, 5))
+        record("harmonic-crosscheck", crosscheck_with_engine(table, cfg.potential))
+        # level n needs the residues up to d_(n//2 + 1), so levels 0..8 need d_1..d_5
+        ds = d_sequence(5)
         hermite_ok, detail = True, ""
         for n in range(0, 9):
-            if n // 2 + 1 > ds.order:
-                break
             poly = reconstruct_polynomial(n, ds)
             if not hermite_ratio_check(n, poly):
                 hermite_ok, detail = False, f"at level n={n}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import PotentialSpec, validate_potential
@@ -48,17 +48,17 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class OracleConfig:
     lam: Fraction
-    basis_size: int = 60
-    check_size: int | None = None
-    levels: tuple[int, ...] = (0, 1, 2, 3)
+    basis_size: int
+    check_size: int | None  # None: the oracle derives it from basis_size
+    levels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RunConfig:
     potential: PotentialSpec
-    order: int = 4
-    fmt: str = "pretty"
-    oracle: OracleConfig | None = field(default=None)
+    order: int
+    fmt: str
+    oracle: OracleConfig | None
 
 
 def _parse_lam_poly(key: str, text: str) -> BiPoly:

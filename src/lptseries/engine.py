@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction, mirror_pairs
+from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
 
 # Largest expansion order `expand` accepts.  Cost grows about as K^6.7 and
 # quartic K=60 already takes 122 s on a 2-vCPU host, so a mistyped order
@@ -145,7 +145,9 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
     """Leading-order row: series coefficients of -sqrt(2 m V(x)) / x.
 
     The minus branch of the square root is the one that decays at both
-    ends of the well.  Squaring the ansatz and matching powers of x gives
+    ends of the well.  Squaring the ansatz gives the k = 0 case of the
+    power-matching identity (``_identity_pairs``), solved for C[0][i] as
+    ``laurent_row`` solves row k, with C[0][i] still missing from the row:
 
         C[0][0] = -m*omega
         C[0][i] = (sum_{p=1}^{i-1} C[0][p] C[0][i-p] - 2 m f_i) / (2 m omega)
@@ -154,12 +156,13 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     two_m_omega = 2 * spec.m * spec.omega
     minus_two_m = BiPoly.constant(-2 * spec.m)
-    row = [BiPoly.constant(-spec.m * spec.omega)]
+    nonzero = {0: BiPoly.constant(-spec.m * spec.omega)}
     for i in range(1, i_max + 1):
-        doubled, once = mirror_pairs(row, i, lo=1)
+        once, doubled = _identity_pairs([nonzero], 0, i)
         once.append((spec.f(i), minus_two_m))
-        row.append(BiPoly.dot(once, doubled).scale_div(two_m_omega))
-    return row
+        if cell := BiPoly.dot(once, doubled).scale_div(two_m_omega):
+            nonzero[i] = cell
+    return [nonzero.get(i, ZERO) for i in range(i_max + 1)]
 
 
 def _nonzero_cells(row: list[BiPoly]) -> dict[int, BiPoly]:
@@ -181,7 +184,9 @@ def _identity_pairs(
             = -2 m E_k * [i == 2k-2]
 
     The row recursion solves it for C[k][i], the energy readout for E_k,
-    and the sweep re-checks it; all three list its left side here.
+    and the sweep re-checks it; all three list its left side here.  At
+    k = 0 (``c0_row``) there is no C[k-1] term, and the right side is
+    m^2 omega^2 * [i == 0] + 2 m f_i, from C_0(x)^2 = 2 m V(x).
 
     ``nonzero[j]`` holds row j's nonzero cells as built by
     ``_nonzero_cells``, so only terms whose two cells are both nonzero are
@@ -207,7 +212,8 @@ def _identity_pairs(
             if (b := mid.get(i - p)) is not None:
                 doubled.append((a, b))
     weight = 3 - 2 * k + i
-    if weight and (previous := nonzero[k - 1].get(i)) is not None:
+    # at k = 0, nonzero[k - 1] would silently read the last row
+    if k and weight and (previous := nonzero[k - 1].get(i)) is not None:
         once.append((previous, BiPoly.constant(weight)))
     return once, doubled
 
@@ -302,9 +308,9 @@ def first_power_identity_failure(
     """Self-consistency sweep over the whole triangle.
 
     Re-checks the power-matching identity (``_identity_pairs``) for every
-    k = 1..order and i = 0..i_max, including the residue slots the row
+    k = 0..order and i = 0..i_max, including the residue slots the row
     recursion never computed.  Returns the first failing (k, i), or None
-    when every identity holds.
+    when every identity holds; a corrupted cell fails at its own (k, i).
 
     The sums go through the same kernel and identity helper as the
     recursion and the readout (``BiPoly.dot``, ``_identity_pairs``), so this
@@ -314,10 +320,12 @@ def first_power_identity_failure(
     Hellmann-Feynman perturbation theory.
     """
     nonzero = [_nonzero_cells(row) for row in table.rows]
-    for k in range(1, table.order + 1):
-        minus_two_m_ek = series.e[k] * (-2 * spec.m)
+    for k in range(table.order + 1):
         for i in range(table.i_max + 1):
-            expected = minus_two_m_ek if i == 2 * k - 2 else ZERO
+            if k == 0:
+                expected = spec.f(i) * (2 * spec.m) + (spec.m * spec.omega) ** 2 * (i == 0)
+            else:
+                expected = series.e[k] * (-2 * spec.m) if i == 2 * k - 2 else ZERO
             if BiPoly.dot(*_identity_pairs(nonzero, k, i)) != expected:
                 return (k, i)
     return None

@@ -1,18 +1,20 @@
 """Closed-form solution of the pure oscillator, used as an exactness check.
 
-With m = omega = hbar = 1 and no anharmonic terms, every Laurent row of
-the logarithmic derivative collapses to a single residue: C_0(x) = -x and
-C_k(x) = d_k x^(1-2k), where the residues obey the quadratic recursion
+With hbar = 1 and no anharmonic terms, every Laurent row of the
+logarithmic derivative collapses to a single residue: C_0(x) = -m omega x
+and C_k(x) = d_k (m omega)^(1-k) x^(1-2k), where the residues obey
 
-    d_1 = n,        2 d_k = (3-2k) d_{k-1} + sum_{j=1}^{k-1} d_j d_{k-j}.
+    d_1 = n,        2 d_k = (3-2k) d_{k-1} + sum_{j=1}^{k-1} d_j d_{k-j};
 
-Integrating -x gives the Gaussian factor of the eigenfunction; the rest
-is the node polynomial P_n with P_n'/P_n = sum_k d_k x^(1-2k) at large x.
-Writing P_n(x) = x^sigma * sum_{i=0}^{m0} a_i x^(2i) (sigma the parity of
-n, n = 2*m0 + sigma) turns that relation into a triangular linear system
-for the a_i, and consecutive coefficients end up in the Hermite-polynomial
-ratio -- so the recursion machinery provably restores the textbook
-eigenfunctions, not just the spectrum.
+each step of the engine's recursion divides by 2 m omega where this one
+divides by 2.  At m = omega = 1, integrating -x gives the Gaussian factor
+of the eigenfunction; the rest is the node polynomial P_n with
+P_n'/P_n = sum_k d_k x^(1-2k) at large x.  Writing P_n(x) = x^sigma *
+sum_{i=0}^{m0} a_i x^(2i) (sigma the parity of n, n = 2*m0 + sigma)
+turns that relation into a triangular linear system for the a_i, and
+consecutive coefficients end up in the Hermite-polynomial ratio -- so
+the recursion machinery provably restores the textbook eigenfunctions,
+not just the spectrum.
 
 Note the Laurent series of P_n'/P_n does not terminate for n >= 2 (for
 n = 2, d_3 = 1/2 and every later residue is nonzero); only d_2 .. d_{m0+1}
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CTable, PotentialSpec, expand
-from .polys import ZERO, BiPoly, N, mirror_pairs
+from .engine import CTable, PotentialSpec
+from .polys import ZERO, BiPoly, N
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,10 @@ def d_sequence(order: int) -> DSequence:
         raise ValueError(f"order must be >= 1, got {order}")
     d: list[BiPoly] = [ZERO, N]
     for k in range(2, order + 1):
-        doubled, once = mirror_pairs(d, k, lo=1)
-        once.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
-        d.append(BiPoly.dot(once, doubled).scale_div(2))
+        # written out, not folded: the engine's independent reference
+        pairs = [(d[j], d[k - j]) for j in range(1, k)]
+        pairs.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
+        d.append(BiPoly.dot(pairs).scale_div(2))
     return DSequence(order=order, d=tuple(d))
 
 
@@ -112,18 +115,17 @@ def hermite_ratio_check(n: int, p: NodePolynomial) -> bool:
     return True
 
 
-def crosscheck_with_engine(order: int, table: CTable | None = None) -> bool:
+def crosscheck_with_engine(table: CTable, spec: PotentialSpec) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
-    Builds the harmonic table (m = omega = 1) with the full engine, unless
-    the caller passes that table already built to ``order``, and demands
-    every row k = 1..order is the single term d_k at index 0.
+    ``table`` is the engine's table for the pure oscillator ``spec``; every
+    row k = 1..order must be the single term d_k / (m omega)^(k-1) at
+    index 0, the scaling the module docstring derives.
     """
-    if table is None:
-        table, _series = expand(PotentialSpec.make(1, 1), order)
-    ds = d_sequence(order)
-    for k in range(1, order + 1):
-        if table.rows[k][0] != ds.d[k]:
+    ds = d_sequence(table.order)
+    m_omega = spec.m * spec.omega
+    for k in range(1, table.order + 1):
+        if table.rows[k][0] != ds.d[k].scale_div(m_omega ** (k - 1)):
             return False
         if any(table.rows[k][i] for i in range(1, table.i_max + 1)):
             return False

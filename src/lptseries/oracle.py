@@ -10,7 +10,7 @@ the safeguards below, not from the solver.
 Two safeguards make a reported eigenvalue trustworthy:
 
 * the basis gate: each requested level is diagonalized at two basis
-  sizes and must agree to ``gate_tol`` before it is used at all;
+  sizes and must agree to ``GATE_TOL`` before it is used at all;
 * the truncation policy: the hbar series is asymptotic, so it is summed
   only up to (not including) its smallest-magnitude nonzero term, and
   the comparison budget is 10x that first omitted term.
@@ -46,6 +46,9 @@ if TYPE_CHECKING:
 # would ask for tens of GiB before failing.
 MAX_BASIS = 1000
 
+# Largest shift of a requested level between the gate's two basis sizes.
+GATE_TOL = 1e-10
+
 
 class OracleError(RuntimeError):
     """Base class for failures that invalidate the numerical reference."""
@@ -80,7 +83,6 @@ class OracleProblem:
     basis_size: int
     check_size: int
     levels: tuple[int, ...]
-    gate_tol: float = 1e-10
 
     def validate(self) -> "OracleProblem":
         top = max(self.levels, default=0)
@@ -101,10 +103,9 @@ class OracleProblem:
 def problem_from_potential(
     spec: PotentialSpec,
     lam_value: Scalar,
-    basis_size: int = 60,
+    basis_size: int,
+    levels: tuple[int, ...],
     check_size: int | None = None,
-    levels: tuple[int, ...] = (0, 1, 2, 3),
-    gate_tol: float = 1e-10,
 ) -> OracleProblem:
     """Bind a symbolic potential to a concrete coupling for diagonalization."""
     spec = validate_potential(spec)
@@ -122,7 +123,6 @@ def problem_from_potential(
         basis_size=basis_size,
         check_size=check_size,
         levels=tuple(levels),
-        gate_tol=gate_tol,
     ).validate()
 
 
@@ -239,7 +239,7 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     """Requested eigenvalues, gated on basis-size convergence.
 
     Diagonalizes at ``basis_size`` and ``check_size``; every requested
-    level must shift by less than ``gate_tol`` between the two, and the
+    level must shift by less than ``GATE_TOL`` between the two, and the
     spectrum must be strictly increasing and positive, else the result
     is rejected.
     """
@@ -250,11 +250,11 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     base = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
     check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count)
     shift = float(np.max(np.abs(base - check)))
-    if shift >= problem.gate_tol:
+    if shift >= GATE_TOL:
         raise BasisNotConverged(
             f"eigenvalues moved by {shift:.3e} between basis sizes "
             f"{problem.basis_size} and {problem.check_size} "
-            f"(gate {problem.gate_tol:.1e})"
+            f"(gate {GATE_TOL:.1e})"
         )
     if np.any(check <= 0.0) or np.any(np.diff(check) <= 0.0):
         raise OracleError("spectrum is not strictly increasing and positive")

@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -386,21 +386,6 @@ def _unpack(value: int, width: int) -> Iterator[tuple[int, int]]:
         num = int.from_bytes(raw[deg_n * size : (deg_n + 1) * size], "little") - half
         if num:
             yield deg_n, num
-
-
-def mirror_pairs(
-    seq: Sequence[BiPoly], total: int, lo: int = 0
-) -> tuple[list[Pair], list[Pair]]:
-    """``sum_{p=lo}^{total-lo} seq[p]*seq[total-p]`` as ``(doubled, once)`` pairs.
-
-    The products for p and total-p are equal, so each such pair is listed
-    once in ``doubled``; the middle product p = total/2, when it is in
-    range, is listed in ``once``.  Feed both lists to ``BiPoly.dot``.
-    """
-    doubled = [(seq[p], seq[total - p]) for p in range(lo, (total + 1) // 2)]
-    mid = total // 2
-    once = [(seq[mid], seq[mid])] if total % 2 == 0 and lo <= mid else []
-    return doubled, once
 
 
 ZERO = BiPoly()

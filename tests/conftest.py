@@ -46,9 +46,9 @@ def sextic_expansion(sextic_spec):
     return expand(sextic_spec, 11)
 
 
-def rand_fraction(rng, lo=-6, hi=6, max_den=5, nonzero=False) -> Fraction:
+def rand_fraction(rng, low=-6, high=6, max_den=5, nonzero=False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+        value = Fraction(rng.randint(low, high), rng.randint(1, max_den))
         if value != 0 or not nonzero:
             return value
 

@@ -152,8 +152,8 @@ class TestLaurentRows:
             laurent_row(0, table, spec)
 
     @pytest.mark.parametrize("row_k", ["full", "partial"])
-    @pytest.mark.parametrize("k,i", [(1, 0), (1, 3), (2, 2), (3, 3), (3, 4),
-                                     (4, 3), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("k,i", [(0, 0), (0, 3), (0, 4), (1, 0), (1, 3), (2, 2),
+                                     (3, 3), (3, 4), (4, 3), (4, 6), (5, 5)])
     def test_identity_pairs_list_the_identity(self, k, i, row_k):
         rng = random.Random(100 * k + 10 * i + (row_k == "partial"))
         rows = [[rand_bipoly(rng) for _ in range(i + 1)] for _ in range(k + 1)]
@@ -165,8 +165,9 @@ class TestLaurentRows:
             return rows[j][p] if p < len(rows[j]) else ZERO
 
         once, doubled = _identity_pairs([_nonzero_cells(row) for row in rows], k, i)
-        weight = 3 - 2 * k + i
-        plain = rows[k - 1][i] * weight
+        # at k = 0 the identity has no previous-row term
+        weight = 3 - 2 * k + i if k else 0
+        plain = rows[k - 1][i] * weight if weight else ZERO
         for j in range(k + 1):
             for p in range(i + 1):
                 plain = plain + cell(j, p) * cell(k - j, i - p)
@@ -256,9 +257,11 @@ class TestPowerIdentity:
         assert first_power_identity_failure(table, series, spec) is None
 
     # a mutated cell first enters the identity at its own (k, i), through
-    # 2 C[0][0] C[k][i]; (4, 6) is the last cell of an order-4 table
-    @pytest.mark.parametrize("k,i", [(2, 3), (2, 2), (1, 0), (4, 6)],
-                             ids=["odd-slot", "residue-slot", "first-cell", "last-cell"])
+    # 2 C[0][0] C[k][i]; (4, 6) is the last cell of an order-4 table, and
+    # row 0 is checked against the potential
+    @pytest.mark.parametrize("k,i", [(2, 3), (2, 2), (1, 0), (4, 6), (0, 2), (0, 4), (0, 6)],
+                             ids=["odd-slot", "residue-slot", "first-cell", "last-cell",
+                                  "row-zero-2", "row-zero-4", "row-zero-6"])
     def test_detects_a_mutated_coefficient(self, sextic_spec, k, i):
         spec = validate_potential(sextic_spec)
         table, series = expand(spec, 4)

@@ -106,19 +106,49 @@ class TestHermiteRatio:
             hermite_ratio_check(3, p)
 
 
+# (m, omega) of the oscillators the crosscheck is run on
+OSCILLATORS = [(1, 1), (2, Fraction(3, 5)), (Fraction(1, 3), 4)]
+
+
 class TestEngineCrosscheck:
     @pytest.mark.parametrize("order", [2, 10, 20])
     def test_generic_recursion_restores_closed_form(self, order):
-        assert crosscheck_with_engine(order)
+        spec = PotentialSpec.make(1, 1)
+        table, _ = expand(spec, order)
+        assert crosscheck_with_engine(table, spec)
 
     @pytest.mark.parametrize("slot", [0, 3])
     def test_passed_table_with_one_corrupted_row_fails(self, slot):
-        table, _ = expand(PotentialSpec.make(1, 1), 8)
-        assert crosscheck_with_engine(8, table)
+        spec = PotentialSpec.make(1, 1)
+        table, _ = expand(spec, 8)
+        assert crosscheck_with_engine(table, spec)
         rows = [list(row) for row in table.rows]
         rows[5][slot] = rows[5][slot] + N
         corrupted = CTable(order=table.order, rows=rows)
-        assert not crosscheck_with_engine(8, corrupted)
+        assert not crosscheck_with_engine(corrupted, spec)
+
+    @pytest.mark.parametrize("m, omega", OSCILLATORS)
+    def test_rows_are_residues_scaled_by_m_omega(self, m, omega):
+        spec = PotentialSpec.make(m, omega)
+        table, _ = expand(spec, 12)
+        assert crosscheck_with_engine(table, spec)
+        ds = d_sequence(12)
+        for k in range(1, 13):
+            assert table.rows[k][0] * (Fraction(m) * omega) ** (k - 1) == ds.d[k]
+
+    @pytest.mark.parametrize("m, omega", OSCILLATORS)
+    @pytest.mark.parametrize("row, slot", [(5, 0), (5, 3), (12, 0)])
+    def test_corrupted_row_fails_at_any_m_and_omega(self, m, omega, row, slot):
+        spec = PotentialSpec.make(m, omega)
+        table, _ = expand(spec, 12)
+        rows = [list(cells) for cells in table.rows]
+        rows[row][slot] = rows[row][slot] + N
+        assert not crosscheck_with_engine(CTable(order=table.order, rows=rows), spec)
+
+    @pytest.mark.parametrize("m, omega", OSCILLATORS[1:])
+    def test_table_of_another_oscillator_fails(self, m, omega):
+        unit_table, _ = expand(PotentialSpec.make(1, 1), 8)
+        assert not crosscheck_with_engine(unit_table, PotentialSpec.make(m, omega))
 
     def test_anharmonic_rows_are_not_single_residues(self, sextic_expansion):
         table, _ = sextic_expansion

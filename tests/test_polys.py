@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, _unpack, mirror_pairs, parse_rational
+from lptseries.polys import LAM, N, ONE, ZERO, BiPoly, _unpack, parse_rational
 
 from conftest import rand_bipoly, rand_fraction
 
@@ -303,12 +303,3 @@ class TestScalarLayer:
         assert poly.coefficient(0, 2) == Fraction(-3, 4)
         assert type(poly.coefficient(3, 3)) is Fraction and poly.coefficient(3, 3) == 0
         assert poly.to_records()[0] == {"deg_n": 0, "deg_lam": 0, "coeff": "5"}
-
-    @pytest.mark.parametrize("total,lo", [(0, 0), (1, 0), (4, 0), (5, 1), (6, 1), (1, 1), (2, 1)])
-    def test_mirror_pairs_fold_the_symmetric_sum(self, total, lo):
-        rng = random.Random(total * 10 + lo)
-        seq = [odd_bipoly(rng) for _ in range(total + 1)]
-        doubled, once = mirror_pairs(seq, total, lo)
-        plain = [(seq[p], seq[total - p]) for p in range(lo, total - lo + 1)]
-        assert len(doubled) * 2 + len(once) == len(plain)
-        assert fraction_terms(BiPoly.dot(once, doubled)) == reference_dot(plain)
