@@ -22,7 +22,6 @@ from .engine import (
     expand,
     first_power_identity_failure,
     laurent_row,
-    validate_potential,
 )
 from .harmonic import (
     DSequence,
@@ -57,5 +56,4 @@ __all__ = [
     "laurent_row",
     "parse_rational",
     "reconstruct_polynomial",
-    "validate_potential",
 ]

@@ -23,14 +23,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import FORMATS, ConfigError, RunConfig, parse_config
-from .engine import (
-    EnergySeries,
-    PotentialError,
-    expand,
-    first_power_identity_failure,
-)
+from .engine import EnergySeries, expand, first_power_identity_failure
 from .polys import N, ZERO
-from .harmonic import crosscheck_with_engine, d_sequence, hermite_ratio_check, reconstruct_polynomial
+from .harmonic import (
+    crosscheck_with_engine,
+    hermite_ratio_check,
+    reconstruct_polynomial,
+    table_residues,
+)
 from .oracle import (
     AsymptoticBreakdown,
     BasisNotConverged,
@@ -89,8 +89,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if args.order is not None:
-        if args.order < 1:
-            raise ConfigError(f"--order must be >= 1, got {args.order}")
         cfg = replace(cfg, order=args.order)
     if args.fmt is not None:
         cfg = replace(cfg, fmt=args.fmt)
@@ -275,15 +273,11 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             and all(not series.e[k] for k in range(2, cfg.order + 1)),
         )
         record("harmonic-crosscheck", crosscheck_with_engine(table, cfg.potential))
-        # level n needs the residues up to d_(n//2 + 1), so levels 0..8 need d_1..d_5
-        ds = d_sequence(5)
-        hermite_ok, detail = True, ""
-        for n in range(0, 9):
-            poly = reconstruct_polynomial(n, ds)
-            if not hermite_ratio_check(n, poly):
-                hermite_ok, detail = False, f"at level n={n}"
-                break
-        record("hermite-recurrence", hermite_ok, detail)
+        # level n needs the table's residues up to d_(n//2 + 1)
+        residues = table_residues(table, cfg.potential)
+        bad = [n for n in range(min(9, 2 * cfg.order))
+               if not hermite_ratio_check(n, reconstruct_polynomial(n, residues))]
+        record("hermite-recurrence", not bad, f"at level n={bad[0]}" if bad else "")
 
     if args.golden:
         try:
@@ -338,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         return handlers[args.command](cfg, args)
-    except (ConfigError, PotentialError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and PotentialError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OracleError as exc:

@@ -30,8 +30,9 @@ import configparser
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .engine import PotentialSpec, validate_potential
+from .engine import PotentialError, PotentialSpec
 from .polys import ZERO, BiPoly, parse_rational
 
 FORMATS = ("pretty", "csv", "machine")
@@ -61,32 +62,27 @@ class RunConfig:
     oracle: OracleConfig | None
 
 
-def _parse_lam_poly(key: str, text: str) -> BiPoly:
-    """Parse a coupling polynomial: monomials ``RAT [lam[^E]]`` joined by +."""
+def _lam_poly(text: str) -> BiPoly:
+    """Coupling polynomial: monomials ``RAT [lam[^E]]`` joined by ``+``."""
     poly = ZERO
     for chunk in text.split("+"):
         parts = chunk.split()
         if not parts:
-            raise ConfigError(f"potential.{key}: empty term in {text!r}")
-        try:
-            coeff = parse_rational(parts[0])
-        except ValueError as exc:
-            raise ConfigError(f"potential.{key}: {exc}") from None
+            raise ValueError(f"empty term in {text!r}")
+        coeff = parse_rational(parts[0])
         deg = 0
         if len(parts) == 2:
             match = _LAM_RE.match(parts[1])
             if not match:
-                raise ConfigError(
-                    f"potential.{key}: expected 'lam' or 'lam^E', got {parts[1]!r}"
-                )
+                raise ValueError(f"expected 'lam' or 'lam^E', got {parts[1]!r}")
             deg = int(match.group(1) or 1)
         elif len(parts) > 2:
-            raise ConfigError(f"potential.{key}: too many tokens in term {chunk!r}")
+            raise ValueError(f"too many tokens in term {chunk!r}")
         poly = poly + BiPoly.monomial(coeff, deg_lam=deg)
     return poly
 
 
-def _parse_oracle_number(key: str, text: str) -> Fraction:
+def _oracle_number(text: str) -> Fraction:
     """Oracle-section number: strict rational, or a decimal literal."""
     s = text.strip()
     try:
@@ -95,14 +91,63 @@ def _parse_oracle_number(key: str, text: str) -> Fraction:
         pass
     if _DECIMAL_RE.match(s):
         return Fraction(s)
-    raise ConfigError(f"oracle.{key}: not a rational or decimal number: {text!r}")
+    raise ValueError(f"not a rational or decimal number: {text!r}")
 
 
-def _parse_int(section: str, key: str, text: str) -> int:
+def _integer(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _format(text: str) -> str:
+    fmt = text.strip()
+    if fmt not in FORMATS:
+        raise ValueError(f"{fmt!r} is not one of {'/'.join(FORMATS)}")
+    return fmt
+
+
+def _levels(text: str) -> tuple[int, ...]:
+    levels = tuple(_integer(part) for part in text.split(","))
+    if any(level < 0 for level in levels):
+        raise ValueError("levels must be nonnegative")
+    return levels
+
+
+# the value parser of each known key; any ``fN`` key of [potential] takes
+# ``_lam_poly``
+_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "potential": {"m": parse_rational, "omega": parse_rational},
+    "run": {"order": _integer, "format": _format},
+    "oracle": {
+        "lambda": _oracle_number,
+        "basis": _integer,
+        "check_basis": _integer,
+        "levels": _levels,
+    },
+}
+
+
+def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
+    """Every value of one section, parsed by the parser its key names.
+
+    The one place a value's diagnostic is built: an unknown key, or a
+    value its parser refuses with a ``ValueError``, raises `ConfigError`
+    naming ``section.key``.  A missing section gives no values.
+    """
+    values: dict[str, object] = {}
+    for key, raw in parser[name].items() if parser.has_section(name) else ():
+        parse = _KEYS[name].get(key)
+        if parse is None and name == "potential" and _F_KEY_RE.match(key):
+            parse = _lam_poly
+        if parse is None:
+            raise ConfigError(f"unknown key {name}.{key}")
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from None
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -113,85 +158,45 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    known = {"potential", "run", "oracle"}
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("potential"):
         raise ConfigError("missing required section [potential]")
 
-    pot = parser["potential"]
-    m = omega = None
-    f: dict[int, BiPoly] = {}
-    for key, raw in pot.items():
-        if key == "m":
-            try:
-                m = parse_rational(raw)
-            except ValueError as exc:
-                raise ConfigError(f"potential.m: {exc}") from None
-        elif key == "omega":
-            try:
-                omega = parse_rational(raw)
-            except ValueError as exc:
-                raise ConfigError(f"potential.omega: {exc}") from None
-        else:
-            match = _F_KEY_RE.match(key)
-            if not match:
-                raise ConfigError(f"unknown key potential.{key}")
-            index = int(match.group(1))
-            if index < 1:
-                raise ConfigError(f"potential.{key}: anharmonic index must be >= 1")
-            f[index] = _parse_lam_poly(key, raw)
-    if m is None:
-        raise ConfigError("potential.m is required")
-    if omega is None:
-        raise ConfigError("potential.omega is required")
+    pot = _section(parser, "potential")
+    for key in ("m", "omega"):
+        if key not in pot:
+            raise ConfigError(f"potential.{key} is required")
+    f_keys: dict[int, str] = {}  # index -> the fN key that gave it
+    for key in pot:
+        if key.startswith("f") and (first := f_keys.setdefault(int(key[1:]), key)) != key:
+            raise ConfigError(
+                f"potential.{first} and potential.{key} both give "
+                f"the coefficient of x^{int(key[1:]) + 2}"
+            )
     try:
-        potential = validate_potential(PotentialSpec.make(m, omega, f))
-    except ValueError as exc:
+        potential = PotentialSpec.make(
+            pot["m"], pot["omega"], {i: pot[key] for i, key in f_keys.items()}
+        )
+    except PotentialError as exc:
         raise ConfigError(f"potential: {exc}") from None
 
-    order, fmt = 4, "pretty"
-    if parser.has_section("run"):
-        for key, raw in parser["run"].items():
-            if key == "order":
-                order = _parse_int("run", key, raw)
-                if order < 1:
-                    raise ConfigError(f"run.order: must be >= 1, got {order}")
-            elif key == "format":
-                fmt = raw.strip()
-                if fmt not in FORMATS:
-                    raise ConfigError(
-                        f"run.format: {fmt!r} is not one of {'/'.join(FORMATS)}"
-                    )
-            else:
-                raise ConfigError(f"unknown key run.{key}")
-
+    run = _section(parser, "run")
     oracle = None
     if parser.has_section("oracle"):
-        lam = None
-        basis, check, levels = 60, None, (0, 1, 2, 3)
-        for key, raw in parser["oracle"].items():
-            if key == "lambda":
-                lam = _parse_oracle_number(key, raw)
-            elif key == "basis":
-                basis = _parse_int("oracle", key, raw)
-            elif key == "check_basis":
-                check = _parse_int("oracle", key, raw)
-            elif key == "levels":
-                try:
-                    levels = tuple(int(part) for part in raw.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        f"oracle.levels: not a comma-separated integer list: {raw!r}"
-                    ) from None
-                if any(level < 0 for level in levels) or not levels:
-                    raise ConfigError("oracle.levels: levels must be nonnegative")
-            else:
-                raise ConfigError(f"unknown key oracle.{key}")
-        if lam is None:
+        values = _section(parser, "oracle")
+        if "lambda" not in values:
             raise ConfigError("oracle.lambda is required when [oracle] is present")
-        oracle = OracleConfig(lam=lam, basis_size=basis, check_size=check, levels=levels)
-
-    return RunConfig(potential=potential, order=order, fmt=fmt, oracle=oracle)
-
+        oracle = OracleConfig(
+            lam=values["lambda"],
+            basis_size=values.get("basis", 60),
+            check_size=values.get("check_basis"),
+            levels=values.get("levels", (0, 1, 2, 3)),
+        )
+    return RunConfig(
+        potential=potential,
+        order=run.get("order", 4),
+        fmt=run.get("format", "pretty"),
+        oracle=oracle,
+    )

@@ -60,11 +60,43 @@ class PotentialSpec:
 
     ``terms`` holds the anharmonic part as pairs ``(i, f_i)`` where
     ``f_i`` (a polynomial in ``lam`` only) multiplies ``x^(i+2)``.
+
+    Construction checks and canonicalizes, so every instance describes a
+    simple quadratic minimum: m > 0 and omega > 0 as Fractions, each index
+    an integer >= 1 given once, no coefficient involving ``n``.  Scalar
+    coefficients become constants, zero ones are dropped and indices
+    sorted, so equal potentials are equal specs.  Anything else raises
+    `PotentialError`.
     """
 
     m: Fraction
     omega: Fraction
     terms: tuple[tuple[int, BiPoly], ...] = ()
+
+    def __post_init__(self) -> None:
+        m, omega = _as_fraction(self.m), _as_fraction(self.omega)
+        if m <= 0:
+            raise PotentialError(f"mass must be positive, got {m}")
+        if omega <= 0:
+            raise PotentialError(
+                f"frequency must be positive, got {omega}: "
+                "the potential needs a simple quadratic minimum"
+            )
+        terms: dict[int, BiPoly] = {}
+        for i, value in self.terms:
+            if not isinstance(i, int) or i < 1:
+                raise PotentialError(f"anharmonic index must be an integer >= 1, got {i}")
+            if i in terms:
+                raise PotentialError(f"anharmonic index {i} given twice")
+            poly = value if isinstance(value, BiPoly) else BiPoly.constant(value)
+            if not poly.is_lam_only():
+                raise PotentialError(
+                    f"coefficient of x^{i + 2} must not involve the quantum number n"
+                )
+            terms[i] = poly
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "terms", tuple((i, p) for i, p in sorted(terms.items()) if p))
 
     @staticmethod
     def make(
@@ -72,12 +104,8 @@ class PotentialSpec:
         omega: Scalar,
         f: Mapping[int, BiPoly | Scalar] | None = None,
     ) -> "PotentialSpec":
-        """Build a spec from loose inputs (ints, Fractions, BiPoly values)."""
-        coeffs = []
-        for i, value in sorted((f or {}).items()):
-            poly = value if isinstance(value, BiPoly) else BiPoly.constant(value)
-            coeffs.append((int(i), poly))
-        return PotentialSpec(_as_fraction(m), _as_fraction(omega), tuple(coeffs))
+        """Build a spec from a mapping of index to coefficient."""
+        return PotentialSpec(m, omega, tuple((f or {}).items()))
 
     def f(self, i: int) -> BiPoly:
         """Coefficient of x^(i+2); zero when absent."""
@@ -94,34 +122,6 @@ class PotentialSpec:
     def is_even(self) -> bool:
         """True when V(-x) = V(x), i.e. no odd power of x appears."""
         return all(i % 2 == 0 for i, _ in self.terms)
-
-
-def validate_potential(spec: PotentialSpec) -> PotentialSpec:
-    """Check the minimum is simple and return the spec in canonical form.
-
-    Rejects m <= 0, omega <= 0 (a flat minimum has no oscillator expansion
-    point) and any anharmonic coefficient that involves the symbol ``n``.
-    Explicitly-zero coefficients are dropped and indices sorted, so equal
-    potentials validate to structurally equal specs.
-    """
-    if spec.m <= 0:
-        raise PotentialError(f"mass must be positive, got {spec.m}")
-    if spec.omega <= 0:
-        raise PotentialError(
-            f"frequency must be positive, got {spec.omega}: "
-            "the potential needs a simple quadratic minimum"
-        )
-    coeffs = []
-    for i, poly in sorted(spec.terms):
-        if not isinstance(i, int) or i < 1:
-            raise PotentialError(f"anharmonic index must be an integer >= 1, got {i}")
-        if not poly.is_lam_only():
-            raise PotentialError(
-                f"coefficient of x^{i + 2} must not involve the quantum number n"
-            )
-        if poly:
-            coeffs.append((i, poly))
-    return PotentialSpec(spec.m, spec.omega, tuple(coeffs))
 
 
 @dataclass
@@ -284,11 +284,10 @@ class EnergySeries:
 def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
     """Build the full coefficient triangle and energy series to ``order``.
 
-    Validates the potential, lays down the leading row to index
+    Checks the order, lays down the leading row to index
     i_max = 2*order - 2, then alternates: extend one Laurent row, read one
     energy coefficient.
     """
-    spec = validate_potential(spec)
     if order < 1:
         raise ValueError(f"expansion order must be >= 1, got {order}")
     if order > MAX_ORDER:

@@ -115,18 +115,21 @@ def hermite_ratio_check(n: int, p: NodePolynomial) -> bool:
     return True
 
 
+def table_residues(table: CTable, spec: PotentialSpec) -> DSequence:
+    """The residues d_k = C[k][0] (m omega)^(k-1) of an engine table: for
+    the pure oscillator, the closed-form d_k at every m and omega."""
+    m_omega = spec.m * spec.omega
+    d = [row[0] * m_omega ** (k - 1) for k, row in enumerate(table.rows)]
+    return DSequence(table.order, (ZERO, *d[1:]))
+
+
 def crosscheck_with_engine(table: CTable, spec: PotentialSpec) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
-    ``table`` is the engine's table for the pure oscillator ``spec``; every
-    row k = 1..order must be the single term d_k / (m omega)^(k-1) at
-    index 0, the scaling the module docstring derives.
+    ``table`` is the engine's table for the pure oscillator ``spec``: its
+    `table_residues` must be `d_sequence`'s, and rows 1..order must be
+    zero past index 0.
     """
-    ds = d_sequence(table.order)
-    m_omega = spec.m * spec.omega
-    for k in range(1, table.order + 1):
-        if table.rows[k][0] != ds.d[k].scale_div(m_omega ** (k - 1)):
-            return False
-        if any(table.rows[k][i] for i in range(1, table.i_max + 1)):
-            return False
-    return True
+    return table_residues(table, spec).d == d_sequence(table.order).d and not any(
+        any(row[1:]) for row in table.rows[1:]
+    )

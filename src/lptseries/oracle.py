@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .engine import EnergySeries, PotentialSpec, evaluate_energy, validate_potential
+from .engine import EnergySeries, PotentialSpec, evaluate_energy
 from .polys import Scalar, _as_fraction
 
 if TYPE_CHECKING:
@@ -74,6 +74,10 @@ class OracleProblem:
     mirroring the anharmonic part of a PotentialSpec with ``lam`` bound to
     ``lam_value``.  ``basis_size`` and ``check_size`` are the two basis
     dimensions of the convergence gate.
+
+    Construction checks the gate sizes, so every instance can be diagonalized:
+    room for the top level and the highest power of x, a strictly larger
+    check basis, both within ``MAX_BASIS``; else it raises ``ValueError``.
     """
 
     m: float
@@ -84,7 +88,7 @@ class OracleProblem:
     check_size: int
     levels: tuple[int, ...]
 
-    def validate(self) -> "OracleProblem":
+    def __post_init__(self) -> None:
         top = max(self.levels, default=0)
         degree = max((p for p, _ in self.powers), default=2)
         if self.basis_size <= 2 * top + degree:
@@ -97,7 +101,6 @@ class OracleProblem:
                 raise ValueError(f"{name} size {size} exceeds the limit of {MAX_BASIS} states")
         if self.check_size <= self.basis_size:
             raise ValueError("check basis must be strictly larger than the base one")
-        return self
 
 
 def problem_from_potential(
@@ -108,7 +111,6 @@ def problem_from_potential(
     check_size: int | None = None,
 ) -> OracleProblem:
     """Bind a symbolic potential to a concrete coupling for diagonalization."""
-    spec = validate_potential(spec)
     lam = _as_fraction(lam_value)
     powers = tuple(
         (i + 2, float(poly.evaluate(0, lam))) for i, poly in spec.terms
@@ -123,7 +125,7 @@ def problem_from_potential(
         basis_size=basis_size,
         check_size=check_size,
         levels=tuple(levels),
-    ).validate()
+    )
 
 
 def position_matrix(n_basis: int, m: float, omega: float) -> np.ndarray:
@@ -131,8 +133,6 @@ def position_matrix(n_basis: int, m: float, omega: float) -> np.ndarray:
     <i|x|i+1> = sqrt((i+1) / (2 m omega))."""
     import numpy as np
 
-    if n_basis < 2:
-        raise ValueError(f"basis must have at least 2 states, got {n_basis}")
     x = np.zeros((n_basis, n_basis))
     off = np.sqrt((np.arange(1, n_basis)) / (2.0 * m * omega))
     idx = np.arange(n_basis - 1)
@@ -245,7 +245,6 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     """
     import numpy as np
 
-    problem.validate()
     count = max(problem.levels) + 1
     base = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
     check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from lptseries import cli, engine, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
 from lptseries.engine import expand
+from lptseries.polys import LAM, N
 
 from conftest import GOLDEN_DIR
 
@@ -21,6 +23,7 @@ MULTILAM_INI = GOLDEN_DIR / "multilam.ini"
 MULTILAM_GOLDEN = GOLDEN_DIR / "multilam_k8_machine.json"
 
 QUARTIC_INI = "[potential]\nm = 1\nomega = 1\nf2 = 1 lam\n\n[run]\norder = 11\n"
+HARMONIC_INI = "[potential]\nm = 2\nomega = 3/5\n\n[run]\norder = 6\n"
 
 
 def run(capsys, *argv):
@@ -159,8 +162,8 @@ class TestCheck:
         assert code == EXIT_INVALID and out == ""
         assert err == f"error: golden file {path} is not a machine document: {why}\n"
 
-    # the crosscheck reads the table check built, at any m and omega
-    @pytest.mark.parametrize("m, omega", [(1, 1), (2, 2)])
+    # the oscillator checks read the table check built, at any m and omega
+    @pytest.mark.parametrize("m, omega", [(1, 1), (2, 2), (2, "3/5")])
     def test_harmonic_check_reuses_a_unit_oscillator_table(
         self, capsys, tmp_path, monkeypatch, m, omega
     ):
@@ -175,7 +178,11 @@ class TestCheck:
         config.write_text(f"[potential]\nm = {m}\nomega = {omega}\n\n[run]\norder = 6\n")
         code, out, _ = run(capsys, "check", "--config", config)
         assert code == EXIT_OK
-        assert "harmonic-crosscheck: PASS" in out.splitlines()
+        assert out.splitlines() == [
+            "power-identity: PASS", "residue-slots: PASS", "parity-odd-slots: PASS",
+            "harmonic-reduction: PASS", "harmonic-crosscheck: PASS",
+            "hermite-recurrence: PASS",
+        ]
         assert len(calls) == 1
 
     def test_unreadable_golden(self, capsys, tmp_path):
@@ -183,6 +190,45 @@ class TestCheck:
                            "--golden", tmp_path / "missing.json")
         assert code == EXIT_INVALID
         assert "cannot read golden file" in err
+
+
+def bump_cell(k, i, by):
+    def corrupt(table, series):
+        table.rows[k][i] = table.rows[k][i] + by
+        return table, series
+    return corrupt
+
+
+def bump_energy(k, by):
+    def corrupt(table, series):
+        e = list(series.e)
+        e[k] = e[k] + by
+        return table, replace(series, e=tuple(e))
+    return corrupt
+
+
+class TestCheckFailures:
+    """Each check line fails, with its detail, on a table corrupted after
+    the expansion; a check that no corruption can fail checks nothing."""
+
+    @pytest.mark.parametrize("ini, corrupt, line", [
+        (SEXTIC_INI.read_text(), bump_cell(2, 3, 1), "power-identity: FAIL at (k=2, i=3)"),
+        (SEXTIC_INI.read_text(), bump_cell(2, 2, 1), "residue-slots: FAIL"),
+        (SEXTIC_INI.read_text(), bump_cell(1, 1, LAM), "parity-odd-slots: FAIL at (k=1, i=1)"),
+        (HARMONIC_INI, bump_energy(2, N), "harmonic-reduction: FAIL"),
+        (HARMONIC_INI, bump_cell(3, 0, 1), "harmonic-crosscheck: FAIL"),
+        (HARMONIC_INI, bump_cell(2, 0, N), "hermite-recurrence: FAIL at level n=2"),
+    ], ids=["power-identity", "residue-slots", "parity-odd-slots", "harmonic-reduction",
+            "harmonic-crosscheck", "hermite-recurrence"])
+    def test_corrupted_table_fails_its_line(
+        self, capsys, tmp_path, monkeypatch, ini, corrupt, line
+    ):
+        monkeypatch.setattr(cli, "expand", lambda *args: corrupt(*engine.expand(*args)))
+        config = tmp_path / "problem.ini"
+        config.write_text(ini)
+        code, out, _ = run(capsys, "check", "--config", config, "--order", 4)
+        assert code == EXIT_FAIL
+        assert line in out.splitlines()
 
 
 class TestVerify:
@@ -208,11 +254,15 @@ class TestInvalidInput:
         assert code == EXIT_INVALID
         assert "cannot read config" in err
 
+    # the flag and the config key meet the one order check, in expand
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
-    def test_order_zero(self, capsys, command):
-        code, out, err = run(capsys, command, "--config", SEXTIC_INI, "--order", 0)
-        assert code == EXIT_INVALID and out == ""
-        assert "--order must be >= 1" in err
+    def test_order_zero(self, capsys, tmp_path, command):
+        config = tmp_path / "zero.ini"
+        config.write_text(SEXTIC_INI.read_text().replace("order = 11", "order = 0"))
+        for argv in (["--config", SEXTIC_INI, "--order", 0], ["--config", config]):
+            code, out, err = run(capsys, command, *argv)
+            assert code == EXIT_INVALID and out == ""
+            assert err == "error: expansion order must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
@@ -247,6 +297,15 @@ class TestInvalidInput:
         code, out, err = run(capsys, "verify", "--config", config)
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_colliding_coefficient_keys(self, capsys, tmp_path):
+        config = tmp_path / "collide.ini"
+        config.write_text("[potential]\nm = 1\nomega = 1\nf2 = 1 lam\nf02 = 5 lam\n")
+        code, out, err = run(capsys, "expand", "--config", config)
+        assert code == EXIT_INVALID and out == ""
+        assert err == (
+            "error: potential.f2 and potential.f02 both give the coefficient of x^4\n"
+        )
 
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
     def test_unwritable_output(self, capsys, tmp_path, command):

@@ -74,6 +74,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="potential"):
             parse_config("[run]\norder = 3\n")
 
+    def test_colliding_coefficient_keys_named(self):
+        # f2 and f02 both give the coefficient of x^4; neither may win silently
+        with pytest.raises(ConfigError, match=r"potential\.f2 and potential\.f02 .* x\^4"):
+            parse_config("[potential]\nm = 1\nomega = 1\nf2 = 1 lam\nf02 = 5 lam\n")
+
+    def test_zero_index_rejected_by_the_potential(self):
+        with pytest.raises(ConfigError, match="potential: anharmonic index must be"):
+            parse_config("[potential]\nm = 1\nomega = 1\nf0 = 1\n")
+
+    def test_bad_integer_named(self):
+        with pytest.raises(ConfigError, match=r"run\.order: not an integer: '3\.5'"):
+            parse_config("[potential]\nm = 1\nomega = 1\n[run]\norder = 3.5\n")
+        with pytest.raises(ConfigError, match="oracle.levels: levels must be nonnegative"):
+            parse_config("[potential]\nm = 1\nomega = 1\n[oracle]\nlambda = 1\nlevels = 0, -1\n")
+
     def test_invalid_potential_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match="quadratic minimum"):
             parse_config("[potential]\nm = 1\nomega = 0\nf1 = 1\n")

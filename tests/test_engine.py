@@ -17,7 +17,6 @@ from lptseries.engine import (
     expand,
     first_power_identity_failure,
     laurent_row,
-    validate_potential,
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
@@ -43,36 +42,52 @@ def second_order_closed_form(m, omega, f1, f2) -> BiPoly:
 
 
 class TestValidatePotential:
+    """Construction checks the potential; no invalid spec can exist."""
+
     def test_accepts_harmonic(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         assert spec.is_harmonic
 
     def test_accepts_sextic(self):
-        spec = validate_potential(PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}))
+        spec = PotentialSpec.make(1, 1, {4: LAM.scale_div(2)})
         assert spec.f(4) == LAM.scale_div(2)
         assert spec.is_even
 
     def test_rejects_flat_minimum(self):
         with pytest.raises(PotentialError, match="quadratic minimum"):
-            validate_potential(PotentialSpec.make(1, 0, {1: 1}))
+            PotentialSpec.make(1, 0, {1: 1})
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(PotentialError, match="mass"):
-            validate_potential(PotentialSpec.make(0, 1))
+            PotentialSpec.make(0, 1)
         with pytest.raises(PotentialError, match="mass"):
-            validate_potential(PotentialSpec.make(-1, 1))
+            PotentialSpec.make(-1, 1)
 
     def test_rejects_quantum_number_in_coefficients(self):
         with pytest.raises(PotentialError, match="quantum number"):
-            validate_potential(PotentialSpec.make(1, 1, {2: N}))
+            PotentialSpec.make(1, 1, {2: N})
 
     def test_drops_explicit_zero_terms(self):
-        spec = validate_potential(PotentialSpec.make(1, 1, {3: 0, 4: 1}))
-        assert spec.terms == validate_potential(PotentialSpec.make(1, 1, {4: 1})).terms
+        spec = PotentialSpec.make(1, 1, {3: 0, 4: 1})
+        assert spec.terms == PotentialSpec.make(1, 1, {4: 1}).terms
 
     def test_rejects_bad_index(self):
         with pytest.raises(PotentialError, match="index"):
-            validate_potential(PotentialSpec.make(1, 1, {0: 1}))
+            PotentialSpec.make(1, 1, {0: 1})
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(PotentialError, match="quadratic minimum"):
+            PotentialSpec(Fraction(1), Fraction(0))
+        with pytest.raises(PotentialError, match="index 2 given twice"):
+            PotentialSpec(Fraction(1), Fraction(1), ((2, LAM), (2, LAM * 5)))
+
+    def test_direct_construction_is_canonical(self):
+        spec = PotentialSpec(1, 2, ((4, LAM), (1, 0), (2, Fraction(1, 3))))
+        assert (spec.m, spec.omega) == (Fraction(1), Fraction(2))
+        assert spec.terms == ((2, BiPoly.constant(Fraction(1, 3))), (4, LAM))
+        assert spec == PotentialSpec.make(1, 2, {2: Fraction(1, 3), 4: LAM})
+        with pytest.raises(PotentialError, match="mass"):
+            replace(spec, m=Fraction(0))
 
 
 def square_against_potential(row, spec, i_max):
@@ -88,12 +103,12 @@ def square_against_potential(row, spec, i_max):
 
 class TestLeadingRow:
     def test_harmonic_row_is_single_entry(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         assert c0_row(spec, 4) == [BiPoly.constant(-1), ZERO, ZERO, ZERO, ZERO]
 
     def test_sextic_row_matches_binomial_expansion(self):
         # -x sqrt(1 + lam x^4) = -x (1 + lam x^4/2 - lam^2 x^8/8 + ...)
-        spec = validate_potential(PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}))
+        spec = PotentialSpec.make(1, 1, {4: LAM.scale_div(2)})
         row = c0_row(spec, 8)
         assert row[4] == BiPoly.monomial(-HALF, deg_lam=1)
         assert row[8] == BiPoly.monomial(Fraction(1, 8), deg_lam=2)
@@ -101,7 +116,7 @@ class TestLeadingRow:
 
     def test_cubic_row_matches_binomial_expansion(self):
         # -x sqrt(1 + 2x) = -x (1 + x - x^2/2 + ...)
-        spec = validate_potential(PotentialSpec.make(1, 1, {1: 1}))
+        spec = PotentialSpec.make(1, 1, {1: 1})
         row = c0_row(spec, 2)
         assert row[1] == BiPoly.constant(-1)
         assert row[2] == BiPoly.constant(HALF)
@@ -112,17 +127,13 @@ class TestLeadingRow:
             f = {}
             for i in range(1, rng.randint(1, 5)):
                 f[i] = BiPoly.monomial(rand_fraction(rng), deg_lam=rng.randint(0, 2))
-            spec = validate_potential(
-                PotentialSpec.make(
-                    rand_fraction(rng, 1, 4), rand_fraction(rng, 1, 4), f
-                )
-            )
+            spec = PotentialSpec.make(rand_fraction(rng, 1, 4), rand_fraction(rng, 1, 4), f)
             square_against_potential(c0_row(spec, 8), spec, 8)
 
 
 class TestLaurentRows:
     def test_harmonic_first_row(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         table = CTable(order=2, rows=[c0_row(spec, 2)])
         laurent_row(1, table, spec)
         assert table.rows[1][0] == N
@@ -130,21 +141,21 @@ class TestLaurentRows:
 
     def test_sextic_first_row_quintic_slot(self):
         # single recursion step gives C[1][4] = -lam (2n + 5) / 4
-        spec = validate_potential(PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}))
+        spec = PotentialSpec.make(1, 1, {4: LAM.scale_div(2)})
         table = CTable(order=3, rows=[c0_row(spec, 4)])
         laurent_row(1, table, spec)
         expected = BiPoly({(1, 1): -HALF, (0, 1): Fraction(-5, 4)})
         assert table.rows[1][4] == expected
 
     def test_harmonic_second_row_origin(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         table = CTable(order=2, rows=[c0_row(spec, 2)])
         laurent_row(1, table, spec)
         laurent_row(2, table, spec)
         assert table.rows[2][0] == (N * N - N).scale_div(2)
 
     def test_out_of_order_rows_rejected(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         table = CTable(order=3, rows=[c0_row(spec, 4)])
         with pytest.raises(TableError):
             laurent_row(2, table, spec)
@@ -183,7 +194,7 @@ class TestLaurentRows:
         assert 2 * len(doubled) + len(once) == nonzero_terms
 
     def test_energy_requires_complete_rows(self):
-        spec = validate_potential(PotentialSpec.make(1, 1))
+        spec = PotentialSpec.make(1, 1)
         table = CTable(order=2, rows=[c0_row(spec, 2)])
         with pytest.raises(TableError):
             energy_coefficient(1, table, spec)
@@ -249,11 +260,11 @@ class TestPowerIdentity:
     def test_holds_on_harmonic_table(self):
         spec = PotentialSpec.make(1, 1)
         table, series = expand(spec, 5)
-        assert first_power_identity_failure(table, series, validate_potential(spec)) is None
+        assert first_power_identity_failure(table, series, spec) is None
 
     def test_holds_on_sextic_table(self, sextic_spec, sextic_expansion):
         table, series = sextic_expansion
-        spec = validate_potential(sextic_spec)
+        spec = sextic_spec
         assert first_power_identity_failure(table, series, spec) is None
 
     # a mutated cell first enters the identity at its own (k, i), through
@@ -263,14 +274,14 @@ class TestPowerIdentity:
                              ids=["odd-slot", "residue-slot", "first-cell", "last-cell",
                                   "row-zero-2", "row-zero-4", "row-zero-6"])
     def test_detects_a_mutated_coefficient(self, sextic_spec, k, i):
-        spec = validate_potential(sextic_spec)
+        spec = sextic_spec
         table, series = expand(spec, 4)
         assert (table.order, table.i_max) == (4, 6)
         table.rows[k][i] = table.rows[k][i] + 1
         assert first_power_identity_failure(table, series, spec) == (k, i)
 
     def test_detects_a_perturbed_energy(self, sextic_spec):
-        spec = validate_potential(sextic_spec)
+        spec = sextic_spec
         table, series = expand(spec, 4)
         e = list(series.e)
         e[3] = e[3] + 1

@@ -75,6 +75,14 @@ class TestHamiltonian:
         assert np.allclose(_hamiltonian_at(free, free.basis_size),
                            _hamiltonian_at(harmonic, harmonic.basis_size))
 
+    def test_direct_construction_is_checked(self):
+        args = dict(m=1.0, omega=1.0, lam_value=Fraction(0), powers=(), levels=(0,))
+        OracleProblem(basis_size=10, check_size=11, **args)
+        with pytest.raises(ValueError, match="strictly larger"):
+            OracleProblem(basis_size=10, check_size=10, **args)
+        with pytest.raises(ValueError, match="too small"):
+            OracleProblem(basis_size=10, check_size=20, **{**args, "levels": (4,)})
+
     def test_basis_must_contain_target_states(self, sextic_spec):
         with pytest.raises(ValueError, match="too small"):
             problem_from_potential(sextic_spec, 1, basis_size=10, check_size=20,
