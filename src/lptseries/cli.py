@@ -15,9 +15,7 @@ Exit codes: 0 success, 1 failed check/verification or internal error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,12 +85,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = parse_config(text)
-    if args.order is not None:
-        cfg = replace(cfg, order=args.order)
-    if args.fmt is not None:
-        cfg = replace(cfg, fmt=args.fmt)
-    return cfg
+    overrides = {"order": args.order, "fmt": args.fmt}
+    return parse_config(text)._replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -124,6 +118,8 @@ def machine_document(cfg: RunConfig, series: EnergySeries) -> dict:
 
 
 def render_machine(cfg: RunConfig, series: EnergySeries) -> str:
+    import json
+
     return json.dumps(machine_document(cfg, series), indent=2, sort_keys=True) + "\n"
 
 
@@ -280,6 +276,8 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         record("hermite-recurrence", not bad, f"at level n={bad[0]}" if bad else "")
 
     if args.golden:
+        import json
+
         try:
             golden = json.loads(Path(args.golden).read_text())
         except (OSError, json.JSONDecodeError) as exc:

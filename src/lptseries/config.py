@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .engine import PotentialError, PotentialSpec
 from .polys import ZERO, BiPoly, parse_rational
@@ -46,16 +45,14 @@ class ConfigError(ValueError):
     """A config file could not be understood; the message names the spot."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     lam: Fraction
     basis_size: int
     check_size: int | None  # None: the oracle derives it from basis_size
     levels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     potential: PotentialSpec
     order: int
     fmt: str

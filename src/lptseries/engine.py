@@ -34,9 +34,8 @@ the finite triangle rows 0..K by indices 0..2K-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
 
@@ -54,8 +53,13 @@ class TableError(RuntimeError):
     """A recursion step was invoked before its prerequisites were built."""
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class _PotentialFields(NamedTuple):
+    m: Fraction
+    omega: Fraction
+    terms: tuple[tuple[int, BiPoly], ...] = ()
+
+
+class PotentialSpec(_PotentialFields):
     """Polynomial oscillator potential, all parameters exact.
 
     ``terms`` holds the anharmonic part as pairs ``(i, f_i)`` where
@@ -66,15 +70,13 @@ class PotentialSpec:
     an integer >= 1 given once, no coefficient involving ``n``.  Scalar
     coefficients become constants, zero ones are dropped and indices
     sorted, so equal potentials are equal specs.  Anything else raises
-    `PotentialError`.
+    `PotentialError`, also from ``_replace``.
     """
 
-    m: Fraction
-    omega: Fraction
-    terms: tuple[tuple[int, BiPoly], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m, omega = _as_fraction(self.m), _as_fraction(self.omega)
+    def __new__(cls, m: Scalar, omega: Scalar, terms: tuple = ()) -> PotentialSpec:
+        m, omega = _as_fraction(m), _as_fraction(omega)
         if m <= 0:
             raise PotentialError(f"mass must be positive, got {m}")
         if omega <= 0:
@@ -82,21 +84,24 @@ class PotentialSpec:
                 f"frequency must be positive, got {omega}: "
                 "the potential needs a simple quadratic minimum"
             )
-        terms: dict[int, BiPoly] = {}
-        for i, value in self.terms:
+        polys: dict[int, BiPoly] = {}
+        for i, value in terms:
             if not isinstance(i, int) or i < 1:
                 raise PotentialError(f"anharmonic index must be an integer >= 1, got {i}")
-            if i in terms:
+            if i in polys:
                 raise PotentialError(f"anharmonic index {i} given twice")
             poly = value if isinstance(value, BiPoly) else BiPoly.constant(value)
             if not poly.is_lam_only():
                 raise PotentialError(
                     f"coefficient of x^{i + 2} must not involve the quantum number n"
                 )
-            terms[i] = poly
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "terms", tuple((i, p) for i, p in sorted(terms.items()) if p))
+            polys[i] = poly
+        return super().__new__(cls, m, omega, tuple((i, p) for i, p in sorted(polys.items()) if p))
+
+    @classmethod
+    def _make(cls, iterable) -> PotentialSpec:
+        # ``_replace`` builds through ``_make``: check there too
+        return cls(*iterable)
 
     @staticmethod
     def make(
@@ -109,10 +114,7 @@ class PotentialSpec:
 
     def f(self, i: int) -> BiPoly:
         """Coefficient of x^(i+2); zero when absent."""
-        for j, poly in self.terms:
-            if j == i:
-                return poly
-        return ZERO
+        return dict(self.terms).get(i, ZERO)
 
     @property
     def is_harmonic(self) -> bool:
@@ -124,7 +126,6 @@ class PotentialSpec:
         return all(i % 2 == 0 for i, _ in self.terms)
 
 
-@dataclass
 class CTable:
     """Triangular table of Laurent rows C[k][i] for k = 0..order.
 
@@ -132,8 +133,9 @@ class CTable:
     appended in order during construction and treated as read-only after.
     """
 
-    order: int
-    rows: list[list[BiPoly]] = field(default_factory=list)
+    def __init__(self, order: int, rows: list[list[BiPoly]] | None = None) -> None:
+        self.order = order
+        self.rows = [] if rows is None else rows
 
     @property
     def i_max(self) -> int:
@@ -269,8 +271,7 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     return BiPoly.dot(*_identity_pairs(nonzero, k, slot)).scale_div(-2 * spec.m)
 
 
-@dataclass(frozen=True)
-class EnergySeries:
+class EnergySeries(NamedTuple):
     """Coefficients of E = sum_{k>=1} E_k hbar^k for one potential.
 
     ``e[k]`` multiplies hbar^k; ``e[0]`` is zero because the potential is

@@ -24,15 +24,14 @@ vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import CTable, PotentialSpec
 from .polys import ZERO, BiPoly, N
 
 
-@dataclass(frozen=True)
-class DSequence:
+class DSequence(NamedTuple):
     """Residues d_1..d_order of the oscillator log-derivative, symbolic in n."""
 
     order: int
@@ -55,8 +54,7 @@ def d_sequence(order: int) -> DSequence:
     return DSequence(order=order, d=tuple(d))
 
 
-@dataclass(frozen=True)
-class NodePolynomial:
+class NodePolynomial(NamedTuple):
     """P_n(x) = x^sigma * sum_i a[i] x^(2i), normalized to a leading 1."""
 
     level: int

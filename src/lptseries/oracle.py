@@ -24,15 +24,16 @@ this module for every command: ``main`` catches `OracleError`, and the
 benchmark's tracer binds this module's functions when it installs, before
 any command runs.  A module-level import would make ``expand`` and
 ``check``, which never touch numpy, pay its import (most of the
-interpreter's start-up time) on every run.
+interpreter's start-up time) on every run.  `cli` imports ``json`` by the
+same rule, only to render or read a machine document, so ``check``
+without ``--golden`` and ``verify --format csv`` skip it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import EnergySeries, PotentialSpec, evaluate_energy
 from .polys import Scalar, _as_fraction
@@ -66,20 +67,7 @@ class AsymptoticBreakdown(OracleError):
     """The series terms do not decrease, so no truncation is meaningful."""
 
 
-@dataclass(frozen=True)
-class OracleProblem:
-    """One diagonalization job: a potential at a concrete coupling value.
-
-    ``powers`` maps an x-exponent to its double-precision coefficient,
-    mirroring the anharmonic part of a PotentialSpec with ``lam`` bound to
-    ``lam_value``.  ``basis_size`` and ``check_size`` are the two basis
-    dimensions of the convergence gate.
-
-    Construction checks the gate sizes, so every instance can be diagonalized:
-    room for the top level and the highest power of x, a strictly larger
-    check basis, both within ``MAX_BASIS``; else it raises ``ValueError``.
-    """
-
+class _ProblemFields(NamedTuple):
     m: float
     omega: float
     lam_value: Fraction
@@ -88,19 +76,45 @@ class OracleProblem:
     check_size: int
     levels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        top = max(self.levels, default=0)
-        degree = max((p for p, _ in self.powers), default=2)
-        if self.basis_size <= 2 * top + degree:
+
+class OracleProblem(_ProblemFields):
+    """One diagonalization job: a potential at a concrete coupling value.
+
+    ``powers`` maps an x-exponent to its double-precision coefficient,
+    mirroring the anharmonic part of a PotentialSpec with ``lam`` bound to
+    ``lam_value``.  ``basis_size`` and ``check_size`` are the two basis
+    dimensions of the convergence gate.
+
+    Construction checks the levels and the gate sizes, so every instance
+    can be diagonalized: at least one level, none negative, room for the
+    top level and the highest power of x, a strictly larger check basis,
+    both within ``MAX_BASIS``; else it raises ``ValueError``, also from
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m, omega, lam_value, powers, basis_size, check_size, levels) -> OracleProblem:
+        levels = tuple(levels)
+        if not levels or min(levels) < 0:
+            raise ValueError(f"levels must be one or more nonnegative integers, got {levels}")
+        degree = max((p for p, _ in powers), default=2)
+        if basis_size <= 2 * max(levels) + degree:
             raise ValueError(
-                f"basis size {self.basis_size} too small for level {top} "
+                f"basis size {basis_size} too small for level {max(levels)} "
                 f"with an x^{degree} potential"
             )
-        for name, size in (("basis", self.basis_size), ("check basis", self.check_size)):
+        for name, size in (("basis", basis_size), ("check basis", check_size)):
             if size > MAX_BASIS:
                 raise ValueError(f"{name} size {size} exceeds the limit of {MAX_BASIS} states")
-        if self.check_size <= self.basis_size:
+        if check_size <= basis_size:
             raise ValueError("check basis must be strictly larger than the base one")
+        return super().__new__(cls, m, omega, lam_value, powers, basis_size, check_size, levels)
+
+    @classmethod
+    def _make(cls, iterable) -> OracleProblem:
+        # ``_replace`` builds through ``_make``: check there too
+        return cls(*iterable)
 
 
 def problem_from_potential(
@@ -118,13 +132,7 @@ def problem_from_potential(
     if check_size is None:
         check_size = basis_size + max(20, basis_size // 3)
     return OracleProblem(
-        m=float(spec.m),
-        omega=float(spec.omega),
-        lam_value=lam,
-        powers=powers,
-        basis_size=basis_size,
-        check_size=check_size,
-        levels=tuple(levels),
+        float(spec.m), float(spec.omega), lam, powers, basis_size, check_size, levels
     )
 
 
@@ -260,8 +268,7 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     return np.array([check[n] for n in problem.levels]), shift
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     """Comparison of one level: diagonalization vs truncated series."""
 
     level: int
@@ -277,8 +284,7 @@ class LevelReport:
         return self.discrepancy <= self.bound
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     basis_size: int
     check_size: int
     basis_shift: float
@@ -341,15 +347,7 @@ def compare_series(series: EnergySeries, problem: OracleProblem) -> OracleReport
         discrepancy = abs(float(eig) - partial)
         bound = max(10.0 * abs(float(omitted)), 1e-10)
         entries.append(
-            LevelReport(
-                level=level,
-                eigenvalue=float(eig),
-                partial_sum=partial,
-                truncation_order=k_star,
-                first_omitted_term=float(omitted),
-                discrepancy=discrepancy,
-                bound=bound,
-            )
+            LevelReport(level, float(eig), partial, k_star, float(omitted), discrepancy, bound)
         )
     return OracleReport(
         basis_size=problem.basis_size,

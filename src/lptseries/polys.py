@@ -255,13 +255,19 @@ class BiPoly:
     # -- queries ----------------------------------------------------------
 
     def evaluate(self, n_value: Scalar, lam_value: Scalar) -> Fraction:
-        """Exact substitution of both symbols."""
-        n_val = _as_fraction(n_value)
-        lam_val = _as_fraction(lam_value)
-        total = Fraction(0)
-        for (deg_n, deg_lam), num in self._terms.items():
-            total += num * n_val**deg_n * lam_val**deg_lam
-        return total / self._den
+        """Exact substitution of both symbols.
+
+        With n = a/b, lam = p/q and top degrees D in n and L in lam, the
+        term n^i lam^j is num * a^i b^(D-i) * p^j q^(L-j) over the common
+        denominator ``_den * b^D * q^L``: ints summed, one Fraction built.
+        """
+        a, b = _as_fraction(n_value).as_integer_ratio()
+        p, q = _as_fraction(lam_value).as_integer_ratio()
+        top_n, top_lam = map(max, zip((0, 0), *self._terms))  # (0, 0) for ZERO
+        n_pows = [a**i * b ** (top_n - i) for i in range(top_n + 1)]
+        lam_pows = [p**j * q ** (top_lam - j) for j in range(top_lam + 1)]
+        total = sum(num * n_pows[i] * lam_pows[j] for (i, j), num in self._terms.items())
+        return Fraction(total, self._den * b**top_n * q**top_lam)
 
     def coefficient(self, deg_n: int, deg_lam: int) -> Fraction:
         return Fraction(self._terms.get((deg_n, deg_lam), 0), self._den)

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -203,7 +202,7 @@ def bump_energy(k, by):
     def corrupt(table, series):
         e = list(series.e)
         e[k] = e[k] + by
-        return table, replace(series, e=tuple(e))
+        return table, series._replace(e=tuple(e))
     return corrupt
 
 
@@ -317,22 +316,28 @@ class TestInvalidInput:
 
 
 class TestNumpyImport:
-    """Only ``verify`` loads numpy; ``expand`` and ``check`` never pay its import.
+    """Only ``verify`` loads numpy; ``expand`` and ``check`` never pay its import,
+    nor that of ``dataclasses`` and ``inspect``, and ``check`` without
+    ``--golden`` skips ``json`` too.
 
     Each command runs in a fresh interpreter, because this process has
     already imported numpy.
     """
 
+    WATCHED = ("numpy", "dataclasses", "inspect", "json")
     SCRIPT = (
         "import sys\n"
         "from lptseries.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        f"print(code, *(name for name in {WATCHED!r} if name in sys.modules))\n"
     )
 
-    @pytest.mark.parametrize("command, loads_numpy",
-                             [("expand", False), ("check", False), ("verify", True)])
-    def test_numpy_is_loaded_only_by_verify(self, tmp_path, command, loads_numpy):
+    @pytest.mark.parametrize("command, loads_numpy, unloaded", [
+        pytest.param("expand", False, ("dataclasses", "inspect"), id="expand-False"),
+        pytest.param("check", False, ("dataclasses", "inspect", "json"), id="check-False"),
+        pytest.param("verify", True, (), id="verify-True"),
+    ])
+    def test_numpy_is_loaded_only_by_verify(self, tmp_path, command, loads_numpy, unloaded):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(
@@ -341,4 +346,7 @@ class TestNumpyImport:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == f"{EXIT_OK} {loads_numpy}\n"
+        code, *loaded = result.stdout.split()
+        assert code == str(EXIT_OK)
+        assert ("numpy" in loaded) == loads_numpy
+        assert not set(loaded) & set(unloaded), loaded

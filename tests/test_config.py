@@ -37,6 +37,12 @@ class TestParse:
             lam=Fraction(1, 1000), basis_size=60, check_size=80, levels=(0, 1, 2, 3)
         )
 
+    def test_records_are_immutable(self):
+        cfg = parse_config(SEXTIC_TEXT)
+        for record, field in ((cfg, "order"), (cfg, "fmt"), (cfg.oracle, "levels")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
     def test_empty_potential_is_harmonic(self):
         cfg = parse_config("[potential]\nm = 1\nomega = 1\n")
         assert cfg.potential.is_harmonic

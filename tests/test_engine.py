@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,7 +86,15 @@ class TestValidatePotential:
         assert spec.terms == ((2, BiPoly.constant(Fraction(1, 3))), (4, LAM))
         assert spec == PotentialSpec.make(1, 2, {2: Fraction(1, 3), 4: LAM})
         with pytest.raises(PotentialError, match="mass"):
-            replace(spec, m=Fraction(0))
+            spec._replace(m=Fraction(0))
+
+    def test_records_are_immutable(self, sextic_spec, sextic_expansion):
+        _, series = sextic_expansion
+        for record, field in ((sextic_spec, "m"), (sextic_spec, "terms"), (series, "e")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            sextic_spec.extra = 1
 
 
 def square_against_potential(row, spec, i_max):
@@ -285,7 +292,7 @@ class TestPowerIdentity:
         table, series = expand(spec, 4)
         e = list(series.e)
         e[3] = e[3] + 1
-        perturbed = replace(series, e=tuple(e))
+        perturbed = series._replace(e=tuple(e))
         # E_3 enters only the identity at its readout slot, i = 2*3 - 2
         assert first_power_identity_failure(table, perturbed, spec) == (3, 4)
 

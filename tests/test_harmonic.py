@@ -41,6 +41,13 @@ class TestDSequence:
         with pytest.raises(ValueError):
             d_sequence(0)
 
+    def test_records_are_immutable(self):
+        ds = d_sequence(3)
+        p = reconstruct_polynomial(2, ds)
+        for record, field in ((ds, "d"), (p, "a"), (p, "level")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
 
 def hermite_coefficients(n: int) -> list[Fraction]:
     """Coefficients of H_n in the standard power basis, exact.

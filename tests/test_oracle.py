@@ -82,6 +82,26 @@ class TestHamiltonian:
             OracleProblem(basis_size=10, check_size=10, **args)
         with pytest.raises(ValueError, match="too small"):
             OracleProblem(basis_size=10, check_size=20, **{**args, "levels": (4,)})
+        with pytest.raises(ValueError, match=r"levels .* got \(\)"):
+            OracleProblem(basis_size=10, check_size=11, **{**args, "levels": ()})
+        with pytest.raises(ValueError, match=r"levels .* got \(-1,\)"):
+            OracleProblem(basis_size=10, check_size=11, **{**args, "levels": (-1,)})
+
+    def test_replace_is_checked(self):
+        problem = OracleProblem(1.0, 1.0, Fraction(0), (), 10, 11, (0,))
+        assert problem._replace(check_size=12).check_size == 12
+        with pytest.raises(ValueError, match="strictly larger"):
+            problem._replace(check_size=problem.basis_size)
+
+    def test_records_are_immutable(self, sextic_spec, sextic_expansion):
+        problem = problem_from_potential(sextic_spec, Fraction(1, 1000), 60, (0,))
+        report = compare_series(sextic_expansion[1], problem)
+        for record, field in ((problem, "levels"), (report, "levels"),
+                              (report.levels[0], "bound")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            problem.extra = 1
 
     def test_basis_must_contain_target_states(self, sextic_spec):
         with pytest.raises(ValueError, match="too small"):

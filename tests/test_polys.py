@@ -76,6 +76,28 @@ class TestBiPolyBasics:
         assert third_order.evaluate(0, 1) == Fraction(15, 16)
         assert (N * N).evaluate(3, 7) == 9
 
+    def test_evaluate_matches_the_fraction_per_term_reference(self):
+        rng = random.Random(36)
+        odd = (1, 3, 5, 7, 9, 15, 21)
+        for _ in range(60):
+            poly = rand_bipoly(rng, max_deg_n=6, max_deg_lam=5, max_terms=8)
+            values = [Fraction(rng.randint(-40, 40), rng.choice(odd)) for _ in range(4)]
+            for n_val in (0, rng.randint(1, 9), *values[:2]):
+                for lam_val in (0, Fraction(1, 1000), *values):
+                    reference = sum(
+                        (coeff * Fraction(n_val) ** dn * Fraction(lam_val) ** dl
+                         for dn, dl, coeff in poly.terms_sorted()),
+                        Fraction(0),
+                    )
+                    result = poly.evaluate(n_val, lam_val)
+                    assert type(result) is Fraction and result == reference
+
+    def test_evaluate_refuses_inexact_scalars(self):
+        with pytest.raises(TypeError, match="exact scalar"):
+            (N + LAM).evaluate(0.5, 0)
+        with pytest.raises(TypeError, match="exact scalar"):
+            (N + LAM).evaluate(0, 0.001)
+
 
 class TestRingAxioms:
     def test_randomized_ring_laws(self):
