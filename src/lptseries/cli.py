@@ -179,8 +179,9 @@ def _not_machine_document(golden) -> str | None:
         for record in entry["terms"]:
             if not (
                 isinstance(record, dict)
-                and isinstance(record.get("deg_n"), int)
-                and isinstance(record.get("deg_lam"), int)
+                # JSON true is a Python int equal to 1: refuse bools
+                and type(record.get("deg_n")) is int
+                and type(record.get("deg_lam")) is int
                 and "coeff" in record
             ):
                 return f"energies[{index}] has a term that is not a deg_n/deg_lam/coeff record"
@@ -227,6 +228,7 @@ def _golden_mismatch(golden: dict, produced: dict) -> str | None:
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     table, series = expand(cfg.potential, cfg.order)
+    rows = table.rows
     lines: list[str] = []
     failed = False
 
@@ -243,7 +245,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     record(
         "residue-slots",
         all(
-            table.rows[k][2 * k - 2] == (N if k == 1 else ZERO)
+            rows[k][2 * k - 2] == (N if k == 1 else ZERO)
             for k in range(1, cfg.order + 1)
         ),
     )
@@ -254,7 +256,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
                 (k, i)
                 for k in range(cfg.order + 1)
                 for i in range(1, table.i_max + 1, 2)
-                if table.rows[k][i]
+                if rows[k][i]
             ),
             None,
         )

@@ -127,24 +127,42 @@ class PotentialSpec(_PotentialFields):
 
 
 class CTable:
-    """Triangular table of Laurent rows C[k][i] for k = 0..order.
+    """Triangular table of Laurent rows C[k][i] for k = 0..order, i = 0..i_max.
 
-    Row k holds the coefficients of x^(1-2k) * sum_i C[k][i] x^i.  Rows are
-    appended in order during construction and treated as read-only after.
+    Row k holds the coefficients of x^(1-2k) * sum_i C[k][i] x^i.  The
+    table is stored sparse: ``cells[k]`` maps i to C[k][i] for row k's
+    nonzero cells only, as ``c0_row`` and ``laurent_row`` compute them, and
+    a cell missing from it is zero, as in the power-matching identity.
+    Rows are appended in order during construction and treated as
+    read-only after.  Within the package only this module reads ``cells``;
+    other readers use the dense view ``rows``.
     """
 
-    def __init__(self, order: int, rows: list[list[BiPoly]] | None = None) -> None:
+    def __init__(self, order: int, cells: list[dict[int, BiPoly]] | None = None) -> None:
         self.order = order
-        self.rows = [] if rows is None else rows
+        self.cells = [] if cells is None else cells
 
     @property
     def i_max(self) -> int:
         """Last index of every row: the readout of E_order stops at 2*order-2."""
         return 2 * self.order - 2
 
+    @property
+    def rows(self) -> list[list[BiPoly]]:
+        """Dense view, built on each access: row k as a list over
+        0..i_max, with ``ZERO`` where a cell is absent.
 
-def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
-    """Leading-order row: series coefficients of -sqrt(2 m V(x)) / x.
+        Public because the benchmark's tracer reads it for its table
+        statistics; the ``check`` lines and the oscillator cross-check read
+        it too, each binding it once.
+        """
+        width = range(self.i_max + 1)
+        return [[row.get(i, ZERO) for i in width] for row in self.cells]
+
+
+def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
+    """Leading-order row: nonzero series coefficients of -sqrt(2 m V(x)) / x
+    up to x^i_max, by index (``CTable.cells[0]``).
 
     The minus branch of the square root is the one that decays at both
     ends of the well.  Squaring the ansatz gives the k = 0 case of the
@@ -158,24 +176,17 @@ def c0_row(spec: PotentialSpec, i_max: int) -> list[BiPoly]:
         raise ValueError(f"i_max must be nonnegative, got {i_max}")
     two_m_omega = 2 * spec.m * spec.omega
     minus_two_m = BiPoly.constant(-2 * spec.m)
-    nonzero = {0: BiPoly.constant(-spec.m * spec.omega)}
+    row = {0: BiPoly.constant(-spec.m * spec.omega)}
     for i in range(1, i_max + 1):
-        once, doubled = _identity_pairs([nonzero], 0, i)
+        once, doubled = _identity_pairs([row], 0, i)
         once.append((spec.f(i), minus_two_m))
         if cell := BiPoly.dot(once, doubled).scale_div(two_m_omega):
-            nonzero[i] = cell
-    return [nonzero.get(i, ZERO) for i in range(i_max + 1)]
-
-
-def _nonzero_cells(row: list[BiPoly]) -> dict[int, BiPoly]:
-    """A row's nonzero cells by index, in ascending index order."""
-    # ``cell._terms`` rather than ``bool(cell)``: this visits every cell of
-    # the table once per row, and the method call would double its cost
-    return {p: cell for p, cell in enumerate(row) if cell._terms}
+            row[i] = cell
+    return row
 
 
 def _identity_pairs(
-    nonzero: list[dict[int, BiPoly]], k: int, i: int
+    cells: list[dict[int, BiPoly]], k: int, i: int
 ) -> tuple[list[Pair], list[Pair]]:
     """Left side of the power-matching identity at (k, i) as ``(once, doubled)``.
 
@@ -190,38 +201,37 @@ def _identity_pairs(
     k = 0 (``c0_row``) there is no C[k-1] term, and the right side is
     m^2 omega^2 * [i == 0] + 2 m f_i, from C_0(x)^2 = 2 m V(x).
 
-    ``nonzero[j]`` holds row j's nonzero cells as built by
-    ``_nonzero_cells``, so only terms whose two cells are both nonzero are
-    listed, and a cell missing from row k counts as zero.  The term (j, p)
-    equals the term (k-j, i-p), so each pair of rows j < k-j is listed
-    once, in ``doubled``; the middle row j = k/2 is folded the same way in
-    p.  Feed both lists to ``BiPoly.dot``.
+    ``cells[j]`` holds row j's nonzero cells by index, in any order, as in
+    ``CTable.cells``; cells past i are skipped, and row k may be built only
+    up to i-1.  So only terms whose two cells are both nonzero are listed,
+    and a missing cell counts as zero.  The term (j, p) equals the term
+    (k-j, i-p), so each pair of rows j < k-j is listed once, in
+    ``doubled``; the middle row j = k/2 is folded the same way in p, with
+    its square term p = i/2 listed once.  Feed both lists to ``BiPoly.dot``.
     """
     doubled = [
         (a, b)
         for j in range((k + 1) // 2)
-        for p, a in nonzero[j].items()
-        if p <= i and (b := nonzero[k - j].get(i - p)) is not None
+        for p, a in cells[j].items()
+        if p <= i and (b := cells[k - j].get(i - p)) is not None
     ]
     once: list[Pair] = []
     if k % 2 == 0:
-        mid = nonzero[k // 2]
-        for p, a in mid.items():
-            if 2 * p >= i:
-                if 2 * p == i:
-                    once.append((a, a))
-                break
-            if (b := mid.get(i - p)) is not None:
-                doubled.append((a, b))
+        mid = cells[k // 2]
+        doubled += [
+            (a, b) for p, a in mid.items() if 2 * p < i and (b := mid.get(i - p)) is not None
+        ]
+        if i % 2 == 0 and (a := mid.get(i // 2)) is not None:
+            once.append((a, a))
     weight = 3 - 2 * k + i
-    # at k = 0, nonzero[k - 1] would silently read the last row
-    if k and weight and (previous := nonzero[k - 1].get(i)) is not None:
+    # at k = 0, cells[k - 1] would silently read the last row
+    if k and weight and (previous := cells[k - 1].get(i)) is not None:
         once.append((previous, BiPoly.constant(weight)))
     return once, doubled
 
 
 def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
-    """Append row k to the table.
+    """Append row k to the table's ``cells``.
 
     For i != 2k-2 the right side of the power-matching identity
     (``_identity_pairs``) is zero, and C[k][i] enters its left side only
@@ -232,30 +242,28 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
     the residue of C_k(x) at the origin; node counting fixes it to n for
     k = 1 and 0 afterwards.
 
-    Each cell is one call of the shared kernel ``BiPoly.dot``.  Only
-    products of two nonzero cells are listed; the zero cells of an even
-    potential's odd slots, or of the oscillator's off-residue slots, are
-    never visited.
+    Each cell is one call of the shared kernel ``BiPoly.dot``, tested for
+    zero once, and kept only when nonzero.  Only products of two nonzero
+    cells are listed; the zero cells of an even potential's odd slots, or
+    of the oscillator's off-residue slots, are never visited.
     """
     if k < 1:
         raise TableError(f"row index must be >= 1, got {k}")
-    if len(table.rows) != k:
+    if len(table.cells) != k:
         raise TableError(
-            f"row {k} requested but only rows 0..{len(table.rows) - 1} are built"
+            f"row {k} requested but only rows 0..{len(table.cells) - 1} are built"
         )
     two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
-    row: list[BiPoly] = []
-    row_nonzero: dict[int, BiPoly] = {}
-    nonzero = [_nonzero_cells(done) for done in table.rows] + [row_nonzero]
+    row: dict[int, BiPoly] = {}
+    cells = [*table.cells, row]
     for i in range(table.i_max + 1):
         if i == 2 * k - 2:
             cell = N if k == 1 else ZERO
         else:
-            cell = BiPoly.dot(*_identity_pairs(nonzero, k, i)).scale_div(two_m_omega)
-        row.append(cell)
+            cell = BiPoly.dot(*_identity_pairs(cells, k, i)).scale_div(two_m_omega)
         if cell:
-            row_nonzero[i] = cell
-    table.rows.append(row)
+            row[i] = cell
+    table.cells.append(row)
     return table
 
 
@@ -264,11 +272,9 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     (``_identity_pairs``) at the residue slot i = 2k-2, whose right side
     is -2 m E_k."""
     slot = 2 * k - 2
-    if k < 1 or len(table.rows) <= k or len(table.rows[k]) <= slot:
+    if k < 1 or len(table.cells) <= k or table.i_max < slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
-    # the identity at i = slot reads no cell past the slot
-    nonzero = [_nonzero_cells(row[: slot + 1]) for row in table.rows[: k + 1]]
-    return BiPoly.dot(*_identity_pairs(nonzero, k, slot)).scale_div(-2 * spec.m)
+    return BiPoly.dot(*_identity_pairs(table.cells, k, slot)).scale_div(-2 * spec.m)
 
 
 class EnergySeries(NamedTuple):
@@ -294,7 +300,7 @@ def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
     if order > MAX_ORDER:
         raise ValueError(f"expansion order {order} exceeds the limit of {MAX_ORDER}")
     table = CTable(order)
-    table.rows.append(c0_row(spec, table.i_max))
+    table.cells.append(c0_row(spec, table.i_max))
     energies = [ZERO]
     for k in range(1, order + 1):
         laurent_row(k, table, spec)
@@ -319,38 +325,19 @@ def first_power_identity_failure(
     shares no logic with the recursion, such as hypervirial plus
     Hellmann-Feynman perturbation theory.
     """
-    nonzero = [_nonzero_cells(row) for row in table.rows]
     for k in range(table.order + 1):
         for i in range(table.i_max + 1):
             if k == 0:
                 expected = spec.f(i) * (2 * spec.m) + (spec.m * spec.omega) ** 2 * (i == 0)
             else:
                 expected = series.e[k] * (-2 * spec.m) if i == 2 * k - 2 else ZERO
-            if BiPoly.dot(*_identity_pairs(nonzero, k, i)) != expected:
+            if BiPoly.dot(*_identity_pairs(table.cells, k, i)) != expected:
                 return (k, i)
     return None
 
 
-def evaluate_energy(
-    series: EnergySeries,
-    n_value: int,
-    lam_value: Scalar,
-    hbar_value: Scalar,
-    truncate_at: int,
-) -> tuple[Fraction, list[Fraction]]:
-    """Exact partial sum sum_{k=1}^{truncate_at} E_k(n, lam) hbar^k.
-
-    Returns the sum and the individual terms; ``terms[k]`` is the hbar^k
-    contribution (``terms[0]`` is zero).
-    """
-    if not 1 <= truncate_at <= series.order:
-        raise ValueError(
-            f"truncation order {truncate_at} outside 1..{series.order}"
-        )
-    if n_value < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {n_value}")
-    hbar = _as_fraction(hbar_value)
-    terms = [Fraction(0)]
-    for k in range(1, truncate_at + 1):
-        terms.append(series.e[k].evaluate(n_value, lam_value) * hbar**k)
-    return sum(terms, Fraction(0)), terms
+def evaluate_energy(series: EnergySeries, n_value: int, lam_value: Scalar) -> list[Fraction]:
+    """The series' terms at level ``n_value``, coupling ``lam_value`` and
+    hbar = 1: ``terms[k]`` is E_k(n, lam) for k = 0..order, ``terms[0]``
+    zero."""
+    return [Fraction(0), *(e.evaluate(n_value, lam_value) for e in series.e[1:])]

@@ -336,9 +336,7 @@ def compare_series(series: EnergySeries, problem: OracleProblem) -> OracleReport
     # reported as a basis-convergence failure after a wasted diagonalization
     truncations = []
     for level in problem.levels:
-        _, terms = evaluate_energy(
-            series, level, problem.lam_value, 1, truncate_at=series.order
-        )
+        terms = evaluate_energy(series, level, problem.lam_value)
         truncations.append((level, terms, *optimal_truncation(terms)))
     eigenvalues, shift = converged_levels(problem)
     entries = []

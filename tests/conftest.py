@@ -59,3 +59,16 @@ def rand_bipoly(rng, max_deg_n=3, max_deg_lam=2, max_terms=4) -> BiPoly:
         key = (rng.randint(0, max_deg_n), rng.randint(0, max_deg_lam))
         terms[key] = rand_fraction(rng)
     return BiPoly(terms)
+
+
+def add_to_cell(table, k, i, value) -> None:
+    """Add ``value`` to cell (k, i) of a built table, in place, as the
+    tests that corrupt a table do.  Only nonzero cells are stored, so a
+    cell that becomes zero is removed.
+    """
+    row = table.cells[k]
+    cell = row.get(i, ZERO) + value
+    if cell:
+        row[i] = cell
+    else:
+        row.pop(i, None)

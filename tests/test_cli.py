@@ -12,7 +12,7 @@ from lptseries.config import parse_config
 from lptseries.engine import expand
 from lptseries.polys import LAM, N
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, add_to_cell
 
 SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
@@ -153,8 +153,13 @@ class TestCheck:
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
         ({"energies": [{"k": 1, "terms": [{"deg_n": [0], "deg_lam": 0, "coeff": "1"}]}]},
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+        # JSON true and false are Python ints equal to 1 and 0
+        ({"energies": [{"k": 1, "terms": [{"deg_n": True, "deg_lam": 0, "coeff": "1"}]}]},
+         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+        ({"energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": False, "coeff": "1"}]}]},
+         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
     ], ids=["list", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
-            "list-as-degree"])
+            "list-as-degree", "true-as-degree", "false-as-degree"])
     def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, document, why):
         path = write_golden(tmp_path, document)
         code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
@@ -193,7 +198,7 @@ class TestCheck:
 
 def bump_cell(k, i, by):
     def corrupt(table, series):
-        table.rows[k][i] = table.rows[k][i] + by
+        add_to_cell(table, k, i, by)
         return table, series
     return corrupt
 

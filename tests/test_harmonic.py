@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
-from lptseries.engine import CTable, PotentialSpec, expand
+from lptseries.engine import PotentialSpec, expand
 from lptseries.harmonic import (
     NodePolynomial,
     crosscheck_with_engine,
@@ -13,6 +13,8 @@ from lptseries.harmonic import (
     reconstruct_polynomial,
 )
 from lptseries.polys import N, BiPoly
+
+from conftest import add_to_cell
 
 HALF = Fraction(1, 2)
 
@@ -129,10 +131,8 @@ class TestEngineCrosscheck:
         spec = PotentialSpec.make(1, 1)
         table, _ = expand(spec, 8)
         assert crosscheck_with_engine(table, spec)
-        rows = [list(row) for row in table.rows]
-        rows[5][slot] = rows[5][slot] + N
-        corrupted = CTable(order=table.order, rows=rows)
-        assert not crosscheck_with_engine(corrupted, spec)
+        add_to_cell(table, 5, slot, N)
+        assert not crosscheck_with_engine(table, spec)
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS)
     def test_rows_are_residues_scaled_by_m_omega(self, m, omega):
@@ -148,9 +148,8 @@ class TestEngineCrosscheck:
     def test_corrupted_row_fails_at_any_m_and_omega(self, m, omega, row, slot):
         spec = PotentialSpec.make(m, omega)
         table, _ = expand(spec, 12)
-        rows = [list(cells) for cells in table.rows]
-        rows[row][slot] = rows[row][slot] + N
-        assert not crosscheck_with_engine(CTable(order=table.order, rows=rows), spec)
+        add_to_cell(table, row, slot, N)
+        assert not crosscheck_with_engine(table, spec)
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS[1:])
     def test_table_of_another_oscillator_fails(self, m, omega):
