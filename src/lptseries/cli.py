@@ -19,26 +19,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+# `oracle` and `harmonic` are read as ``oracle.X`` and ``harmonic.X``: the
+# package registers both unexecuted, and a ``from`` import would load them
+# here, for every command.  Each loads on its first attribute read: `oracle`
+# in ``verify`` (or when an exception other than a ``ValueError`` reaches
+# ``main``'s ``except`` clauses), `harmonic` in a harmonic ``check``.
+from . import __version__, harmonic, oracle
 from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .engine import EnergySeries, expand, first_power_identity_failure
 from .polys import N, ZERO
-from .harmonic import (
-    crosscheck_with_engine,
-    hermite_ratio_check,
-    reconstruct_polynomial,
-    table_residues,
-)
-from .oracle import (
-    AsymptoticBreakdown,
-    BasisNotConverged,
-    EigensolverError,
-    OracleError,
-    compare_series,
-    problem_from_potential,
-    report_csv,
-    report_text,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -270,11 +259,13 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             series.e[1] == oscillator_e1
             and all(not series.e[k] for k in range(2, cfg.order + 1)),
         )
-        record("harmonic-crosscheck", crosscheck_with_engine(table, cfg.potential))
+        residues = harmonic.table_residues(table, cfg.potential)
+        record("harmonic-crosscheck",
+               harmonic.crosscheck_with_engine(table, cfg.potential, residues))
         # level n needs the table's residues up to d_(n//2 + 1)
-        residues = table_residues(table, cfg.potential)
         bad = [n for n in range(min(9, 2 * cfg.order))
-               if not hermite_ratio_check(n, reconstruct_polynomial(n, residues))]
+               if not harmonic.hermite_ratio_check(
+                   n, harmonic.reconstruct_polynomial(n, residues))]
         record("hermite-recurrence", not bad, f"at level n={bad[0]}" if bad else "")
 
     if args.golden:
@@ -301,7 +292,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.oracle is None:
         raise ConfigError("verify requires an [oracle] section in the config")
     # built first, so a bad [oracle] section is refused before the expansion
-    problem = problem_from_potential(
+    problem = oracle.problem_from_potential(
         cfg.potential,
         cfg.oracle.lam,
         basis_size=cfg.oracle.basis_size,
@@ -310,18 +301,18 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     _, series = expand(cfg.potential, cfg.order)
     try:
-        report = compare_series(series, problem)
-    except AsymptoticBreakdown as exc:
+        report = oracle.compare_series(series, problem)
+    except oracle.AsymptoticBreakdown as exc:
         _emit(f"verification rejected: {exc}\n", args)
         return EXIT_FAIL
-    except (BasisNotConverged, EigensolverError) as exc:
+    except (oracle.BasisNotConverged, oracle.EigensolverError) as exc:
         _emit(f"oracle not converged: {exc}\n", args)
         return EXIT_INVALID
 
     if cfg.fmt == "csv":
-        _emit(report_csv(report), args)
+        _emit(oracle.report_csv(report), args)
     else:
-        _emit(report_text(report) + "\n", args)
+        _emit(oracle.report_text(report) + "\n", args)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -335,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and PotentialError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OracleError as exc:
+    except oracle.OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

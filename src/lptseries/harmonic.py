@@ -117,17 +117,23 @@ def table_residues(table: CTable, spec: PotentialSpec) -> DSequence:
     """The residues d_k = C[k][0] (m omega)^(k-1) of an engine table: for
     the pure oscillator, the closed-form d_k at every m and omega."""
     m_omega = spec.m * spec.omega
-    d = [row[0] * m_omega ** (k - 1) for k, row in enumerate(table.rows)]
-    return DSequence(table.order, (ZERO, *d[1:]))
+    d = [row.get(0, ZERO) * m_omega ** (k - 1)
+         for k, row in enumerate(table.cells[1:], 1)]
+    return DSequence(table.order, (ZERO, *d))
 
 
-def crosscheck_with_engine(table: CTable, spec: PotentialSpec) -> bool:
+def crosscheck_with_engine(
+    table: CTable, spec: PotentialSpec, residues: DSequence | None = None
+) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
     ``table`` is the engine's table for the pure oscillator ``spec``: its
     `table_residues` must be `d_sequence`'s, and rows 1..order must be
-    zero past index 0.
+    zero past index 0.  A caller that already holds ``table_residues(table,
+    spec)`` passes it as ``residues``.
     """
-    return table_residues(table, spec).d == d_sequence(table.order).d and not any(
-        any(row[1:]) for row in table.rows[1:]
+    if residues is None:
+        residues = table_residues(table, spec)
+    return residues.d == d_sequence(table.order).d and all(
+        row.keys() <= {0} for row in table.cells[1:]
     )

@@ -18,15 +18,19 @@ Two safeguards make a reported eigenvalue trustworthy:
 Everything in this module deliberately runs in double precision; the
 exact side of every comparison lives in `engine`.
 
-numpy is imported on first use, inside each function that needs it, and
-not at module level.  Only ``verify`` diagonalizes, yet `cli` imports
-this module for every command: ``main`` catches `OracleError`, and the
-benchmark's tracer binds this module's functions when it installs, before
-any command runs.  A module-level import would make ``expand`` and
-``check``, which never touch numpy, pay its import (most of the
-interpreter's start-up time) on every run.  `cli` imports ``json`` by the
-same rule, only to render or read a machine document, so ``check``
-without ``--golden`` and ``verify --format csv`` skip it.
+Only ``verify`` diagonalizes, so only ``verify`` loads this module: the
+package registers it in ``sys.modules`` unexecuted, and `cli` reads it as
+``oracle.X``, so ``expand`` and ``check`` never compile or run it, unless
+an exception other than a ``ValueError`` reaches ``main``'s ``except``
+clause for `OracleError`.
+The benchmark's tracer also loads it, when it installs, by reading the
+functions it wraps.  numpy is imported on first use as well, inside each
+function that needs it, and not at module level, so loading this module
+for the tracer, for a refused ``[oracle]`` section or for its records does
+not pay numpy's import (most of the interpreter's start-up time).  `cli`
+imports ``json`` by the same rule, only to render or read a machine
+document, so ``check`` without ``--golden`` and ``verify --format csv``
+skip it.
 """
 
 from __future__ import annotations

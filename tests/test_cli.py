@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lptseries import cli, engine, oracle
+import lptseries
+from lptseries import cli, engine, harmonic, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
 from lptseries.engine import expand
@@ -189,6 +191,26 @@ class TestCheck:
         ]
         assert len(calls) == 1
 
+    def test_harmonic_check_builds_rows_and_residues_once(self, capsys, tmp_path, monkeypatch):
+        builds = {"rows": 0, "residues": 0}
+        dense_rows, table_residues = engine.CTable.rows.fget, harmonic.table_residues
+
+        def counting_rows(table):
+            builds["rows"] += 1
+            return dense_rows(table)
+
+        def counting_residues(*args):
+            builds["residues"] += 1
+            return table_residues(*args)
+
+        monkeypatch.setattr(engine.CTable, "rows", property(counting_rows))
+        monkeypatch.setattr(harmonic, "table_residues", counting_residues)
+        config = tmp_path / "harmonic.ini"
+        config.write_text(HARMONIC_INI)
+        code, out, _ = run(capsys, "check", "--config", config)
+        assert code == EXIT_OK and "FAIL" not in out
+        assert builds == {"rows": 1, "residues": 1}
+
     def test_unreadable_golden(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--config", SEXTIC_INI,
                            "--golden", tmp_path / "missing.json")
@@ -320,22 +342,55 @@ class TestInvalidInput:
         assert "No such file or directory" in err
 
 
+class TestVersion:
+    def test_prints_the_version_pyproject_declares(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        # the [project] table of pyproject.toml, read without tomllib (3.11+ only)
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        declared = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
+        assert capsys.readouterr().out == f"{declared}\n"
+
+
 class TestNumpyImport:
     """Only ``verify`` loads numpy; ``expand`` and ``check`` never pay its import,
     nor that of ``dataclasses`` and ``inspect``, and ``check`` without
     ``--golden`` skips ``json`` too.
 
+    The package registers `oracle` and `harmonic` unexecuted, and only the
+    commands that use them compile and run them: ``verify`` the oracle, a
+    harmonic ``check`` the closed form.  The probe reads
+    ``type(sys.modules[name])``, which is the plain module type only once
+    the module has run; any attribute read, ``vars()`` among them, would
+    load it.
+
     Each command runs in a fresh interpreter, because this process has
-    already imported numpy.
+    already imported numpy and both modules.
     """
 
     WATCHED = ("numpy", "dataclasses", "inspect", "json")
+    LAZY = ("lptseries.oracle", "lptseries.harmonic")
     SCRIPT = (
-        "import sys\n"
+        "import sys, types\n"
         "from lptseries.cli import main\n"
         "code = main(sys.argv[1:])\n"
         f"print(code, *(name for name in {WATCHED!r} if name in sys.modules))\n"
+        f"print(*(name for name in {LAZY!r} if type(sys.modules[name]) is types.ModuleType))\n"
     )
+
+    @staticmethod
+    def run_fresh(script: str, *argv) -> list[list[str]]:
+        """Each line ``script`` prints, split into words."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return [line.split() for line in result.stdout.splitlines()]
 
     @pytest.mark.parametrize("command, loads_numpy, unloaded", [
         pytest.param("expand", False, ("dataclasses", "inspect"), id="expand-False"),
@@ -343,15 +398,35 @@ class TestNumpyImport:
         pytest.param("verify", True, (), id="verify-True"),
     ])
     def test_numpy_is_loaded_only_by_verify(self, tmp_path, command, loads_numpy, unloaded):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, command,
-             "--config", str(SEXTIC_INI), "--out", str(tmp_path / "out.txt")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        code, *loaded = result.stdout.split()
+        (code, *loaded), _ = self.run_fresh(
+            self.SCRIPT, command, "--config", SEXTIC_INI, "--out", tmp_path / "out.txt")
         assert code == str(EXIT_OK)
         assert ("numpy" in loaded) == loads_numpy
         assert not set(loaded) & set(unloaded), loaded
+
+    @pytest.mark.parametrize("command, ini, executed", [
+        pytest.param("expand", SEXTIC_INI.read_text(), [], id="expand"),
+        pytest.param("check", SEXTIC_INI.read_text(), [], id="check"),
+        pytest.param("verify", SEXTIC_INI.read_text(), ["lptseries.oracle"], id="verify"),
+        pytest.param("check", HARMONIC_INI, ["lptseries.harmonic"], id="harmonic-check"),
+    ])
+    def test_oracle_and_harmonic_run_only_where_used(self, tmp_path, command, ini, executed):
+        config = tmp_path / "problem.ini"
+        config.write_text(ini)
+        (code, *_), ran = self.run_fresh(
+            self.SCRIPT, command, "--config", config, "--out", tmp_path / "out.txt")
+        assert code == str(EXIT_OK)
+        assert ran == executed
+
+    def test_harmonic_reexports_load_harmonic_on_first_read(self):
+        script = (
+            "import sys, types\n"
+            "import lptseries\n"
+            "print(type(sys.modules['lptseries.harmonic']) is types.ModuleType)\n"
+            "from lptseries import d_sequence\n"
+            "print(type(sys.modules['lptseries.harmonic']) is types.ModuleType,\n"
+            "      d_sequence is sys.modules['lptseries.harmonic'].d_sequence)\n"
+        )
+        assert self.run_fresh(script) == [["False"], ["True", "True"]]
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            lptseries.no_such_name
