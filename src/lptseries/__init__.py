@@ -14,20 +14,6 @@ __version__ = "0.1.0"
 import importlib.util
 import sys
 
-from .engine import (
-    CTable,
-    EnergySeries,
-    PotentialError,
-    PotentialSpec,
-    c0_row,
-    energy_coefficient,
-    evaluate_energy,
-    expand,
-    first_power_identity_failure,
-    laurent_row,
-)
-from .polys import LAM, N, ONE, ZERO, BiPoly, parse_rational
-
 
 def _register_lazily(name: str):
     """Put submodule ``name`` in ``sys.modules`` unexecuted; its source is
@@ -51,36 +37,3 @@ def _register_lazily(name: str):
 # the module at once, so callers write ``oracle.X``.
 oracle = _register_lazily("oracle")
 harmonic = _register_lazily("harmonic")
-
-
-def __getattr__(name: str):
-    # called only for names missing above: of ``__all__``, the harmonic ones
-    if name in __all__:
-        return getattr(harmonic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BiPoly",
-    "CTable",
-    "DSequence",
-    "EnergySeries",
-    "LAM",
-    "N",
-    "NodePolynomial",
-    "ONE",
-    "PotentialError",
-    "PotentialSpec",
-    "ZERO",
-    "c0_row",
-    "crosscheck_with_engine",
-    "d_sequence",
-    "energy_coefficient",
-    "evaluate_energy",
-    "expand",
-    "first_power_identity_failure",
-    "hermite_ratio_check",
-    "laurent_row",
-    "parse_rational",
-    "reconstruct_polynomial",
-]

@@ -45,13 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, formatted: bool = True) -> None:
         p.add_argument("--config", required=True, metavar="PATH",
                        help="problem configuration file")
         p.add_argument("--order", type=int, metavar="K",
                        help="override the expansion order from the config")
-        p.add_argument("--format", dest="fmt", choices=FORMATS,
-                       help="override the output format from the config")
+        if formatted:  # check prints its PASS/FAIL lines alike in every format
+            p.add_argument("--format", dest="fmt", choices=FORMATS,
+                           help="override the output format from the config")
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_expand)
 
     p_check = sub.add_parser("check", help="run self-consistency checks")
-    add_common(p_check)
+    add_common(p_check, formatted=False)
     p_check.add_argument("--golden", metavar="PATH",
                          help="machine-format file the expansion must reproduce")
 
@@ -74,7 +75,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    overrides = {"order": args.order, "fmt": args.fmt}
+    overrides = {"order": args.order, "fmt": getattr(args, "fmt", None)}
     return parse_config(text)._replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -217,7 +218,6 @@ def _golden_mismatch(golden: dict, produced: dict) -> str | None:
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     table, series = expand(cfg.potential, cfg.order)
-    rows = table.rows
     lines: list[str] = []
     failed = False
 
@@ -234,20 +234,16 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     record(
         "residue-slots",
         all(
-            rows[k][2 * k - 2] == (N if k == 1 else ZERO)
+            table.cells[k].get(2 * k - 2, ZERO) == (N if k == 1 else ZERO)
             for k in range(1, cfg.order + 1)
         ),
     )
 
     if cfg.potential.is_even:
-        bad = next(
-            (
-                (k, i)
-                for k in range(cfg.order + 1)
-                for i in range(1, table.i_max + 1, 2)
-                if rows[k][i]
-            ),
-            None,
+        # the cells hold only nonzero slots, so any odd index is a failure
+        bad = min(
+            ((k, i) for k, row in enumerate(table.cells) for i in row if i % 2),
+            default=None,
         )
         record("parity-odd-slots", bad is None,
                f"at (k={bad[0]}, i={bad[1]})" if bad else "")
@@ -261,7 +257,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         residues = harmonic.table_residues(table, cfg.potential)
         record("harmonic-crosscheck",
-               harmonic.crosscheck_with_engine(table, cfg.potential, residues))
+               harmonic.crosscheck_with_engine(table, residues))
         # level n needs the table's residues up to d_(n//2 + 1)
         bad = [n for n in range(min(9, 2 * cfg.order))
                if not harmonic.hermite_ratio_check(

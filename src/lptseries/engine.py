@@ -134,8 +134,9 @@ class CTable:
     nonzero cells only, as ``c0_row`` and ``laurent_row`` compute them, and
     a cell missing from it is zero, as in the power-matching identity.
     Rows are appended in order during construction and treated as
-    read-only after.  Within the package this module and `harmonic` read
-    ``cells``; the ``check`` lines use the dense view ``rows``.
+    read-only after.  Within the package only ``cells`` is read: this
+    module, `harmonic` and the ``check`` lines read it; the dense view
+    ``rows`` is kept for the benchmark's tracer alone.
     """
 
     def __init__(self, order: int, cells: list[dict[int, BiPoly]] | None = None) -> None:
@@ -152,8 +153,8 @@ class CTable:
         """Dense view, built on each access: row k as a list over
         0..i_max, with ``ZERO`` where a cell is absent.
 
-        Public because the benchmark's tracer reads it for its table
-        statistics; the ``check`` lines read it too, binding it once.
+        No program path reads it; it stays public only because the
+        benchmark's tracer reads it for its table statistics.
         """
         width = range(self.i_max + 1)
         return [[row.get(i, ZERO) for i in width] for row in self.cells]

@@ -122,18 +122,13 @@ def table_residues(table: CTable, spec: PotentialSpec) -> DSequence:
     return DSequence(table.order, (ZERO, *d))
 
 
-def crosscheck_with_engine(
-    table: CTable, spec: PotentialSpec, residues: DSequence | None = None
-) -> bool:
+def crosscheck_with_engine(table: CTable, residues: DSequence) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
-    ``table`` is the engine's table for the pure oscillator ``spec``: its
-    `table_residues` must be `d_sequence`'s, and rows 1..order must be
-    zero past index 0.  A caller that already holds ``table_residues(table,
-    spec)`` passes it as ``residues``.
+    ``table`` is the engine's table for a pure oscillator and ``residues``
+    its `table_residues`: they must be `d_sequence`'s, and rows 1..order
+    must be zero past index 0.
     """
-    if residues is None:
-        residues = table_residues(table, spec)
     return residues.d == d_sequence(table.order).d and all(
         row.keys() <= {0} for row in table.cells[1:]
     )

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import lptseries
 from lptseries import cli, engine, harmonic, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
@@ -192,6 +191,8 @@ class TestCheck:
         assert len(calls) == 1
 
     def test_harmonic_check_builds_rows_and_residues_once(self, capsys, tmp_path, monkeypatch):
+        """The check lines read the sparse cells, so the dense rows are never
+        built, and the harmonic lines share one set of residues."""
         builds = {"rows": 0, "residues": 0}
         dense_rows, table_residues = engine.CTable.rows.fget, harmonic.table_residues
 
@@ -209,7 +210,7 @@ class TestCheck:
         config.write_text(HARMONIC_INI)
         code, out, _ = run(capsys, "check", "--config", config)
         assert code == EXIT_OK and "FAIL" not in out
-        assert builds == {"rows": 1, "residues": 1}
+        assert builds == {"rows": 0, "residues": 1}
 
     def test_unreadable_golden(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--config", SEXTIC_INI,
@@ -273,6 +274,30 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "[oracle]" in err
 
+    def test_rejects_a_coupling_too_large_for_a_partial_sum(self, capsys, tmp_path):
+        config = tmp_path / "quartic.ini"
+        config.write_text(QUARTIC_INI + "\n[oracle]\nlambda = 1\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert code == EXIT_FAIL and err == ""
+        assert out == (
+            "verification rejected: first two nonzero series terms do not decrease "
+            "(|0.5| then |0.75|): the coupling is too large for an asymptotic partial sum\n"
+        )
+
+    def test_order_too_short_to_truncate(self, capsys):
+        code, out, err = run(capsys, "verify", "--config", SEXTIC_INI, "--order", 2)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: series order 2 too short to truncate\n"
+
+    def test_oracle_error(self, capsys, monkeypatch):
+        def fail(_problem):
+            raise oracle.OracleError("spectrum is not strictly increasing and positive")
+
+        monkeypatch.setattr(oracle, "converged_levels", fail)
+        code, out, err = run(capsys, "verify", "--config", SEXTIC_INI)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "oracle error: spectrum is not strictly increasing and positive\n"
+
 
 class TestInvalidInput:
     def test_unreadable_config(self, capsys, tmp_path):
@@ -333,6 +358,15 @@ class TestInvalidInput:
             "error: potential.f2 and potential.f02 both give the coefficient of x^4\n"
         )
 
+    def test_check_has_no_format_flag(self, capsys):
+        # expand and verify keep theirs: TestExpand.test_csv, TestVerify.test_csv_report
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--config", str(SEXTIC_INI), "--format", "csv"])
+        assert exit_info.value.code == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: lptseries ")
+        assert err.endswith("lptseries: error: unrecognized arguments: --format csv\n")
+
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
     def test_unwritable_output(self, capsys, tmp_path, command):
         path = tmp_path / "missing" / "out.txt"
@@ -352,6 +386,15 @@ class TestVersion:
         project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
         declared = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
         assert capsys.readouterr().out == f"{declared}\n"
+
+    def test_module_entry_point(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "lptseries", "--version"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, f"{cli.__version__}\n", "")
 
 
 class TestNumpyImport:
@@ -418,15 +461,20 @@ class TestNumpyImport:
         assert code == str(EXIT_OK)
         assert ran == executed
 
-    def test_harmonic_reexports_load_harmonic_on_first_read(self):
+    def test_bare_import_compiles_no_submodule(self):
+        """``import lptseries`` runs no submodule and re-exports no name; the
+        oracle and harmonic are registered unexecuted."""
         script = (
             "import sys, types\n"
             "import lptseries\n"
-            "print(type(sys.modules['lptseries.harmonic']) is types.ModuleType)\n"
-            "from lptseries import d_sequence\n"
-            "print(type(sys.modules['lptseries.harmonic']) is types.ModuleType,\n"
-            "      d_sequence is sys.modules['lptseries.harmonic'].d_sequence)\n"
+            "print(*(name in sys.modules for name in "
+            "('lptseries.engine', 'lptseries.polys', 'lptseries.cli')))\n"
+            f"print(*(type(sys.modules[name]) is types.ModuleType for name in {self.LAZY!r}))\n"
+            "try:\n"
+            "    from lptseries import d_sequence\n"
+            "except ImportError:\n"
+            "    print('ImportError')\n"
         )
-        assert self.run_fresh(script) == [["False"], ["True", "True"]]
-        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-            lptseries.no_such_name
+        assert self.run_fresh(script) == [
+            ["False", "False", "False"], ["False", "False"], ["ImportError"],
+        ]
