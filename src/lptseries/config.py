@@ -109,6 +109,9 @@ def _levels(text: str) -> tuple[int, ...]:
     levels = tuple(_integer(part) for part in text.split(","))
     if any(level < 0 for level in levels):
         raise ValueError("levels must be nonnegative")
+    repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
+    if repeated:
+        raise ValueError(f"level {repeated[0]} is given more than once")
     return levels
 
 

@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple
 from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
 
 # Largest expansion order `expand` accepts.  Cost grows about as K^6.7 and
-# quartic K=60 already takes 122 s on a 2-vCPU host, so a mistyped order
+# quartic K=60 already takes 77 s on a 2-vCPU host, so a mistyped order
 # such as 200 would run for days before printing anything.
 MAX_ORDER = 100
 

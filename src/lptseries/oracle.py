@@ -2,10 +2,19 @@
 
 The Hamiltonian is projected onto a truncated oscillator eigenbasis
 (hbar = 1), where the kinetic-plus-quadratic part is the diagonal
-omega*(i + 1/2) and each anharmonic term is a matrix power of the
-tridiagonal position operator.  Eigenvalues come from LAPACK's
-symmetric eigensolver (``np.linalg.eigvalsh``); trust in them comes from
-the safeguards below, not from the solver.
+omega*(i + 1/2) and each anharmonic term is a power of the tridiagonal
+position operator.  So H is a band matrix whose half-bandwidth is the
+highest power of x, and the check needs only its few lowest eigenvalues.
+
+Each of them is certified by counts.  The number of negative pivots of
+an LDL^T factorization of H - sigma*I is the number of eigenvalues below
+sigma (Sylvester's law of inertia; Barth, Martin & Wilkinson, Numer.
+Math. 9, 386 (1967)).  Rayleigh-quotient iteration from the unperturbed
+state |k> proposes a value sigma with residual r, so some eigenvalue lies
+within r of sigma; it is taken as level k only if the counts at
+sigma - delta and sigma + delta, delta = max(r, a few eps * ||H||_inf), are
+k and k + 1.  Otherwise the counts are bisected, and a level they cannot
+bracket raises `EigensolverError`.
 
 Two safeguards make a reported eigenvalue trustworthy:
 
@@ -24,19 +33,15 @@ package registers it in ``sys.modules`` unexecuted, and `cli` reads it as
 an exception other than a ``ValueError`` reaches ``main``'s ``except``
 clause for `OracleError`.
 The benchmark's tracer also loads it, when it installs, by reading the
-functions it wraps.  numpy is imported on first use as well, inside each
-function that needs it, and not at module level, so loading this module
-for the tracer, for a refused ``[oracle]`` section or for its records does
-not pay numpy's import (most of the interpreter's start-up time).  `cli`
-imports ``json`` by the same rule, only to render or read a machine
-document, so ``check`` without ``--golden`` and ``verify --format csv``
-skip it.
+functions it wraps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import EnergySeries, PotentialSpec, evaluate_energy
@@ -45,14 +50,28 @@ from .polys import Scalar, _as_fraction
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest basis either gate size may have.  The Hamiltonian is a dense
-# float64 matrix, 8 MB at this size and a few of them alive while it is
-# built; memory grows with the square, so a mistyped size such as 100000
-# would ask for tens of GiB before failing.
+# Largest basis either gate size may have.  The band solver's time and
+# memory grow at least linearly with the size: at this size, building H
+# and certifying its six lowest levels took 0.07-0.13 s for the quartic,
+# sextic and cubic+quartic, in under 1 MB (2-vCPU host), so a mistyped
+# size such as 100000 would run for minutes over the two gate sizes
+# instead of being refused.
 MAX_BASIS = 1000
 
 # Largest shift of a requested level between the gate's two basis sizes.
 GATE_TOL = 1e-10
+
+# Rayleigh-quotient steps per level before the counts decide; from the
+# unperturbed state the iteration converges cubically, in three or four.
+_RQI_STEPS = 10
+
+# The least half-width, in units of eps * ||H||_inf, of the interval that
+# Sturm counts certify around an eigenvalue.
+_CERTIFY_ULPS = 8
+
+# A symmetric band matrix of half-bandwidth b, by rows: ``h[i][b + d]`` is
+# H[i, i + d] for -b <= d <= b, and 0.0 where i + d is outside the matrix.
+Band = list[list[float]]
 
 
 class OracleError(RuntimeError):
@@ -64,7 +83,9 @@ class BasisNotConverged(OracleError):
 
 
 class EigensolverError(OracleError):
-    """The eigensolver failed to converge (LAPACK raised ``LinAlgError``)."""
+    """Sturm counts could not certify a level: they fail to bracket it
+    between the bounds that hold every eigenvalue, or the matrix has a
+    non-finite entry."""
 
 
 class AsymptoticBreakdown(OracleError):
@@ -140,45 +161,61 @@ def problem_from_potential(
     )
 
 
-def position_matrix(n_basis: int, m: float, omega: float) -> np.ndarray:
-    """Position operator in the oscillator basis: tridiagonal, hbar = 1,
-    <i|x|i+1> = sqrt((i+1) / (2 m omega))."""
-    import numpy as np
+def _position_power(n_basis: int, m: float, omega: float, power: int) -> Band:
+    """X**power in band form (half-bandwidth ``power``), X the position
+    operator on the first ``n_basis`` oscillator states: tridiagonal,
+    hbar = 1, <i|X|i+1> = sqrt((i+1) / (2 m omega)).
 
-    x = np.zeros((n_basis, n_basis))
-    off = np.sqrt((np.arange(1, n_basis)) / (2.0 * m * omega))
-    idx = np.arange(n_basis - 1)
-    x[idx, idx + 1] = off
-    x[idx + 1, idx] = off
-    return x
+    Row i is e_i X**power, each step staying inside the basis: the same
+    truncated product that a power of the dense truncated X forms.
+    """
+    ladder = [math.sqrt((i + 1) / (2.0 * m * omega)) for i in range(n_basis - 1)]
+    rows = []
+    for i in range(n_basis):
+        row = {i: 1.0}
+        for _ in range(power):
+            step: dict[int, float] = {}
+            for j, value in row.items():
+                if j > 0:
+                    step[j - 1] = step.get(j - 1, 0.0) + value * ladder[j - 1]
+                if j < n_basis - 1:
+                    step[j + 1] = step.get(j + 1, 0.0) + value * ladder[j]
+            row = step
+        rows.append([row.get(i + d, 0.0) for d in range(-power, power + 1)])
+    return rows
 
 
-def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> np.ndarray:
-    """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power."""
-    import numpy as np
-
-    h = np.diag(problem.omega * (np.arange(n_basis) + 0.5))
-    if problem.powers:
-        x = position_matrix(n_basis, problem.m, problem.omega)
-        for power, coeff in problem.powers:
-            h = h + coeff * np.linalg.matrix_power(x, power)
-    # matrix powers are symmetric up to rounding; enforce it exactly
-    return (h + h.T) / 2.0
+def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:
+    """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power,
+    in band form; the half-bandwidth is the highest power (0 for the
+    oscillator)."""
+    b = max((power for power, _ in problem.powers), default=0)
+    h = [[0.0] * b + [problem.omega * (i + 0.5)] + [0.0] * b for i in range(n_basis)]
+    for power, coeff in problem.powers:
+        x_power = _position_power(n_basis, problem.m, problem.omega, power)
+        for row, term in zip(h, x_power):
+            for c, value in enumerate(term, b - power):
+                row[c] = row[c] + coeff * value
+    # matrix powers are symmetric up to rounding; enforce it exactly, as (h + h^T)/2
+    for i, row in enumerate(h):
+        for d in range(1, min(b, n_basis - 1 - i) + 1):
+            row[b + d] = h[i + d][b - d] = (row[b + d] + h[i + d][b - d]) / 2.0
+    return h
 
 
 def jacobi_eigenvalues(
     h: np.ndarray, rel_tol: float = 1e-13, max_sweeps: int = 40
 ) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps row by row until the off-diagonal Frobenius norm drops below
     ``rel_tol`` times the Frobenius norm of the input; raises after
     ``max_sweeps`` full sweeps without reaching it.
 
-    Not on the ``verify`` path, which uses `lowest_eigenvalues`.  It stays
-    for two reasons: the test suite uses it as an independent reference
-    for the LAPACK path, and the benchmark's tracer binds its name.
-    Deleting it waits on a benchmark change that drops that name.
+    Not on the ``verify`` path, which uses `lowest_eigenvalues`, and the
+    only function of the package that imports numpy.  It stays only because
+    the benchmark's tracer binds its name; deleting it waits on a benchmark
+    change that drops that name.
     """
     import numpy as np
 
@@ -233,21 +270,157 @@ def jacobi_eigenvalues(
     )
 
 
-def lowest_eigenvalues(h: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` smallest eigenvalues of a symmetric matrix, ascending."""
-    import numpy as np
+def _ldl(h: Band, sigma: float, tiny: float) -> tuple[list[list[float]], list[float]]:
+    """LDL^T of H - sigma*I, without pivoting: the unit lower factor in band
+    form (``l[i][c]`` is L[i, i - b + c] for c < b) and the pivots D.
 
-    if count > h.shape[0]:
-        raise ValueError(f"asked for {count} eigenvalues of a {h.shape[0]}-dim matrix")
-    if not np.allclose(h, h.T, atol=0.0):
+    A pivot that comes out exactly zero is replaced by ``tiny``, so the
+    factors always exist; by Sylvester's law of inertia the negative pivots
+    count the eigenvalues below sigma.
+    """
+    b = len(h[0]) // 2
+    lower: list[list[float]] = []
+    pivots: list[float] = []
+    for i, row in enumerate(h):
+        first = b - i if i < b else 0  # the band index of column max(0, i - b)
+        l_i = [0.0] * b
+        w_i = [0.0] * b  # L[i, j] * D[j]
+        pivot = row[b] - sigma
+        for c in range(first, b):
+            j = i - b + c
+            l_j = lower[j]
+            w = row[c]
+            for t in range(first, c):
+                w -= w_i[t] * l_j[t - c + b]
+            w_i[c] = w
+            l_i[c] = w / pivots[j]
+            pivot -= w * l_i[c]
+        lower.append(l_i)
+        pivots.append(pivot if pivot != 0.0 else tiny)
+    return lower, pivots
+
+
+def _sturm_count(h: Band, sigma: float, tiny: float) -> int:
+    """The number of eigenvalues of H below sigma."""
+    return sum(pivot < 0.0 for pivot in _ldl(h, sigma, tiny)[1])
+
+
+def _ldl_solve(lower: list[list[float]], pivots: list[float], x: list[float]) -> list[float]:
+    """Solve L D L^T y = x with the factors of `_ldl`."""
+    b = len(lower[0])
+    # b leading zeros stand for the columns before the first; L is zero there
+    z = [0.0] * b
+    for x_i, l_i in zip(x, lower):
+        z.append(x_i - sum(map(mul, l_i, z[len(z) - b:])))
+    y = [0.0] * b + [z_i / d_i for z_i, d_i in zip(z[b:], pivots)]
+    for i in range(len(lower) - 1, 0, -1):
+        y_i, l_i = y[b + i], lower[i]
+        for c in range(b):
+            y[i + c] -= l_i[c] * y_i
+    return y[b:]
+
+
+def _matvec(h: Band, x: list[float]) -> list[float]:
+    b = len(h[0]) // 2
+    padded = [0.0] * b + x + [0.0] * b
+    return [sum(map(mul, row, padded[i:i + 2 * b + 1])) for i, row in enumerate(h)]
+
+
+def _rayleigh(h: Band, x: list[float], floor: float) -> tuple[float, float]:
+    """Rayleigh-quotient iteration from the unit vector ``x``: the last
+    quotient sigma and delta = max(residual, floor), so that some
+    eigenvalue lies within delta of sigma."""
+    last = math.inf
+    for step in range(_RQI_STEPS + 1):
+        hx = _matvec(h, x)
+        sigma = sum(map(mul, x, hx))
+        residual = math.sqrt(sum((a - sigma * v) ** 2 for a, v in zip(hx, x)))
+        # the residual of Rayleigh-quotient iteration never grows in exact
+        # arithmetic; once it stops falling, rounding has the last word
+        if residual <= floor or not residual < last or step == _RQI_STEPS:
+            break
+        last = residual
+        y = _ldl_solve(*_ldl(h, sigma, floor), x)
+        scale = math.sqrt(sum(v * v for v in y))
+        x = [v / scale for v in y]
+    return sigma, max(residual, floor)
+
+
+def _level(h: Band, k: int, start: int, floor: float, bounds: tuple[float, float]) -> float:
+    """Eigenvalue k (from 0, ascending) of the band matrix ``h``, certified.
+
+    Rayleigh-quotient iteration runs from basis state ``start``, the
+    unperturbed state |k> in the order of ``h``'s rows.  Its quotient sigma
+    is returned if the counts below sigma - delta and sigma + delta are k
+    and k + 1, which puts eigenvalue k within delta of sigma.  Otherwise
+    the counts are bisected from ``bounds`` down to a bracket of width
+    2 * floor, and its midpoint is returned.
+    """
+    unperturbed = [0.0] * len(h)
+    unperturbed[start] = 1.0
+    sigma, delta = _rayleigh(h, unperturbed, floor)
+    below = _sturm_count(h, sigma - delta, floor)
+    above = _sturm_count(h, sigma + delta, floor)
+    if below == k and above == k + 1:
+        return sigma
+
+    lo, hi = bounds
+    if _sturm_count(h, lo, floor) > k or _sturm_count(h, hi, floor) <= k:
+        raise EigensolverError(f"Sturm counts cannot bracket level {k}")
+    # the iteration found some other level: its counts still narrow the bracket
+    for point, count in ((sigma - delta, below), (sigma + delta, above)):
+        if lo < point < hi:
+            if count <= k:
+                lo = point
+            else:
+                hi = point
+    while hi - lo > 2.0 * floor:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _sturm_count(h, mid, floor) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def lowest_eigenvalues(h: Band, count: int) -> list[float]:
+    """The ``count`` smallest eigenvalues of a symmetric band matrix,
+    ascending, each certified by Sturm counts (see `_level`).
+
+    ``h`` is in band form: ``h[i][b + d]`` is H[i, i + d] for |d| <= b.
+    Raises ``ValueError`` if ``count`` exceeds the dimension or the band
+    is not symmetric, and `EigensolverError` if a level cannot be
+    certified.
+    """
+    n = len(h)
+    if count > n:
+        raise ValueError(f"asked for {count} eigenvalues of a {n}-dim matrix")
+    b = len(h[0]) // 2
+    if any(len(row) != 2 * b + 1 for row in h):
+        raise ValueError("band rows must all have one odd length")
+    if any(row[b + d] != h[i + d][b - d]
+           for i, row in enumerate(h) for d in range(1, min(b, n - 1 - i) + 1)):
         raise ValueError("matrix must be symmetric")
-    try:
-        return np.linalg.eigvalsh(h)[:count]
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+    norm = max(sum(map(abs, row)) for row in h)
+    if not math.isfinite(norm):
+        raise EigensolverError("matrix has non-finite entries")
+    floor = _CERTIFY_ULPS * sys.float_info.epsilon * (norm or 1.0)
+    # every eigenvalue lies within the infinity norm of zero
+    bounds = (-norm - floor, norm + floor)
+    order = list(range(n))
+    if not any(row[c] for row in h for c in range(1 - b % 2, 2 * b + 1, 2)):
+        # no odd diagonal, so H keeps parity: listed even states first, it is
+        # block diagonal with half the bandwidth, and has the same spectrum
+        order = order[::2] + order[1::2]
+        half = b // 2
+        h = [[h[i][b + d] if 0 <= i + d < n else 0.0 for d in range(-2 * half, 2 * half + 1, 2)]
+             for i in order]
+    return [_level(h, k, order.index(k), floor, bounds) for k in range(count)]
 
 
-def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
+def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
     """Requested eigenvalues, gated on basis-size convergence.
 
     Diagonalizes at ``basis_size`` and ``check_size``; every requested
@@ -255,21 +428,19 @@ def converged_levels(problem: OracleProblem) -> tuple[np.ndarray, float]:
     spectrum must be strictly increasing and positive, else the result
     is rejected.
     """
-    import numpy as np
-
     count = max(problem.levels) + 1
     base = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
     check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count)
-    shift = float(np.max(np.abs(base - check)))
+    shift = max(abs(a - b) for a, b in zip(base, check))
     if shift >= GATE_TOL:
         raise BasisNotConverged(
             f"eigenvalues moved by {shift:.3e} between basis sizes "
             f"{problem.basis_size} and {problem.check_size} "
             f"(gate {GATE_TOL:.1e})"
         )
-    if np.any(check <= 0.0) or np.any(np.diff(check) <= 0.0):
+    if check[0] <= 0.0 or any(b <= a for a, b in zip(check, check[1:])):
         raise OracleError("spectrum is not strictly increasing and positive")
-    return np.array([check[n] for n in problem.levels]), shift
+    return [check[n] for n in problem.levels], shift
 
 
 class LevelReport(NamedTuple):

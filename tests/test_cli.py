@@ -289,6 +289,26 @@ class TestVerify:
         assert code == EXIT_INVALID and out == ""
         assert err == "error: series order 2 too short to truncate\n"
 
+    def test_repeated_level_refused(self, capsys, tmp_path):
+        config = tmp_path / "repeated.ini"
+        config.write_text(SEXTIC_INI.read_text().replace("levels = 0, 1, 2, 3", "levels = 2, 0, 2"))
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: oracle.levels: level 2 is given more than once\n"
+
+    def test_negative_quartic_coupling_is_not_converged(self, capsys, tmp_path):
+        # the truncated x^4 term with a negative sign is a deep well at the
+        # basis edge: the lowest levels are strongly negative and move with
+        # the basis size, so the gate refuses them
+        config = tmp_path / "negative.ini"
+        config.write_text(
+            QUARTIC_INI.replace("order = 11", "order = 12")
+            + "\n[oracle]\nlambda = -1/100\nbasis = 60\ncheck_basis = 80\nlevels = 0, 1, 2, 3\n"
+        )
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert code == EXIT_INVALID and err == ""
+        assert out.startswith("oracle not converged: eigenvalues moved by ")
+
     def test_oracle_error(self, capsys, monkeypatch):
         def fail(_problem):
             raise oracle.OracleError("spectrum is not strictly increasing and positive")
@@ -398,9 +418,8 @@ class TestVersion:
 
 
 class TestNumpyImport:
-    """Only ``verify`` loads numpy; ``expand`` and ``check`` never pay its import,
-    nor that of ``dataclasses`` and ``inspect``, and ``check`` without
-    ``--golden`` skips ``json`` too.
+    """No command loads numpy, ``dataclasses`` or ``inspect``, and each one
+    but a machine-format ``expand`` skips ``json`` too.
 
     The package registers `oracle` and `harmonic` unexecuted, and only the
     commands that use them compile and run them: ``verify`` the oracle, a
@@ -435,17 +454,21 @@ class TestNumpyImport:
         assert result.returncode == 0, result.stderr
         return [line.split() for line in result.stdout.splitlines()]
 
-    @pytest.mark.parametrize("command, loads_numpy, unloaded", [
-        pytest.param("expand", False, ("dataclasses", "inspect"), id="expand-False"),
-        pytest.param("check", False, ("dataclasses", "inspect", "json"), id="check-False"),
-        pytest.param("verify", True, (), id="verify-True"),
+    @pytest.mark.parametrize("argv, ini", [
+        pytest.param(["expand"], SEXTIC_INI.read_text(), id="expand"),
+        pytest.param(["check"], SEXTIC_INI.read_text(), id="check"),
+        pytest.param(["verify"], SEXTIC_INI.read_text(), id="verify"),
+        pytest.param(["verify", "--format", "csv"], SEXTIC_INI.read_text(), id="verify-csv"),
+        pytest.param(["check"], HARMONIC_INI, id="harmonic-check"),
     ])
-    def test_numpy_is_loaded_only_by_verify(self, tmp_path, command, loads_numpy, unloaded):
+    def test_no_command_loads_numpy(self, tmp_path, argv, ini):
+        config = tmp_path / "problem.ini"
+        config.write_text(ini)
         (code, *loaded), _ = self.run_fresh(
-            self.SCRIPT, command, "--config", SEXTIC_INI, "--out", tmp_path / "out.txt")
+            self.SCRIPT, *argv, "--config", config, "--out", tmp_path / "out.txt")
         assert code == str(EXIT_OK)
-        assert ("numpy" in loaded) == loads_numpy
-        assert not set(loaded) & set(unloaded), loaded
+        renders_json = argv == ["expand"]  # sextic.ini asks for the machine format
+        assert loaded == (["json"] if renders_json else []), loaded
 
     @pytest.mark.parametrize("command, ini, executed", [
         pytest.param("expand", SEXTIC_INI.read_text(), [], id="expand"),

@@ -109,6 +109,12 @@ class TestParse:
                 "[potential]\nm = 1\nomega = 1\n[oracle]\nlambda = 1\nlevels = a, b\n"
             )
 
+    def test_repeated_level_refused(self):
+        with pytest.raises(ConfigError, match="oracle.levels: level 2 is given more than once"):
+            parse_config(
+                "[potential]\nm = 1\nomega = 1\n[oracle]\nlambda = 1\nlevels = 2, 0, 2\n"
+            )
+
     def test_oracle_lambda_required(self):
         with pytest.raises(ConfigError, match="oracle.lambda"):
             parse_config("[potential]\nm = 1\nomega = 1\n[oracle]\nbasis = 40\n")
