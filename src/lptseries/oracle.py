@@ -9,12 +9,18 @@ highest power of x, and the check needs only its few lowest eigenvalues.
 Each of them is certified by counts.  The number of negative pivots of
 an LDL^T factorization of H - sigma*I is the number of eigenvalues below
 sigma (Sylvester's law of inertia; Barth, Martin & Wilkinson, Numer.
-Math. 9, 386 (1967)).  Rayleigh-quotient iteration from the unperturbed
-state |k> proposes a value sigma with residual r, so some eigenvalue lies
-within r of sigma; it is taken as level k only if the counts at
-sigma - delta and sigma + delta, delta = max(r, a few eps * ||H||_inf), are
-k and k + 1.  Otherwise the counts are bisected, and a level they cannot
-bracket raises `EigensolverError`.
+Math. 9, 386 (1967)).  Rayleigh-quotient iteration proposes a value sigma_k
+for level k with residual r_k, so some eigenvalue lies within
+delta_k = max(r_k, a few eps * ||H||_inf) of sigma_k.  If H keeps parity,
+the iteration runs in the block of level k's parity only.  The iteration
+starts from the unperturbed state |k>, or, at the gate's larger basis,
+from level k's eigenvector at the smaller one.  When the intervals
+sigma_k +- delta_k are ascending and disjoint, one count per gap certifies
+them all: counts 0, 1, ..., count below the lowest interval, between each
+neighbouring pair and above the highest put exactly one eigenvalue, level
+k, in interval k.  Otherwise, or if a count is off, each level needs the
+counts k and k + 1 at its own interval's ends, else the counts are
+bisected, and a level they cannot bracket raises `EigensolverError`.
 
 Two safeguards make a reported eigenvalue trustworthy:
 
@@ -52,17 +58,19 @@ if TYPE_CHECKING:
 
 # Largest basis either gate size may have.  The band solver's time and
 # memory grow at least linearly with the size: at this size, building H
-# and certifying its six lowest levels took 0.07-0.13 s for the quartic,
-# sextic and cubic+quartic, in under 1 MB (2-vCPU host), so a mistyped
-# size such as 100000 would run for minutes over the two gate sizes
-# instead of being refused.
+# and certifying its six lowest levels from a cold start took 0.04-0.06 s
+# for the quartic, 0.06-0.07 s for the sextic and 0.15-0.17 s for the
+# cubic+quartic (best of three, two runs), in under 1 MB (2-vCPU host),
+# so a mistyped size such as 100000 would run for minutes over the two
+# gate sizes instead of being refused.
 MAX_BASIS = 1000
 
 # Largest shift of a requested level between the gate's two basis sizes.
 GATE_TOL = 1e-10
 
 # Rayleigh-quotient steps per level before the counts decide; from the
-# unperturbed state the iteration converges cubically, in three or four.
+# unperturbed state the iteration converges cubically, in three or four,
+# and from the eigenvector of a smaller basis in one or none.
 _RQI_STEPS = 10
 
 # The least half-width, in units of eps * ||H||_inf, of the interval that
@@ -151,13 +159,19 @@ def problem_from_potential(
 ) -> OracleProblem:
     """Bind a symbolic potential to a concrete coupling for diagonalization."""
     lam = _as_fraction(lam_value)
-    powers = tuple(
-        (i + 2, float(poly.evaluate(0, lam))) for i, poly in spec.terms
-    )
+    powers, top = [], (0, 0)
+    for i, poly in spec.terms:  # in ascending powers of x
+        coeff = poly.evaluate(0, lam)
+        powers.append((i + 2, float(coeff)))
+        top = (i + 2, coeff) if coeff else top
+    # the highest term with a nonzero exact coefficient rules at large |x|
+    if top[0] % 2 or top[1] < 0:
+        raise ValueError(f"the potential is unbounded below at lam = {lam}: "
+                         f"its highest term is {top[1]} x^{top[0]}")
     if check_size is None:
         check_size = basis_size + max(20, basis_size // 3)
     return OracleProblem(
-        float(spec.m), float(spec.omega), lam, powers, basis_size, check_size, levels
+        float(spec.m), float(spec.omega), lam, tuple(powers), basis_size, check_size, levels
     )
 
 
@@ -225,20 +239,13 @@ def jacobi_eigenvalues(
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=0.0):
         raise ValueError("matrix must be symmetric")
-    if n == 1:
-        return a.diagonal().copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = rel_tol * norm
+    threshold = rel_tol * float(np.linalg.norm(a))
     # skipping entries this small cannot push the off-norm above threshold
     skip_tol = threshold / n
     for _sweep in range(max_sweeps):
         # off-diagonal Frobenius norm, summed directly (never by subtracting
         # near-equal totals, which would drown the 1e-13 scale in rounding)
-        off_part = a - np.diag(a.diagonal())
-        off = float(np.linalg.norm(off_part))
-        if off <= threshold:
+        if np.linalg.norm(a - np.diag(a.diagonal())) <= threshold:
             return np.sort(a.diagonal().copy())
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -246,25 +253,14 @@ def jacobi_eigenvalues(
                 if abs(apq) <= skip_tol:
                     continue
                 theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(theta) > 1e12:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.hypot(theta, 1.0)
-                    )
+                t = (0.5 / theta if abs(theta) > 1e12
+                     else math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0)))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # similarity rotation in the (p, q) plane
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                # similarity rotation in the (p, q) plane, rows then columns
+                a[[p, q]] = [c * a[p] - s * a[q], s * a[p] + c * a[q]]
+                a[:, [p, q]] = np.transpose([c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]])
+                a[p, q] = a[q, p] = 0.0
     raise EigensolverError(
         f"off-diagonal norm still above {threshold:.3e} after {max_sweeps} sweeps"
     )
@@ -326,12 +322,14 @@ def _matvec(h: Band, x: list[float]) -> list[float]:
     return [sum(map(mul, row, padded[i:i + 2 * b + 1])) for i, row in enumerate(h)]
 
 
-def _rayleigh(h: Band, x: list[float], floor: float) -> tuple[float, float]:
-    """Rayleigh-quotient iteration from the unit vector ``x``: the last
-    quotient sigma and delta = max(residual, floor), so that some
-    eigenvalue lies within delta of sigma."""
+def _rayleigh(h: Band, x: list[float], floor: float) -> tuple[float, float, list[float]]:
+    """Rayleigh-quotient iteration from the nonzero vector ``x``: the last
+    quotient sigma, delta = max(residual, floor), so that some eigenvalue
+    lies within delta of sigma, and the unit vector whose quotient sigma is."""
     last = math.inf
     for step in range(_RQI_STEPS + 1):
+        scale = math.sqrt(sum(v * v for v in x))
+        x = [v / scale for v in x]
         hx = _matvec(h, x)
         sigma = sum(map(mul, x, hx))
         residual = math.sqrt(sum((a - sigma * v) ** 2 for a, v in zip(hx, x)))
@@ -340,59 +338,58 @@ def _rayleigh(h: Band, x: list[float], floor: float) -> tuple[float, float]:
         if residual <= floor or not residual < last or step == _RQI_STEPS:
             break
         last = residual
-        y = _ldl_solve(*_ldl(h, sigma, floor), x)
-        scale = math.sqrt(sum(v * v for v in y))
-        x = [v / scale for v in y]
-    return sigma, max(residual, floor)
+        x = _ldl_solve(*_ldl(h, sigma, floor), x)
+    return sigma, max(residual, floor), x
 
 
-def _level(h: Band, k: int, start: int, floor: float, bounds: tuple[float, float]) -> float:
-    """Eigenvalue k (from 0, ascending) of the band matrix ``h``, certified.
+def _bisected(h: Band, k: int, sigma: float, left: float, right: float, floor: float,
+              bounds: tuple[float, float]) -> float:
+    """Eigenvalue k (from 0, ascending) of the band matrix ``h``, certified
+    by its own counts.
 
-    Rayleigh-quotient iteration runs from basis state ``start``, the
-    unperturbed state |k> in the order of ``h``'s rows.  Its quotient sigma
-    is returned if the counts below sigma - delta and sigma + delta are k
-    and k + 1, which puts eigenvalue k within delta of sigma.  Otherwise
-    the counts are bisected from ``bounds`` down to a bracket of width
-    2 * floor, and its midpoint is returned.
+    sigma is returned if the counts below ``left`` and ``right``, the ends
+    of an interval that holds some eigenvalue, are k and k + 1, which puts
+    eigenvalue k in that interval.  Otherwise the counts are bisected from
+    ``bounds`` down to a bracket of width 2 * floor, and its midpoint is
+    returned.
     """
-    unperturbed = [0.0] * len(h)
-    unperturbed[start] = 1.0
-    sigma, delta = _rayleigh(h, unperturbed, floor)
-    below = _sturm_count(h, sigma - delta, floor)
-    above = _sturm_count(h, sigma + delta, floor)
+    below = _sturm_count(h, left, floor)
+    above = _sturm_count(h, right, floor)
     if below == k and above == k + 1:
         return sigma
-
     lo, hi = bounds
     if _sturm_count(h, lo, floor) > k or _sturm_count(h, hi, floor) <= k:
         raise EigensolverError(f"Sturm counts cannot bracket level {k}")
     # the iteration found some other level: its counts still narrow the bracket
-    for point, count in ((sigma - delta, below), (sigma + delta, above)):
+    for point, count in ((left, below), (right, above)):
         if lo < point < hi:
-            if count <= k:
-                lo = point
-            else:
-                hi = point
-    while hi - lo > 2.0 * floor:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _sturm_count(h, mid, floor) <= k:
-            lo = mid
-        else:
-            hi = mid
+            lo, hi = (point, hi) if count <= k else (lo, point)
+    while hi - lo > 2.0 * floor and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _sturm_count(h, mid, floor) <= k else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def lowest_eigenvalues(h: Band, count: int) -> list[float]:
+def lowest_eigenvalues(
+    h: Band, count: int, starts: list[list[float]] | None = None, *, vectors: bool = False
+) -> list[float] | tuple[list[float], list[list[float]]]:
     """The ``count`` smallest eigenvalues of a symmetric band matrix,
-    ascending, each certified by Sturm counts (see `_level`).
+    ascending, each certified by Sturm counts on the whole matrix.
 
     ``h`` is in band form: ``h[i][b + d]`` is H[i, i + d] for |d| <= b.
-    Raises ``ValueError`` if ``count`` exceeds the dimension or the band
-    is not symmetric, and `EigensolverError` if a level cannot be
-    certified.
+    If H keeps parity (no odd diagonal), its even and odd states are two
+    independent bands of half the size and width, and level k is sought in
+    block k % 2.  Rayleigh-quotient iteration proposes each level: from
+    ``starts[k]`` if given (a vector in H's basis, zero-padded or cut to
+    its size, such as level k's eigenvector in a smaller basis), else from
+    the unperturbed state |k>.  All levels are certified at once by one
+    count in each gap between the proposed intervals; if those intervals
+    overlap or a count is off, each level is certified by its own counts
+    and bisection (`_bisected`).
+
+    Returns the eigenvalues, or with ``vectors`` the pair (eigenvalues,
+    the iteration's unit vectors in H's basis).  Raises ``ValueError`` if
+    ``count`` exceeds the dimension or the band is not symmetric, and
+    `EigensolverError` if a level cannot be certified.
     """
     n = len(h)
     if count > n:
@@ -407,17 +404,38 @@ def lowest_eigenvalues(h: Band, count: int) -> list[float]:
     if not math.isfinite(norm):
         raise EigensolverError("matrix has non-finite entries")
     floor = _CERTIFY_ULPS * sys.float_info.epsilon * (norm or 1.0)
-    # every eigenvalue lies within the infinity norm of zero
-    bounds = (-norm - floor, norm + floor)
-    order = list(range(n))
+    stride, blocks = 1, [h]
     if not any(row[c] for row in h for c in range(1 - b % 2, 2 * b + 1, 2)):
         # no odd diagonal, so H keeps parity: listed even states first, it is
-        # block diagonal with half the bandwidth, and has the same spectrum
-        order = order[::2] + order[1::2]
+        # block diagonal with half the bandwidth, a count on it is the sum of
+        # the two blocks' counts, and each block is a band of its own
         half = b // 2
         h = [[h[i][b + d] if 0 <= i + d < n else 0.0 for d in range(-2 * half, 2 * half + 1, 2)]
-             for i in order]
-    return [_level(h, k, order.index(k), floor, bounds) for k in range(count)]
+             for i in [*range(0, n, 2), *range(1, n, 2)]]
+        stride, blocks = 2, [h[:(n + 1) // 2], h[(n + 1) // 2:]]
+    values, ends, xs = [], [], []
+    for k in range(count):
+        x = [0.0] * len(blocks[k % stride])
+        if starts is not None:
+            start = starts[k][k % stride:n:stride]
+            x[:len(start)] = start
+        if not any(x):
+            x[k // stride] = 1.0
+        sigma, delta, x = _rayleigh(blocks[k % stride], x, floor)
+        values.append(sigma)
+        ends += (sigma - delta, sigma + delta)
+        xs.append([0.0] * n)
+        xs[k][k % stride::stride] = x
+    # counts 0, 1, ..., count at points that separate the intervals
+    # sigma +- delta, ascending and disjoint, put eigenvalue k in interval k
+    points = ends[:1] + [0.5 * (a + c) for a, c in zip(ends[1::2], ends[2::2])] + ends[-1:]
+    if ends != sorted(set(ends)) or not all(
+            _sturm_count(h, point, floor) == k for k, point in enumerate(points)):
+        # every eigenvalue lies within the infinity norm of zero
+        bounds = (-norm - floor, norm + floor)
+        for k in range(count):
+            values[k] = _bisected(h, k, values[k], ends[2 * k], ends[2 * k + 1], floor, bounds)
+    return (values, xs) if vectors else values
 
 
 def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
@@ -429,8 +447,11 @@ def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
     is rejected.
     """
     count = max(problem.levels) + 1
-    base = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
-    check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count)
+    base, vectors = lowest_eigenvalues(
+        _hamiltonian_at(problem, problem.basis_size), count, vectors=True)
+    # each level's eigenvector at the base size, zero-padded, is close to
+    # its eigenvector at the check size: a step or none, not three or four
+    check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count, vectors)
     shift = max(abs(a - b) for a, b in zip(base, check))
     if shift >= GATE_TOL:
         raise BasisNotConverged(

@@ -297,17 +297,36 @@ class TestVerify:
         assert err == "error: oracle.levels: level 2 is given more than once\n"
 
     def test_negative_quartic_coupling_is_not_converged(self, capsys, tmp_path):
-        # the truncated x^4 term with a negative sign is a deep well at the
-        # basis edge: the lowest levels are strongly negative and move with
-        # the basis size, so the gate refuses them
+        # a negative x^4 term is unbounded below: refused before expanding or
+        # diagonalizing, with the term named
         config = tmp_path / "negative.ini"
         config.write_text(
             QUARTIC_INI.replace("order = 11", "order = 12")
             + "\n[oracle]\nlambda = -1/100\nbasis = 60\ncheck_basis = 80\nlevels = 0, 1, 2, 3\n"
         )
         code, out, err = run(capsys, "verify", "--config", config)
-        assert code == EXIT_INVALID and err == ""
-        assert out.startswith("oracle not converged: eigenvalues moved by ")
+        assert code == EXIT_INVALID and out == ""
+        assert err == (
+            "error: the potential is unbounded below at lam = -1/100: "
+            "its highest term is -1/100 x^4\n"
+        )
+
+    def test_pure_cubic_is_refused(self, capsys, tmp_path, monkeypatch):
+        def fail(*_args):
+            raise AssertionError("expanded an unbounded potential")
+
+        monkeypatch.setattr(cli, "expand", fail)
+        config = tmp_path / "cubic.ini"
+        config.write_text(
+            "[potential]\nm = 1\nomega = 1\nf1 = 1 lam\n\n[run]\norder = 4\n"
+            "\n[oracle]\nlambda = 1/100\nbasis = 60\ncheck_basis = 80\n"
+        )
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert code == EXIT_INVALID and out == ""
+        assert err == (
+            "error: the potential is unbounded below at lam = 1/100: "
+            "its highest term is 1/100 x^3\n"
+        )
 
     def test_oracle_error(self, capsys, monkeypatch):
         def fail(_problem):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -238,9 +239,14 @@ class TestBandSolver:
         # well: the lowest levels are far below zero and no |k> is near them
         (PotentialSpec.make(1, 1, {1: 3 * LAM, 2: LAM * LAM}), Fraction(1, 10), 80),
         (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), 0, 30),
+        # odd sizes: the even-state block is one state larger than the odd one
+        (QUARTIC, Fraction(1, 100), 121),
+        (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 25),
+        (QUARTIC, Fraction(1, 100), 7),
     ], ids=["harmonic", "quartic-120", "quartic-160", "sextic-24", "sextic-48",
             "sextic-strong-24", "sextic-strong-48", "cubic-quartic-m-omega",
-            "dominant-cubic", "cubic-quartic-at-zero"])
+            "dominant-cubic", "cubic-quartic-at-zero", "quartic-121", "sextic-25",
+            "quartic-7"])
     def test_matches_eigvalsh_on_oracle_hamiltonians(self, spec, lam, basis):
         problem = problem_from_potential(spec, lam, basis_size=basis,
                                          check_size=basis + 20, levels=(0,))
@@ -276,6 +282,9 @@ class TestBandSolver:
         assert code == EXIT_INVALID
         assert capsys.readouterr().out.startswith("oracle not converged:")
 
+    def test_no_levels_asked(self):
+        assert lowest_eigenvalues(band(np.eye(3)), 0) == []
+
     def test_non_finite_entry_is_an_eigensolver_error(self):
         with pytest.raises(EigensolverError, match="non-finite"):
             lowest_eigenvalues([[1.0], [math.inf]], 1)
@@ -283,6 +292,200 @@ class TestBandSolver:
     def test_rejects_a_ragged_band(self):
         with pytest.raises(ValueError, match="one odd length"):
             lowest_eigenvalues([[0.0, 1.0, 0.0], [2.0]], 1)
+
+
+def gate_bands(spec, lam, basis, check):
+    """H at the two basis sizes of a gate."""
+    problem = problem_from_potential(spec, lam, basis_size=basis, check_size=check,
+                                     levels=(0,))
+    return _hamiltonian_at(problem, basis), _hamiltonian_at(problem, check)
+
+
+def assert_lowest_levels(values, h):
+    """``values`` are the lowest levels of ``h``, to the certified scale."""
+    reference = np.linalg.eigvalsh(dense(h))[:len(values)]
+    tol = 32 * sys.float_info.epsilon * norm_inf(h)
+    assert np.max(np.abs(np.array(values) - reference)) <= tol
+
+
+GATES = [
+    (QUARTIC, Fraction(1, 100), 120, 160),
+    (QUARTIC, Fraction(1, 100), 61, 80),
+    (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 100), 60, 80),
+    (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 60, 81),
+]
+GATE_IDS = ["quartic-120-160", "quartic-61-80", "cubic-quartic-60-80", "sextic-60-81"]
+
+
+class TestWarmStart:
+    """The check size's iteration started from the base size's eigenvectors."""
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    def test_warm_start_gives_the_cold_start_levels(self, spec, lam, basis, check):
+        base, larger = gate_bands(spec, lam, basis, check)
+        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
+        warm = lowest_eigenvalues(larger, 6, vectors)
+        cold = lowest_eigenvalues(larger, 6)
+        assert_lowest_levels(warm, larger)
+        assert_lowest_levels(cold, larger)
+        assert np.max(np.abs(np.array(warm) - cold)) <= 32 * sys.float_info.epsilon * norm_inf(larger)
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    def test_warm_start_takes_at_most_two_steps_per_level(self, monkeypatch, spec, lam,
+                                                          basis, check):
+        base, larger = gate_bands(spec, lam, basis, check)
+        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
+        steps = []
+        solve = oracle._ldl_solve
+
+        def spy(*args):  # one solve per Rayleigh-quotient step
+            steps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle, "_ldl_solve", spy)
+        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors), larger)
+        assert len(steps) <= 2 * 6
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    def test_vectors_are_eigenvectors_in_the_basis_of_h(self, spec, lam, basis, check):
+        h, _ = gate_bands(spec, lam, basis, check)
+        values, vectors = lowest_eigenvalues(h, 6, vectors=True)
+        a = dense(h)
+        for value, x in zip(values, vectors):
+            assert len(x) == basis
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(a @ x - value * np.array(x)) <= 1e-9
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    @pytest.mark.parametrize("swap", [(0, 2), (0, 1), (3, 5)])
+    def test_swapped_warm_start_still_certifies_the_right_levels(self, monkeypatch, spec, lam,
+                                                                 basis, check, swap):
+        # each swapped vector leads its iteration to the other level, and the
+        # counts fall back to bisection; across the parity blocks of an even
+        # potential it holds nothing of the level's block, which starts cold
+        base, larger = gate_bands(spec, lam, basis, check)
+        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
+        i, j = swap
+        vectors[i], vectors[j] = vectors[j], vectors[i]
+        counts = []
+        sturm = oracle._sturm_count
+
+        def spy(*args):
+            counts.append(args[1])
+            return sturm(*args)
+
+        monkeypatch.setattr(oracle, "_sturm_count", spy)
+        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors), larger)
+        cold_start = spec.is_even and (i - j) % 2
+        assert (len(counts) == 6 + 1) if cold_start else (len(counts) > 6 + 1)
+
+    def test_converged_levels_warm_starts_the_check_size(self, monkeypatch):
+        problem = problem_from_potential(QUARTIC, Fraction(1, 100), basis_size=120,
+                                         check_size=160, levels=tuple(range(6)))
+        calls = []
+        solve = oracle.lowest_eigenvalues
+
+        def spy(h, count, *args, **kwargs):
+            calls.append((len(h), args, kwargs))
+            return solve(h, count, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "lowest_eigenvalues", spy)
+        converged_levels(problem)
+        (base_size, base_args, base_kwargs), (check_size, check_args, _) = calls
+        assert (base_size, base_args, base_kwargs) == (120, (), {"vectors": True})
+        assert check_size == 160 and len(check_args[0]) == 6
+
+
+class TestOneCountPerGap:
+    """All levels certified by count + 1 Sturm counts, with per-level counts
+    and bisection when the intervals or the counts do not line up."""
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    def test_levels_cost_one_count_per_gap(self, monkeypatch, spec, lam, basis, check):
+        h, _ = gate_bands(spec, lam, basis, check)
+        counts = []
+        sturm = oracle._sturm_count
+
+        def spy(*args):
+            counts.append(args[1])
+            return sturm(*args)
+
+        monkeypatch.setattr(oracle, "_sturm_count", spy)
+        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+        assert len(counts) == 6 + 1 and counts == sorted(counts)
+
+    def test_overlapping_intervals_fall_back_to_bisection(self, monkeypatch):
+        h, _ = gate_bands(*GATES[2])
+        rayleigh = oracle._rayleigh
+        first = []
+
+        def stuck(h, x, floor):  # every level gets the first level's interval
+            result = rayleigh(h, x, floor)
+            first.append(first[0] if first else result)
+            return first[-1][:2] + result[2:]
+
+        monkeypatch.setattr(oracle, "_rayleigh", stuck)
+        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+        assert len(first) == 6
+
+    def test_descending_intervals_fall_back_to_bisection(self, monkeypatch):
+        h, _ = gate_bands(*GATES[2])
+        rayleigh = oracle._rayleigh
+        states = iter(range(5, -1, -1))
+
+        def reversed_start(h, x, floor):  # level k starts from |5 - k>
+            start = [0.0] * len(h)
+            start[next(states)] = 1.0
+            return rayleigh(h, start, floor)
+
+        monkeypatch.setattr(oracle, "_rayleigh", reversed_start)
+        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES[:1] + GATES[2:3],
+                             ids=GATE_IDS[:1] + GATE_IDS[2:3])
+    def test_a_count_that_is_off_falls_back_to_per_level_counts(self, monkeypatch, spec,
+                                                                lam, basis, check):
+        h, _ = gate_bands(spec, lam, basis, check)
+        expected = lowest_eigenvalues(h, 6)
+        sturm = oracle._sturm_count
+        calls = []
+
+        def off_once(*args):
+            calls.append(1)
+            return sturm(*args) + (len(calls) == 3)
+
+        monkeypatch.setattr(oracle, "_sturm_count", off_once)
+        # each level's own counts accept its quotient, as the gap counts would have
+        assert lowest_eigenvalues(h, 6) == expected
+        assert len(calls) == 3 + 2 * 6
+
+
+class TestUnboundedBelow:
+    """An odd or negative highest term has no bound states: refused before
+    anything is diagonalized, on the exact coefficients."""
+
+    @pytest.mark.parametrize("terms, lam, term", [
+        ({1: LAM}, Fraction(1, 100), "1/100 x^3"),
+        ({2: LAM}, Fraction(-1, 100), "-1/100 x^4"),
+        ({1: LAM, 2: LAM * LAM, 3: LAM}, Fraction(1, 10), "1/10 x^5"),
+        ({1: LAM, 2: LAM, 4: -LAM}, Fraction(1, 10), "-1/10 x^6"),
+        # the x^4 coefficient vanishes exactly at this coupling: x^3 rules
+        ({1: LAM, 2: LAM - Fraction(1, 10)}, Fraction(1, 10), "1/10 x^3"),
+    ], ids=["pure-cubic", "negative-quartic", "quintic", "negative-sextic",
+            "quartic-cancels"])
+    def test_refused_naming_the_term(self, terms, lam, term):
+        with pytest.raises(ValueError, match=rf"unbounded below .*: its highest term is {re.escape(term)}$"):
+            problem_from_potential(PotentialSpec.make(1, 1, terms), lam, basis_size=60,
+                                   levels=(0,))
+
+    @pytest.mark.parametrize("terms, lam", [
+        ({1: LAM, 2: LAM * LAM}, Fraction(1, 20)),
+        ({1: LAM, 2: LAM, 4: LAM * LAM}, Fraction(-1, 10)),
+        ({1: LAM}, 0),
+        ({}, 1),
+    ], ids=["cubic-quartic", "sextic-at-negative-coupling", "cubic-at-zero", "harmonic"])
+    def test_bounded_potentials_pass(self, terms, lam):
+        problem_from_potential(PotentialSpec.make(1, 1, terms), lam, basis_size=60, levels=(0,))
 
 
 class TestMatrixElements:
