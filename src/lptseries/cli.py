@@ -287,14 +287,10 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.oracle is None:
         raise ConfigError("verify requires an [oracle] section in the config")
-    # built first, so a bad [oracle] section is refused before the expansion
-    problem = oracle.problem_from_potential(
-        cfg.potential,
-        cfg.oracle.lam,
-        basis_size=cfg.oracle.basis_size,
-        check_size=cfg.oracle.check_size,
-        levels=cfg.oracle.levels,
-    )
+    # built first, so a problem it cannot diagonalize (a potential unbounded
+    # below, a quantity no double holds, a bad [oracle] section) is refused
+    # before the expansion
+    problem = oracle.OracleProblem(cfg.potential, *cfg.oracle)
     _, series = expand(cfg.potential, cfg.order)
     try:
         report = oracle.compare_series(series, problem)
@@ -305,10 +301,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         _emit(f"oracle not converged: {exc}\n", args)
         return EXIT_INVALID
 
-    if cfg.fmt == "csv":
-        _emit(oracle.report_csv(report), args)
-    else:
-        _emit(oracle.report_text(report) + "\n", args)
+    render = oracle.report_csv if cfg.fmt == "csv" else oracle.report_text
+    _emit(render(report), args)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

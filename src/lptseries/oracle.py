@@ -30,8 +30,9 @@ Two safeguards make a reported eigenvalue trustworthy:
   only up to (not including) its smallest-magnitude nonzero term, and
   the comparison budget is 10x that first omitted term.
 
-Everything in this module deliberately runs in double precision; the
-exact side of every comparison lives in `engine`.
+The diagonalization deliberately runs in double precision.  The problem
+record keeps the exact potential and coupling, so its checks judge them
+exactly; the exact side of every comparison lives in `engine`.
 
 Only ``verify`` diagonalizes, so only ``verify`` loads this module: the
 package registers it in ``sys.modules`` unexecuted, and `cli` reads it as
@@ -51,7 +52,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import EnergySeries, PotentialSpec, evaluate_energy
-from .polys import Scalar, _as_fraction
+from .polys import _as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,48 +102,67 @@ class AsymptoticBreakdown(OracleError):
 
 
 class _ProblemFields(NamedTuple):
-    m: float
-    omega: float
+    potential: PotentialSpec
     lam_value: Fraction
-    powers: tuple[tuple[int, float], ...]
     basis_size: int
     check_size: int
     levels: tuple[int, ...]
 
 
 class OracleProblem(_ProblemFields):
-    """One diagonalization job: a potential at a concrete coupling value.
+    """One diagonalization job: an exact potential at an exact coupling value.
 
-    ``powers`` maps an x-exponent to its double-precision coefficient,
-    mirroring the anharmonic part of a PotentialSpec with ``lam`` bound to
-    ``lam_value``.  ``basis_size`` and ``check_size`` are the two basis
-    dimensions of the convergence gate.
+    ``basis_size`` and ``check_size`` are the two basis dimensions of the
+    convergence gate; a ``check_size`` of None becomes
+    ``basis_size + max(20, basis_size // 3)``.
 
-    Construction checks the levels and the gate sizes, so every instance
-    can be diagonalized: at least one level, none negative, room for the
-    top level and the highest power of x, a strictly larger check basis,
-    both within ``MAX_BASIS``; else it raises ``ValueError``, also from
-    ``_replace``.
+    Construction checks everything the diagonalization needs, so every
+    instance can be diagonalized, and raises ``ValueError`` otherwise, also
+    from ``_replace``:
+
+    * m, omega, lam and each anharmonic coefficient at lam are within the
+      range of a double: none overflows it, and none but an exact zero
+      rounds to zero;
+    * the potential is bounded below at lam: judged on the exact
+      coefficients, its highest term that does not vanish is an even power
+      of x with a positive coefficient;
+    * at least one level, none negative;
+    * the basis has room for the top level and the highest power of x, the
+      check basis is strictly larger, and both are within ``MAX_BASIS``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, m, omega, lam_value, powers, basis_size, check_size, levels) -> OracleProblem:
+    def __new__(cls, potential, lam_value, basis_size, check_size, levels) -> OracleProblem:
+        lam = _as_fraction(lam_value)
+        coeffs = [(i + 2, poly.evaluate(0, lam)) for i, poly in potential.terms]
+        named = [("m", potential.m), ("omega", potential.omega), ("lam", lam)]
+        for name, value in named + [(f"the x^{p} coefficient", c) for p, c in coeffs]:
+            if value and not 0.0 < abs(_double(value)) < math.inf:
+                raise ValueError(f"{name} = {_g6(value)} is outside the range of a double")
+        # the highest term with a nonzero exact coefficient rules at large |x|
+        top, coeff = max(((p, c) for p, c in coeffs if c), default=(0, 0))
+        if top % 2 or coeff < 0:
+            raise ValueError(f"the potential is unbounded below at lam = {lam}: "
+                             f"its highest term is {coeff} x^{top}")
         levels = tuple(levels)
         if not levels or min(levels) < 0:
             raise ValueError(f"levels must be one or more nonnegative integers, got {levels}")
-        degree = max((p for p, _ in powers), default=2)
+        degree = max((p for p, _ in coeffs), default=2)
         if basis_size <= 2 * max(levels) + degree:
-            raise ValueError(
-                f"basis size {basis_size} too small for level {max(levels)} "
-                f"with an x^{degree} potential"
-            )
-        for name, size in (("basis", basis_size), ("check basis", check_size)):
+            raise ValueError(f"basis size {basis_size} too small for level {max(levels)} "
+                             f"with an x^{degree} potential")
+        origin = ""
+        if check_size is None:
+            check_size = basis_size + max(20, basis_size // 3)
+            origin = f", the default for basis size {basis_size}: set check_basis to choose it"
+        for name, size, why in (("basis", basis_size, ""), ("check basis", check_size, origin)):
             if size > MAX_BASIS:
-                raise ValueError(f"{name} size {size} exceeds the limit of {MAX_BASIS} states")
+                raise ValueError(f"{name} size {size} exceeds the limit of {MAX_BASIS} states"
+                                 + why)
         if check_size <= basis_size:
             raise ValueError("check basis must be strictly larger than the base one")
-        return super().__new__(cls, m, omega, lam_value, powers, basis_size, check_size, levels)
+        return super().__new__(cls, potential, lam, basis_size, check_size, levels)
 
     @classmethod
     def _make(cls, iterable) -> OracleProblem:
@@ -150,66 +170,60 @@ class OracleProblem(_ProblemFields):
         return cls(*iterable)
 
 
-def problem_from_potential(
-    spec: PotentialSpec,
-    lam_value: Scalar,
-    basis_size: int,
-    levels: tuple[int, ...],
-    check_size: int | None = None,
-) -> OracleProblem:
-    """Bind a symbolic potential to a concrete coupling for diagonalization."""
-    lam = _as_fraction(lam_value)
-    powers, top = [], (0, 0)
-    for i, poly in spec.terms:  # in ascending powers of x
-        coeff = poly.evaluate(0, lam)
-        powers.append((i + 2, float(coeff)))
-        top = (i + 2, coeff) if coeff else top
-    # the highest term with a nonzero exact coefficient rules at large |x|
-    if top[0] % 2 or top[1] < 0:
-        raise ValueError(f"the potential is unbounded below at lam = {lam}: "
-                         f"its highest term is {top[1]} x^{top[0]}")
-    if check_size is None:
-        check_size = basis_size + max(20, basis_size // 3)
-    return OracleProblem(
-        float(spec.m), float(spec.omega), lam, tuple(powers), basis_size, check_size, levels
-    )
+def _double(value: Fraction) -> float:
+    """``float(value)``, or an infinity where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
-def _position_power(n_basis: int, m: float, omega: float, power: int) -> Band:
-    """X**power in band form (half-bandwidth ``power``), X the position
-    operator on the first ``n_basis`` oscillator states: tridiagonal,
-    hbar = 1, <i|X|i+1> = sqrt((i+1) / (2 m omega)).
+def _g6(value: Fraction) -> str:
+    """``f"{float(value):.6g}"`` at any magnitude: rounded through `decimal`
+    instead where ``float`` would overflow, or lose digits below the
+    smallest normal double."""
+    if sys.float_info.min <= abs(double := _double(value)) < math.inf or not value:
+        return f"{double:.6g}"
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
-    Row i is e_i X**power, each step staying inside the basis: the same
-    truncated product that a power of the dense truncated X forms.
-    """
-    ladder = [math.sqrt((i + 1) / (2.0 * m * omega)) for i in range(n_basis - 1)]
-    rows = []
-    for i in range(n_basis):
-        row = {i: 1.0}
-        for _ in range(power):
-            step: dict[int, float] = {}
-            for j, value in row.items():
-                if j > 0:
-                    step[j - 1] = step.get(j - 1, 0.0) + value * ladder[j - 1]
-                if j < n_basis - 1:
-                    step[j + 1] = step.get(j + 1, 0.0) + value * ladder[j]
-            row = step
-        rows.append([row.get(i + d, 0.0) for d in range(-power, power + 1)])
-    return rows
+    context = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"{context.divide(Decimal(value.numerator), value.denominator).normalize(context):.6g}"
 
 
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:
     """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power,
-    in band form; the half-bandwidth is the highest power (0 for the
-    oscillator)."""
-    b = max((power for power, _ in problem.powers), default=0)
-    h = [[0.0] * b + [problem.omega * (i + 0.5)] + [0.0] * b for i in range(n_basis)]
-    for power, coeff in problem.powers:
-        x_power = _position_power(n_basis, problem.m, problem.omega, power)
-        for row, term in zip(h, x_power):
-            for c, value in enumerate(term, b - power):
-                row[c] = row[c] + coeff * value
+    in band form, in double precision; the half-bandwidth is the highest
+    power (0 for the oscillator).  X is the position operator on the first
+    ``n_basis`` oscillator states: tridiagonal, hbar = 1,
+    <i|X|i+1> = sqrt((i+1) / (2 m omega)).
+
+    One walk per row builds it: e_i is multiplied by X, each step staying
+    inside the basis (the same truncated product that a power of the dense
+    truncated X forms), up to the highest power, and coeff * e_i X^power is
+    added wherever the walk reaches a power the potential has.  Without an
+    anharmonic term there is no walk.
+    """
+    spec = problem.potential
+    m, omega = float(spec.m), float(spec.omega)
+    coeffs = {i + 2: float(poly.evaluate(0, problem.lam_value)) for i, poly in spec.terms}
+    b = max(coeffs, default=0)
+    h = [[0.0] * b + [omega * (i + 0.5)] + [0.0] * b for i in range(n_basis)]
+    if b:
+        ladder = [math.sqrt((i + 1) / (2.0 * m * omega)) for i in range(n_basis - 1)]
+        for i, row in enumerate(h):
+            walk = {i: 1.0}
+            for power in range(1, b + 1):
+                step: dict[int, float] = {}
+                for j, value in walk.items():
+                    if j > 0:
+                        step[j - 1] = step.get(j - 1, 0.0) + value * ladder[j - 1]
+                    if j < n_basis - 1:
+                        step[j + 1] = step.get(j + 1, 0.0) + value * ladder[j]
+                walk = step
+                if power in coeffs:
+                    coeff = coeffs[power]
+                    for j, value in walk.items():
+                        row[b + j - i] += coeff * value
     # matrix powers are symmetric up to rounding; enforce it exactly, as (h + h^T)/2
     for i, row in enumerate(h):
         for d in range(1, min(b, n_basis - 1 - i) + 1):
@@ -370,8 +384,8 @@ def _bisected(h: Band, k: int, sigma: float, left: float, right: float, floor: f
 
 
 def lowest_eigenvalues(
-    h: Band, count: int, starts: list[list[float]] | None = None, *, vectors: bool = False
-) -> list[float] | tuple[list[float], list[list[float]]]:
+    h: Band, count: int, starts: list[list[float]] | None = None
+) -> tuple[list[float], list[list[float]]]:
     """The ``count`` smallest eigenvalues of a symmetric band matrix,
     ascending, each certified by Sturm counts on the whole matrix.
 
@@ -386,8 +400,9 @@ def lowest_eigenvalues(
     overlap or a count is off, each level is certified by its own counts
     and bisection (`_bisected`).
 
-    Returns the eigenvalues, or with ``vectors`` the pair (eigenvalues,
-    the iteration's unit vectors in H's basis).  Raises ``ValueError`` if
+    Returns the pair (eigenvalues, the iteration's unit vectors in H's
+    basis): vector k is the one whose Rayleigh quotient is eigenvalue k,
+    unless bisection certified that level.  Raises ``ValueError`` if
     ``count`` exceeds the dimension or the band is not symmetric, and
     `EigensolverError` if a level cannot be certified.
     """
@@ -435,7 +450,7 @@ def lowest_eigenvalues(
         bounds = (-norm - floor, norm + floor)
         for k in range(count):
             values[k] = _bisected(h, k, values[k], ends[2 * k], ends[2 * k + 1], floor, bounds)
-    return (values, xs) if vectors else values
+    return values, xs
 
 
 def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
@@ -447,18 +462,15 @@ def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
     is rejected.
     """
     count = max(problem.levels) + 1
-    base, vectors = lowest_eigenvalues(
-        _hamiltonian_at(problem, problem.basis_size), count, vectors=True)
+    base, vectors = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
     # each level's eigenvector at the base size, zero-padded, is close to
     # its eigenvector at the check size: a step or none, not three or four
-    check = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count, vectors)
+    check, _ = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count, vectors)
     shift = max(abs(a - b) for a, b in zip(base, check))
     if shift >= GATE_TOL:
-        raise BasisNotConverged(
-            f"eigenvalues moved by {shift:.3e} between basis sizes "
-            f"{problem.basis_size} and {problem.check_size} "
-            f"(gate {GATE_TOL:.1e})"
-        )
+        raise BasisNotConverged(f"eigenvalues moved by {shift:.3e} between basis sizes "
+                                f"{problem.basis_size} and {problem.check_size} "
+                                f"(gate {GATE_TOL:.1e})")
     if check[0] <= 0.0 or any(b <= a for a, b in zip(check, check[1:])):
         raise OracleError("spectrum is not strictly increasing and positive")
     return [check[n] for n in problem.levels], shift
@@ -481,10 +493,8 @@ class LevelReport(NamedTuple):
 
 
 class OracleReport(NamedTuple):
-    basis_size: int
-    check_size: int
+    problem: OracleProblem
     basis_shift: float
-    lam_value: Fraction
     levels: tuple[LevelReport, ...]
 
     @property
@@ -512,7 +522,7 @@ def optimal_truncation(terms: list[Fraction]) -> tuple[int, Fraction]:
     if abs(nonzero[1][1]) >= abs(nonzero[0][1]):
         raise AsymptoticBreakdown(
             "first two nonzero series terms do not decrease "
-            f"(|{float(nonzero[0][1]):.6g}| then |{float(nonzero[1][1]):.6g}|): "
+            f"(|{_g6(nonzero[0][1])}| then |{_g6(nonzero[1][1])}|): "
             "the coupling is too large for an asymptotic partial sum"
         )
     k_star, smallest = min(nonzero, key=lambda pair: (abs(pair[1]), pair[0]))
@@ -538,26 +548,19 @@ def compare_series(series: EnergySeries, problem: OracleProblem) -> OracleReport
     entries = []
     for eig, (level, terms, k_star, omitted) in zip(eigenvalues, truncations):
         partial = float(sum(terms[1:k_star], Fraction(0)))
-        discrepancy = abs(float(eig) - partial)
         bound = max(10.0 * abs(float(omitted)), 1e-10)
-        entries.append(
-            LevelReport(level, float(eig), partial, k_star, float(omitted), discrepancy, bound)
-        )
-    return OracleReport(
-        basis_size=problem.basis_size,
-        check_size=problem.check_size,
-        basis_shift=shift,
-        lam_value=problem.lam_value,
-        levels=tuple(entries),
-    )
+        entries.append(LevelReport(level, eig, partial, k_star, float(omitted),
+                                   abs(eig - partial), bound))
+    return OracleReport(problem, shift, tuple(entries))
 
 
 def report_text(report: OracleReport) -> str:
-    """Human-readable rendering of an oracle comparison."""
+    """Human-readable rendering of an oracle comparison, newline-terminated."""
+    problem = report.problem
     lines = [
-        f"basis {report.basis_size} vs {report.check_size}: "
+        f"basis {problem.basis_size} vs {problem.check_size}: "
         f"max eigenvalue shift {report.basis_shift:.3e}",
-        f"coupling lam = {report.lam_value} ({float(report.lam_value):.6g})",
+        f"coupling lam = {problem.lam_value} ({_g6(problem.lam_value)})",
         "level  eigenvalue            partial sum           k*  omitted     "
         "discrepancy  bound        verdict",
     ]
@@ -568,7 +571,7 @@ def report_text(report: OracleReport) -> str:
             f"{e.discrepancy:>11.3e}  {e.bound:>11.3e}  "
             f"{'ok' if e.ok else 'FAIL'}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
 def report_csv(report: OracleReport) -> str:

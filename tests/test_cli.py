@@ -328,6 +328,28 @@ class TestVerify:
             "its highest term is 1/100 x^3\n"
         )
 
+    # exact inputs that no double holds: refused before expanding (exit 2),
+    # or, where only a series term is out of range, reported like any other
+    # breakdown (exit 1); never a traceback
+    @pytest.mark.parametrize("m, lam, code, message", [
+        ("1", "1" + "0" * 400, EXIT_INVALID,
+         "error: lam = 1e+400 is outside the range of a double\n"),
+        ("1" + "0" * 400, "1/100", EXIT_INVALID,
+         "error: m = 1e+400 is outside the range of a double\n"),
+        ("1/1" + "0" * 400, "1/100", EXIT_INVALID,
+         "error: m = 1e-400 is outside the range of a double\n"),
+        ("1/1" + "0" * 300, "1/100", EXIT_FAIL,
+         "verification rejected: first two nonzero series terms do not decrease "
+         "(|0.5| then |7.5e+597|): the coupling is too large for an asymptotic partial sum\n"),
+    ], ids=["huge-lambda", "huge-m", "tiny-m", "term-beyond-a-double"])
+    def test_exact_inputs_beyond_a_double(self, capsys, tmp_path, m, lam, code, message):
+        config = tmp_path / "quartic.ini"
+        config.write_text(QUARTIC_INI.replace("m = 1", f"m = {m}")
+                          + f"\n[oracle]\nlambda = {lam}\nbasis = 60\n")
+        got, out, err = run(capsys, "verify", "--config", config)
+        assert got == code
+        assert (out, err) == (("", message) if code == EXIT_INVALID else (message, ""))
+
     def test_oracle_error(self, capsys, monkeypatch):
         def fail(_problem):
             raise oracle.OracleError("spectrum is not strictly increasing and positive")
@@ -375,7 +397,10 @@ class TestInvalidInput:
         ("basis = 100000", "basis size 100000 exceeds the limit of 1000 states"),
         ("basis = 900", "check basis size 1200 exceeds the limit of 1000 states"),
         ("basis = 60\ncheck_basis = 1001", "check basis size 1001 exceeds"),
-    ], ids=["basis", "derived-check-basis", "check-basis"])
+        # a size the user never set is named as the default it is
+        ("basis = 800", "check basis size 1066 exceeds the limit of 1000 states, "
+                        "the default for basis size 800: set check_basis to choose it\n"),
+    ], ids=["basis", "derived-check-basis", "check-basis", "derived-check-basis-origin"])
     def test_oversized_oracle_basis(self, capsys, tmp_path, monkeypatch, sizes, message):
         def never(*_args):
             raise AssertionError("neither the series nor the Hamiltonian may be built")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -333,3 +334,32 @@ class TestEvaluateEnergy:
         assert terms[3] == Fraction(15, 16) * lam
         assert terms[5] == Fraction(-3495, 256) * lam**2
         assert abs(float(total) - 0.5009244088813688) < 1e-15
+
+
+class TestBenderWu:
+    """The quartic's high orders against an independent result: the large-order
+    law of Bender & Wu, Phys. Rev. D 7, 1620 (1973).
+
+    With m = omega = 1 and f2 = lam, a_q = E_(q+1)(0) is the ground state's
+    coefficient of lam^q, and
+    a_q ~ (-1)^(q+1) sqrt(6)/pi^(3/2) 3^q Gamma(q + 1/2) (1 - 95/(72 q) + O(q^-2)).
+    """
+
+    ORDER = 30
+
+    @pytest.fixture(scope="class")
+    def a(self):
+        _, series = expand(PotentialSpec.make(1, 1, {2: LAM}), self.ORDER)
+        return [series.e[q + 1].coefficient(0, q) for q in range(self.ORDER)]
+
+    def test_signs_alternate(self, a):
+        assert all((-1) ** (q + 1) * a[q] > 0 for q in range(1, self.ORDER))
+
+    def test_ratio_to_the_law_closes_as_q_squared(self, a):
+        # (ratio - 1) q^2 measured -4.20, -3.13, -2.64, -2.44, -2.35 at
+        # q = 10, 15, 20, 25, 29: the O(q^-2) term, bounded from q = 15 on; a
+        # wrong 1/q term would leave a gap growing like q
+        for q in range(15, self.ORDER):
+            law = ((-1) ** (q + 1) * math.sqrt(6) / math.pi**1.5 * 3**q * math.gamma(q + 0.5)
+                   * (1 - 95 / (72 * q)))
+            assert abs(float(a[q]) / law - 1) * q * q < 3.5

@@ -15,13 +15,11 @@ from lptseries.oracle import (
     EigensolverError,
     OracleProblem,
     _hamiltonian_at,
-    _position_power,
     compare_series,
     converged_levels,
     jacobi_eigenvalues,
     lowest_eigenvalues,
     optimal_truncation,
-    problem_from_potential,
     report_csv,
     report_text,
 )
@@ -63,50 +61,46 @@ def norm_inf(h) -> float:
     return float(np.abs(dense(h)).sum(axis=1).max())
 
 
+def x_power_diagonal(m, omega, power, n_basis):
+    """<n|x^power|n> for every n, read from H of the potential x^power (at
+    lam = 1) less its oscillator diagonal omega * (n + 1/2)."""
+    spec = PotentialSpec.make(m, omega, {power - 2: LAM})
+    h = _hamiltonian_at(OracleProblem(spec, 1, n_basis, None, (0,)), n_basis)
+    return [entry(h, n, n) - float(omega) * (n + 0.5) for n in range(n_basis)]
+
+
 class TestPositionMatrix:
-    def test_two_state_ladder_element(self):
-        x = _position_power(2, 1.0, 1.0, 1)
-        assert entry(x, 0, 1) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert entry(x, 0, 0) == 0.0 and entry(x, 1, 1) == 0.0
-
-    def test_three_state_elements(self):
-        x = _position_power(3, 1.0, 1.0, 1)
-        assert entry(x, 0, 1) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert entry(x, 1, 2) == pytest.approx(1.0, abs=1e-15)
-
     def test_exactly_symmetric(self):
-        x = dense(_position_power(25, 2.0, 0.5, 1))
-        assert np.array_equal(x, x.T)
         spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3), {1: LAM, 2: LAM * LAM})
-        problem = problem_from_potential(spec, Fraction(1, 20), basis_size=25,
-                                         check_size=30, levels=(0,))
+        problem = OracleProblem(spec, Fraction(1, 20), 25, 30, (0,))
         h = dense(_hamiltonian_at(problem, 25))
         assert np.array_equal(h, h.T)
 
     def test_mass_frequency_scaling(self):
-        x = _position_power(2, 4.0, 9.0, 1)
-        assert entry(x, 0, 1) == pytest.approx(1 / math.sqrt(2 * 4 * 9), abs=1e-15)
+        # <n|x^4|n> = 3 (2n^2 + 2n + 1) / (4 m^2 omega^2): m = 2, omega = 1/2
+        # tells m from omega, and m = 1/4, omega = 1/9 scales the ladder (and
+        # keeps the element large against the diagonal it is read beside)
+        for m, omega in ((2, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 9))):
+            for n, value in enumerate(x_power_diagonal(m, omega, 4, 50)[:6]):
+                closed = 3 * (2 * n * n + 2 * n + 1) / (4 * float(m * omega) ** 2)
+                assert value == pytest.approx(closed, rel=1e-12)
 
 
 class TestHamiltonian:
     def test_harmonic_is_diagonal(self):
-        problem = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=10,
-                                         check_size=14, levels=(0,))
+        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 10, 14, (0,))
         h = _hamiltonian_at(problem, problem.basis_size)
         assert h == [[i + 0.5] for i in range(10)]
 
     def test_sextic_ground_diagonal_element(self, sextic_spec):
         # <0|x^6|0> = 15/8, so with lam = 1 the (0,0) entry is 1/2 + 15/16
-        problem = problem_from_potential(sextic_spec, 1, basis_size=30,
-                                         check_size=40, levels=(0,))
+        problem = OracleProblem(sextic_spec, 1, 30, 40, (0,))
         h = _hamiltonian_at(problem, problem.basis_size)
         assert entry(h, 0, 0) == pytest.approx(0.5 + 15 / 16, abs=1e-12)
 
     def test_zero_coupling_reduces_to_harmonic(self, sextic_spec):
-        free = problem_from_potential(sextic_spec, 0, basis_size=12,
-                                      check_size=16, levels=(0,))
-        harmonic = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=12,
-                                          check_size=16, levels=(0,))
+        free = OracleProblem(sextic_spec, 0, 12, 16, (0,))
+        harmonic = OracleProblem(PotentialSpec.make(1, 1), 0, 12, 16, (0,))
         assert np.allclose(dense(_hamiltonian_at(free, free.basis_size)),
                            dense(_hamiltonian_at(harmonic, harmonic.basis_size)))
 
@@ -114,20 +108,21 @@ class TestHamiltonian:
         """The same truncated products as powers of the dense truncated X."""
         spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3),
                                   {1: LAM, 2: LAM * LAM, 4: LAM.scale_div(7)})
-        problem = problem_from_potential(spec, Fraction(1, 20), basis_size=30,
-                                         check_size=40, levels=(0,))
-        n = problem.basis_size
-        off = np.sqrt(np.arange(1, n) / (2.0 * problem.m * problem.omega))
+        lam = Fraction(1, 20)
+        n = 30
+        problem = OracleProblem(spec, lam, n, 40, (0,))
+        m, omega = float(spec.m), float(spec.omega)
+        off = np.sqrt(np.arange(1, n) / (2.0 * m * omega))
         x = np.diag(off, 1) + np.diag(off, -1)
-        h = np.diag(problem.omega * (np.arange(n) + 0.5))
-        for power, coeff in problem.powers:
-            h = h + coeff * np.linalg.matrix_power(x, power)
+        h = np.diag(omega * (np.arange(n) + 0.5))
+        for i, poly in spec.terms:
+            h = h + float(poly.evaluate(0, lam)) * np.linalg.matrix_power(x, i + 2)
         expected = (h + h.T) / 2.0
         got = dense(_hamiltonian_at(problem, n))
         assert np.max(np.abs(got - expected)) < 1e-13 * np.abs(expected).max()
 
     def test_direct_construction_is_checked(self):
-        args = dict(m=1.0, omega=1.0, lam_value=Fraction(0), powers=(), levels=(0,))
+        args = dict(potential=PotentialSpec.make(1, 1), lam_value=0, levels=(0,))
         OracleProblem(basis_size=10, check_size=11, **args)
         with pytest.raises(ValueError, match="strictly larger"):
             OracleProblem(basis_size=10, check_size=10, **args)
@@ -139,13 +134,33 @@ class TestHamiltonian:
             OracleProblem(basis_size=10, check_size=11, **{**args, "levels": (-1,)})
 
     def test_replace_is_checked(self):
-        problem = OracleProblem(1.0, 1.0, Fraction(0), (), 10, 11, (0,))
+        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 10, 11, (0,))
         assert problem._replace(check_size=12).check_size == 12
         with pytest.raises(ValueError, match="strictly larger"):
             problem._replace(check_size=problem.basis_size)
 
+    def test_check_size_defaults_from_the_basis_size(self):
+        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 60, None, (0,))
+        assert problem.check_size == 80
+        assert problem._replace(basis_size=300, check_size=None).check_size == 400
+        with pytest.raises(ValueError, match=r"^check basis size 1066 exceeds the limit of 1000 "
+                                             r"states, the default for basis size 800: "
+                                             r"set check_basis to choose it$"):
+            problem._replace(basis_size=800, check_size=None)
+        # a check size that was given is named as given
+        with pytest.raises(ValueError, match=r"^check basis size 1066 exceeds the limit of 1000 "
+                                             r"states$"):
+            problem._replace(basis_size=800, check_size=1066)
+
+    def test_exact_inputs_stay_exact(self):
+        spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3), {2: LAM})
+        problem = OracleProblem(spec, 1, 60, 80, [0, 2])
+        assert problem.potential is spec
+        assert problem.lam_value == 1 and isinstance(problem.lam_value, Fraction)
+        assert problem.levels == (0, 2)
+
     def test_records_are_immutable(self, sextic_spec, sextic_expansion):
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000), 60, (0,))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, None, (0,))
         report = compare_series(sextic_expansion[1], problem)
         for record, field in ((problem, "levels"), (report, "levels"),
                               (report.levels[0], "bound")):
@@ -156,8 +171,7 @@ class TestHamiltonian:
 
     def test_basis_must_contain_target_states(self, sextic_spec):
         with pytest.raises(ValueError, match="too small"):
-            problem_from_potential(sextic_spec, 1, basis_size=10, check_size=20,
-                                   levels=(0, 1, 2, 3))
+            OracleProblem(sextic_spec, 1, 10, 20, (0, 1, 2, 3))
 
 
 class TestJacobi:
@@ -174,9 +188,8 @@ class TestJacobi:
             assert np.max(np.abs(mine - ref)) < 1e-11 * max(1.0, np.linalg.norm(a))
 
     def test_harmonic_spectrum_to_twelve_digits(self):
-        problem = problem_from_potential(PotentialSpec.make(1, 1), 0, basis_size=40,
-                                         check_size=54, levels=(0, 1, 2, 3))
-        vals = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), 4)
+        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 40, 54, (0, 1, 2, 3))
+        vals, _ = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), 4)
         assert np.max(np.abs(np.array(vals) - (np.arange(4) + 0.5))) < 1e-12
 
     def test_rejects_asymmetric_input(self):
@@ -202,15 +215,13 @@ class TestLapack:
         (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 20), 60),
     ], ids=["harmonic", "sextic", "quartic", "cubic-quartic"])
     def test_agrees_with_jacobi_on_oracle_hamiltonians(self, spec, lam, basis):
-        problem = problem_from_potential(spec, lam, basis_size=basis,
-                                         check_size=basis + 20, levels=(0, 1, 2, 3))
+        problem = OracleProblem(spec, lam, basis, basis + 20, (0, 1, 2, 3))
         h = _hamiltonian_at(problem, problem.basis_size)
-        values = lowest_eigenvalues(h, 6)
+        values, _ = lowest_eigenvalues(h, 6)
         assert np.max(np.abs(values - jacobi_eigenvalues(dense(h))[:6])) < 1e-12
 
     def test_quartic_levels_match_the_jacobi_era_values(self):
-        problem = problem_from_potential(QUARTIC, Fraction(1, 100), basis_size=120,
-                                         check_size=160, levels=tuple(range(6)))
+        problem = OracleProblem(QUARTIC, Fraction(1, 100), 120, 160, tuple(range(6)))
         values, _shift = converged_levels(problem)
         jacobi_era = [0.5072562045246038, 1.5356482782968066, 2.590845796190706,
                       3.6710949422258063, 4.774913118655517, 5.9010266741126385]
@@ -248,10 +259,9 @@ class TestBandSolver:
             "dominant-cubic", "cubic-quartic-at-zero", "quartic-121", "sextic-25",
             "quartic-7"])
     def test_matches_eigvalsh_on_oracle_hamiltonians(self, spec, lam, basis):
-        problem = problem_from_potential(spec, lam, basis_size=basis,
-                                         check_size=basis + 20, levels=(0,))
+        problem = OracleProblem(spec, lam, basis, basis + 20, (0,))
         h = _hamiltonian_at(problem, problem.basis_size)
-        values = lowest_eigenvalues(h, 6)
+        values, _ = lowest_eigenvalues(h, 6)
         reference = np.linalg.eigvalsh(dense(h))[:6]
         tol = 32 * sys.float_info.epsilon * norm_inf(h)
         assert np.max(np.abs(np.array(values) - reference)) <= tol
@@ -268,7 +278,7 @@ class TestBandSolver:
             return result
 
         monkeypatch.setattr(oracle, "_rayleigh", spy)
-        values = lowest_eigenvalues(h, 3)
+        values, _ = lowest_eigenvalues(h, 3)
         reference = np.linalg.eigvalsh(dense(h))
         assert quotients[0] == pytest.approx(reference[2], abs=1e-12)
         assert np.max(np.abs(np.array(values) - reference)) <= (
@@ -283,7 +293,7 @@ class TestBandSolver:
         assert capsys.readouterr().out.startswith("oracle not converged:")
 
     def test_no_levels_asked(self):
-        assert lowest_eigenvalues(band(np.eye(3)), 0) == []
+        assert lowest_eigenvalues(band(np.eye(3)), 0) == ([], [])
 
     def test_non_finite_entry_is_an_eigensolver_error(self):
         with pytest.raises(EigensolverError, match="non-finite"):
@@ -296,8 +306,7 @@ class TestBandSolver:
 
 def gate_bands(spec, lam, basis, check):
     """H at the two basis sizes of a gate."""
-    problem = problem_from_potential(spec, lam, basis_size=basis, check_size=check,
-                                     levels=(0,))
+    problem = OracleProblem(spec, lam, basis, check, (0,))
     return _hamiltonian_at(problem, basis), _hamiltonian_at(problem, check)
 
 
@@ -323,9 +332,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
     def test_warm_start_gives_the_cold_start_levels(self, spec, lam, basis, check):
         base, larger = gate_bands(spec, lam, basis, check)
-        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
-        warm = lowest_eigenvalues(larger, 6, vectors)
-        cold = lowest_eigenvalues(larger, 6)
+        _, vectors = lowest_eigenvalues(base, 6)
+        warm, _ = lowest_eigenvalues(larger, 6, vectors)
+        cold, _ = lowest_eigenvalues(larger, 6)
         assert_lowest_levels(warm, larger)
         assert_lowest_levels(cold, larger)
         assert np.max(np.abs(np.array(warm) - cold)) <= 32 * sys.float_info.epsilon * norm_inf(larger)
@@ -334,7 +343,7 @@ class TestWarmStart:
     def test_warm_start_takes_at_most_two_steps_per_level(self, monkeypatch, spec, lam,
                                                           basis, check):
         base, larger = gate_bands(spec, lam, basis, check)
-        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
+        _, vectors = lowest_eigenvalues(base, 6)
         steps = []
         solve = oracle._ldl_solve
 
@@ -343,13 +352,13 @@ class TestWarmStart:
             return solve(*args)
 
         monkeypatch.setattr(oracle, "_ldl_solve", spy)
-        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors), larger)
+        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors)[0], larger)
         assert len(steps) <= 2 * 6
 
     @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
     def test_vectors_are_eigenvectors_in_the_basis_of_h(self, spec, lam, basis, check):
         h, _ = gate_bands(spec, lam, basis, check)
-        values, vectors = lowest_eigenvalues(h, 6, vectors=True)
+        values, vectors = lowest_eigenvalues(h, 6)
         a = dense(h)
         for value, x in zip(values, vectors):
             assert len(x) == basis
@@ -364,7 +373,7 @@ class TestWarmStart:
         # counts fall back to bisection; across the parity blocks of an even
         # potential it holds nothing of the level's block, which starts cold
         base, larger = gate_bands(spec, lam, basis, check)
-        _, vectors = lowest_eigenvalues(base, 6, vectors=True)
+        _, vectors = lowest_eigenvalues(base, 6)
         i, j = swap
         vectors[i], vectors[j] = vectors[j], vectors[i]
         counts = []
@@ -375,13 +384,12 @@ class TestWarmStart:
             return sturm(*args)
 
         monkeypatch.setattr(oracle, "_sturm_count", spy)
-        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors), larger)
+        assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors)[0], larger)
         cold_start = spec.is_even and (i - j) % 2
         assert (len(counts) == 6 + 1) if cold_start else (len(counts) > 6 + 1)
 
     def test_converged_levels_warm_starts_the_check_size(self, monkeypatch):
-        problem = problem_from_potential(QUARTIC, Fraction(1, 100), basis_size=120,
-                                         check_size=160, levels=tuple(range(6)))
+        problem = OracleProblem(QUARTIC, Fraction(1, 100), 120, 160, tuple(range(6)))
         calls = []
         solve = oracle.lowest_eigenvalues
 
@@ -392,7 +400,7 @@ class TestWarmStart:
         monkeypatch.setattr(oracle, "lowest_eigenvalues", spy)
         converged_levels(problem)
         (base_size, base_args, base_kwargs), (check_size, check_args, _) = calls
-        assert (base_size, base_args, base_kwargs) == (120, (), {"vectors": True})
+        assert (base_size, base_args, base_kwargs) == (120, (), {})
         assert check_size == 160 and len(check_args[0]) == 6
 
 
@@ -411,7 +419,7 @@ class TestOneCountPerGap:
             return sturm(*args)
 
         monkeypatch.setattr(oracle, "_sturm_count", spy)
-        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+        assert_lowest_levels(lowest_eigenvalues(h, 6)[0], h)
         assert len(counts) == 6 + 1 and counts == sorted(counts)
 
     def test_overlapping_intervals_fall_back_to_bisection(self, monkeypatch):
@@ -425,7 +433,7 @@ class TestOneCountPerGap:
             return first[-1][:2] + result[2:]
 
         monkeypatch.setattr(oracle, "_rayleigh", stuck)
-        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+        assert_lowest_levels(lowest_eigenvalues(h, 6)[0], h)
         assert len(first) == 6
 
     def test_descending_intervals_fall_back_to_bisection(self, monkeypatch):
@@ -439,14 +447,14 @@ class TestOneCountPerGap:
             return rayleigh(h, start, floor)
 
         monkeypatch.setattr(oracle, "_rayleigh", reversed_start)
-        assert_lowest_levels(lowest_eigenvalues(h, 6), h)
+        assert_lowest_levels(lowest_eigenvalues(h, 6)[0], h)
 
     @pytest.mark.parametrize("spec, lam, basis, check", GATES[:1] + GATES[2:3],
                              ids=GATE_IDS[:1] + GATE_IDS[2:3])
     def test_a_count_that_is_off_falls_back_to_per_level_counts(self, monkeypatch, spec,
                                                                 lam, basis, check):
         h, _ = gate_bands(spec, lam, basis, check)
-        expected = lowest_eigenvalues(h, 6)
+        expected, _ = lowest_eigenvalues(h, 6)
         sturm = oracle._sturm_count
         calls = []
 
@@ -456,7 +464,7 @@ class TestOneCountPerGap:
 
         monkeypatch.setattr(oracle, "_sturm_count", off_once)
         # each level's own counts accept its quotient, as the gap counts would have
-        assert lowest_eigenvalues(h, 6) == expected
+        assert lowest_eigenvalues(h, 6)[0] == expected
         assert len(calls) == 3 + 2 * 6
 
 
@@ -475,8 +483,7 @@ class TestUnboundedBelow:
             "quartic-cancels"])
     def test_refused_naming_the_term(self, terms, lam, term):
         with pytest.raises(ValueError, match=rf"unbounded below .*: its highest term is {re.escape(term)}$"):
-            problem_from_potential(PotentialSpec.make(1, 1, terms), lam, basis_size=60,
-                                   levels=(0,))
+            OracleProblem(PotentialSpec.make(1, 1, terms), lam, 60, None, (0,))
 
     @pytest.mark.parametrize("terms, lam", [
         ({1: LAM, 2: LAM * LAM}, Fraction(1, 20)),
@@ -485,39 +492,69 @@ class TestUnboundedBelow:
         ({}, 1),
     ], ids=["cubic-quartic", "sextic-at-negative-coupling", "cubic-at-zero", "harmonic"])
     def test_bounded_potentials_pass(self, terms, lam):
-        problem_from_potential(PotentialSpec.make(1, 1, terms), lam, basis_size=60, levels=(0,))
+        OracleProblem(PotentialSpec.make(1, 1, terms), lam, 60, None, (0,))
+
+    def test_no_construction_skips_the_check(self):
+        # the record is the only way to a problem: built directly with both
+        # sizes, or with its potential replaced, a pure cubic is refused
+        cubic = PotentialSpec.make(1, 1, {1: LAM})
+        with pytest.raises(ValueError, match="unbounded below"):
+            OracleProblem(cubic, Fraction(1, 100), 60, 80, (0,))
+        quartic = OracleProblem(QUARTIC, Fraction(1, 100), 60, 80, (0,))
+        with pytest.raises(ValueError, match="unbounded below"):
+            quartic._replace(potential=cubic)
+        with pytest.raises(ValueError, match="unbounded below"):
+            quartic._replace(lam_value=Fraction(-1, 100))
+
+
+class TestDoubleRange:
+    """Every quantity H is built from must have a double: refused, naming
+    it, if it overflows one or if it is nonzero and rounds to zero."""
+
+    BIG, TINY = Fraction(10**400), Fraction(1, 10**400)
+
+    @pytest.mark.parametrize("m, omega, terms, lam, message", [
+        (BIG, 1, {2: LAM}, Fraction(1, 100), "m = 1e+400"),
+        (TINY, 1, {2: LAM}, Fraction(1, 100), "m = 1e-400"),
+        (1, BIG, {2: LAM}, Fraction(1, 100), "omega = 1e+400"),
+        (1, TINY, {2: LAM}, Fraction(1, 100), "omega = 1e-400"),
+        (1, 1, {2: LAM}, BIG, "lam = 1e+400"),
+        (1, 1, {2: LAM}, -TINY, "lam = -1e-400"),
+        (1, 1, {2: LAM * LAM}, Fraction(10**200), "the x^4 coefficient = 1e+400"),
+        (1, 1, {1: LAM, 4: LAM * LAM}, Fraction(1, 10**200), "the x^6 coefficient = 1e-400"),
+    ], ids=["huge-m", "tiny-m", "huge-omega", "tiny-omega", "huge-lam", "tiny-lam",
+            "huge-coefficient", "tiny-coefficient"])
+    def test_refused_naming_the_quantity(self, m, omega, terms, lam, message):
+        spec = PotentialSpec.make(m, omega, terms)
+        outside = rf"^{re.escape(message)} is outside the range of a double$"
+        with pytest.raises(ValueError, match=outside):
+            OracleProblem(spec, lam, 60, None, (0,))
+
+    def test_largest_and_smallest_doubles_pass(self):
+        big, tiny = Fraction(sys.float_info.max), Fraction(sys.float_info.min)
+        OracleProblem(PotentialSpec.make(big, tiny, {2: LAM}), tiny, 60, None, (0,))
+        OracleProblem(PotentialSpec.make(tiny, big, {2: LAM}), big, 60, None, (0,))
+        # an exact zero is a double
+        OracleProblem(PotentialSpec.make(1, 1, {1: LAM}), 0, 60, None, (0,))
 
 
 class TestMatrixElements:
     @pytest.mark.parametrize("n", range(6))
-    def test_x_squared_closed_form(self, n):
-        value = entry(_position_power(50, 1.0, 1.0, 2), n, n)
-        assert abs(value - (n + 0.5)) < 1e-10
-
-    @pytest.mark.parametrize("n", range(6))
     def test_x_sixth_closed_form(self, n):
-        value = entry(_position_power(50, 1.0, 1.0, 6), n, n)
+        value = x_power_diagonal(1, 1, 6, 50)[n]
         closed = (20 * n**3 + 30 * n**2 + 40 * n + 15) / 8
         assert abs(value - closed) < 1e-10 * max(1.0, closed)
-
-    def test_scaled_x_squared(self):
-        # <n|x^2|n> = (n + 1/2)/(m omega)
-        value = entry(_position_power(40, 2.0, 0.5, 2), 3, 3)
-        assert value == pytest.approx(3.5 / (2.0 * 0.5), rel=1e-12)
 
 
 class TestConvergenceGate:
     def test_gate_passes_at_small_coupling(self, sextic_spec):
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000),
-                                         basis_size=60, check_size=80,
-                                         levels=(0, 1, 2, 3))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1, 2, 3))
         values, shift = converged_levels(problem)
         assert shift < 1e-10
         assert all(0 < a < b for a, b in zip(values, values[1:]))
 
     def test_gate_rejects_undersized_basis(self, sextic_spec):
-        problem = problem_from_potential(sextic_spec, 1, basis_size=24,
-                                         check_size=48, levels=(0, 1, 2, 3))
+        problem = OracleProblem(sextic_spec, 1, 24, 48, (0, 1, 2, 3))
         with pytest.raises(BasisNotConverged):
             converged_levels(problem)
 
@@ -547,22 +584,30 @@ class TestOptimalTruncation:
         with pytest.raises(AsymptoticBreakdown):
             optimal_truncation([Fraction(0), Fraction(1, 2), Fraction(15, 16)])
 
+    @pytest.mark.parametrize("first, second, shown", [
+        (Fraction(1, 2), Fraction(-3, 4), "|0.5| then |-0.75|"),
+        (Fraction(1, 3), Fraction(10**598 * 3, 4), "|0.333333| then |7.5e+597|"),
+        (Fraction(-1, 10**400), 1, "|-1e-400| then |1|"),
+        (Fraction(1, 10**315), Fraction(2, 10**315), "|1e-315| then |2e-315|"),
+        (Fraction(12345678 * 10**393), -2 * 10**400, "|1.23457e+400| then |-2e+400|"),
+    ], ids=["doubles", "overflow", "underflow", "subnormal", "rounded"])
+    def test_breakdown_names_terms_of_any_magnitude(self, first, second, shown):
+        with pytest.raises(AsymptoticBreakdown, match=rf"\({re.escape(shown)}\)"):
+            optimal_truncation([Fraction(0), first, second])
+
 
 class TestCompareSeries:
     def test_harmonic_agreement_is_machine_level(self):
         spec = PotentialSpec.make(1, 1)
         _, series = expand(spec, 5)
-        problem = problem_from_potential(spec, 0, basis_size=40, check_size=54,
-                                         levels=(0, 1, 2, 3))
+        problem = OracleProblem(spec, 0, 40, 54, (0, 1, 2, 3))
         report = compare_series(series, problem)
         assert report.passed
         assert all(entry.discrepancy <= 1e-10 for entry in report.levels)
         assert all(entry.first_omitted_term == 0.0 for entry in report.levels)
 
     def test_sextic_small_coupling_within_omitted_term_budget(self, sextic_series, sextic_spec):
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000),
-                                         basis_size=60, check_size=80,
-                                         levels=(0, 1, 2, 3))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1, 2, 3))
         report = compare_series(sextic_series, problem)
         assert report.passed
         ground = report.levels[0]
@@ -570,28 +615,24 @@ class TestCompareSeries:
         assert ground.discrepancy < 1e-7
 
     def test_excited_level_exercises_polynomial_structure(self, sextic_series, sextic_spec):
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000),
-                                         basis_size=60, check_size=80, levels=(3,))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (3,))
         report = compare_series(sextic_series, problem)
         assert report.passed
         assert report.levels[0].truncation_order >= 5
 
     def test_large_coupling_rejected_before_diagonalizing(self, sextic_series, sextic_spec):
-        problem = problem_from_potential(sextic_spec, 1, basis_size=60,
-                                         check_size=80, levels=(0,))
+        problem = OracleProblem(sextic_spec, 1, 60, 80, (0,))
         with pytest.raises(AsymptoticBreakdown, match="do not decrease"):
             compare_series(sextic_series, problem)
 
     def test_short_series_rejected(self, sextic_spec):
         _, series = expand(sextic_spec, 2)
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000),
-                                         basis_size=30, check_size=40, levels=(0,))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 30, 40, (0,))
         with pytest.raises(ValueError, match="too short"):
             compare_series(series, problem)
 
     def test_report_renderings(self, sextic_series, sextic_spec):
-        problem = problem_from_potential(sextic_spec, Fraction(1, 1000),
-                                         basis_size=60, check_size=80, levels=(0, 1))
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1))
         report = compare_series(sextic_series, problem)
         text = report_text(report)
         assert "basis 60 vs 80" in text and "ok" in text
@@ -599,3 +640,9 @@ class TestCompareSeries:
         lines = csv.strip().splitlines()
         assert lines[0].startswith("level,eigenvalue")
         assert len(lines) == 3
+
+    def test_text_names_a_coupling_below_the_normal_doubles(self, sextic_spec):
+        # float(1/10^320) keeps three digits of it: 9.99989e-321
+        problem = OracleProblem(sextic_spec, Fraction(1, 10**320), 60, 80, (0,))
+        text = report_text(oracle.OracleReport(problem, 0.0, ()))
+        assert text.splitlines()[1] == f"coupling lam = 1/{10**320} (1e-320)"
