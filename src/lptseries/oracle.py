@@ -25,7 +25,13 @@ bisected, and a level they cannot bracket raises `EigensolverError`.
 Two safeguards make a reported eigenvalue trustworthy:
 
 * the basis gate: each requested level is diagonalized at two basis
-  sizes and must agree to ``GATE_TOL`` before it is used at all;
+  sizes and must agree to ``GATE_TOL`` before it is used at all.  The two
+  matrices are nested leading principal blocks of one H, the operator's
+  own rows, so by Cauchy interlacing a level can only fall as the basis
+  grows, and each is a Rayleigh-Ritz upper bound, up to rounding, on the
+  operator's eigenvalue of the same index.  Counts certify a level's index
+  only within the block: a state that the basis misses entirely is not
+  excluded;
 * the truncation policy: the hbar series is asymptotic, so it is summed
   only up to (not including) its smallest-magnitude nonzero term, and
   the comparison budget is 10x that first omitted term.
@@ -59,11 +65,11 @@ if TYPE_CHECKING:
 
 # Largest basis either gate size may have.  The band solver's time and
 # memory grow at least linearly with the size: at this size, building H
-# and certifying its six lowest levels from a cold start took 0.04-0.06 s
-# for the quartic, 0.06-0.07 s for the sextic and 0.15-0.17 s for the
-# cubic+quartic (best of three, two runs), in under 1 MB (2-vCPU host),
-# so a mistyped size such as 100000 would run for minutes over the two
-# gate sizes instead of being refused.
+# once and certifying its six lowest levels from a cold start took
+# 0.04-0.06 s for the quartic, 0.05-0.08 s for the sextic and 0.08-0.13 s
+# for the cubic+quartic (best of three, two runs), in under 1 MB (2-vCPU
+# host), so a mistyped size such as 100000 would run for minutes instead
+# of being refused.
 MAX_BASIS = 1000
 
 # Largest shift of a requested level between the gate's two basis sizes.
@@ -79,7 +85,9 @@ _RQI_STEPS = 10
 _CERTIFY_ULPS = 8
 
 # A symmetric band matrix of half-bandwidth b, by rows: ``h[i][b + d]`` is
-# H[i, i + d] for -b <= d <= b, and 0.0 where i + d is outside the matrix.
+# H[i, i + d] for -b <= d <= b, and 0.0 where i + d < 0.  Entries past the
+# last column (in the last b rows, where H is a leading block of a larger
+# operator) are ignored.
 Band = list[list[float]]
 
 
@@ -191,43 +199,44 @@ def _g6(value: Fraction) -> str:
 
 
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:
-    """H = diag(omega*(i+1/2)) + sum over anharmonic terms coeff * X^power,
-    in band form, in double precision; the half-bandwidth is the highest
-    power (0 for the oscillator).  X is the position operator on the first
-    ``n_basis`` oscillator states: tridiagonal, hbar = 1,
-    <i|X|i+1> = sqrt((i+1) / (2 m omega)).
+    """The first ``n_basis`` rows of H = diag(omega*(i+1/2)) + sum over
+    anharmonic terms coeff * X^power, in band form, in double precision.
+    X is the position operator of the whole oscillator basis: tridiagonal,
+    hbar = 1, <i|X|i+1> = sqrt((i+1) / (2 m omega)).  The half-bandwidth b
+    is the highest power whose coefficient at lam is not exactly zero (0
+    for the oscillator, or at lam = 0).
 
-    One walk per row builds it: e_i is multiplied by X, each step staying
-    inside the basis (the same truncated product that a power of the dense
-    truncated X forms), up to the highest power, and coeff * e_i X^power is
-    added wherever the walk reaches a power the potential has.  Without an
-    anharmonic term there is no walk.
+    One walk per row builds it: e_i is multiplied by X, untruncated, up to
+    the highest power, and coeff * e_i X^power is added right of the
+    diagonal wherever the walk reaches a power the potential has; the
+    entries left of it mirror those, so H is symmetric by construction.
+    No row depends on ``n_basis``: the rows at a smaller size are a prefix
+    of these, and in the last b rows the entries past the last column are
+    the operator's own.
     """
     spec = problem.potential
     m, omega = float(spec.m), float(spec.omega)
-    coeffs = {i + 2: float(poly.evaluate(0, problem.lam_value)) for i, poly in spec.terms}
+    coeffs = {i + 2: float(coeff) for i, poly in spec.terms
+              if (coeff := poly.evaluate(0, problem.lam_value))}
     b = max(coeffs, default=0)
+    ladder = [math.sqrt((i + 1) / (2.0 * m * omega)) for i in range(n_basis + b)]
     h = [[0.0] * b + [omega * (i + 0.5)] + [0.0] * b for i in range(n_basis)]
-    if b:
-        ladder = [math.sqrt((i + 1) / (2.0 * m * omega)) for i in range(n_basis - 1)]
-        for i, row in enumerate(h):
-            walk = {i: 1.0}
-            for power in range(1, b + 1):
-                step: dict[int, float] = {}
-                for j, value in walk.items():
-                    if j > 0:
-                        step[j - 1] = step.get(j - 1, 0.0) + value * ladder[j - 1]
-                    if j < n_basis - 1:
-                        step[j + 1] = step.get(j + 1, 0.0) + value * ladder[j]
-                walk = step
-                if power in coeffs:
-                    coeff = coeffs[power]
-                    for j, value in walk.items():
-                        row[b + j - i] += coeff * value
-    # matrix powers are symmetric up to rounding; enforce it exactly, as (h + h^T)/2
     for i, row in enumerate(h):
-        for d in range(1, min(b, n_basis - 1 - i) + 1):
-            row[b + d] = h[i + d][b - d] = (row[b + d] + h[i + d][b - d]) / 2.0
+        walk = {i: 1.0}
+        for power in range(1, b + 1):
+            step: dict[int, float] = {}
+            for j, value in walk.items():
+                if j > 0:
+                    step[j - 1] = step.get(j - 1, 0.0) + value * ladder[j - 1]
+                step[j + 1] = step.get(j + 1, 0.0) + value * ladder[j]
+            walk = step
+            if power in coeffs:
+                coeff = coeffs[power]
+                for j, value in walk.items():
+                    if j >= i:
+                        row[b + j - i] += coeff * value
+        for d in range(1, min(b, i) + 1):
+            row[b - d] = h[i - d][b + d]
     return h
 
 
@@ -332,7 +341,8 @@ def _ldl_solve(lower: list[list[float]], pivots: list[float], x: list[float]) ->
 
 def _matvec(h: Band, x: list[float]) -> list[float]:
     b = len(h[0]) // 2
-    padded = [0.0] * b + x + [0.0] * b
+    # no padding on the right: a row's entries past the last column are unread
+    padded = [0.0] * b + x
     return [sum(map(mul, row, padded[i:i + 2 * b + 1])) for i, row in enumerate(h)]
 
 
@@ -356,6 +366,12 @@ def _rayleigh(h: Band, x: list[float], floor: float) -> tuple[float, float, list
     return sigma, max(residual, floor), x
 
 
+def _holds_level(h: Band, k: int, left: float, right: float, floor: float) -> bool:
+    """Whether the counts below ``left`` and ``right`` are k and k + 1, which
+    puts eigenvalue k (from 0, ascending) between them."""
+    return _sturm_count(h, left, floor) == k and _sturm_count(h, right, floor) == k + 1
+
+
 def _bisected(h: Band, k: int, sigma: float, left: float, right: float, floor: float,
               bounds: tuple[float, float]) -> float:
     """Eigenvalue k (from 0, ascending) of the band matrix ``h``, certified
@@ -364,23 +380,22 @@ def _bisected(h: Band, k: int, sigma: float, left: float, right: float, floor: f
     sigma is returned if the counts below ``left`` and ``right``, the ends
     of an interval that holds some eigenvalue, are k and k + 1, which puts
     eigenvalue k in that interval.  Otherwise the counts are bisected from
-    ``bounds`` down to a bracket of width 2 * floor, and its midpoint is
-    returned.
+    ``bounds`` down to a bracket of width 2 * floor.  That bracket's
+    midpoint is only as accurate as the floor, so it is polished: one
+    inverse-iteration step there from the ones vector, then Rayleigh-quotient
+    iteration.  The polished quotient is returned if its own counts certify
+    it as eigenvalue k, else the midpoint.
     """
-    below = _sturm_count(h, left, floor)
-    above = _sturm_count(h, right, floor)
-    if below == k and above == k + 1:
+    if _holds_level(h, k, left, right, floor):
         return sigma
     lo, hi = bounds
     if _sturm_count(h, lo, floor) > k or _sturm_count(h, hi, floor) <= k:
         raise EigensolverError(f"Sturm counts cannot bracket level {k}")
-    # the iteration found some other level: its counts still narrow the bracket
-    for point, count in ((left, below), (right, above)):
-        if lo < point < hi:
-            lo, hi = (point, hi) if count <= k else (lo, point)
     while hi - lo > 2.0 * floor and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if _sturm_count(h, mid, floor) <= k else (lo, mid)
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    sigma, delta, _ = _rayleigh(h, _ldl_solve(*_ldl(h, mid, floor), [1.0] * len(h)), floor)
+    return sigma if _holds_level(h, k, sigma - delta, sigma + delta, floor) else mid
 
 
 def lowest_eigenvalues(
@@ -389,33 +404,30 @@ def lowest_eigenvalues(
     """The ``count`` smallest eigenvalues of a symmetric band matrix,
     ascending, each certified by Sturm counts on the whole matrix.
 
-    ``h`` is in band form: ``h[i][b + d]`` is H[i, i + d] for |d| <= b.
-    If H keeps parity (no odd diagonal), its even and odd states are two
-    independent bands of half the size and width, and level k is sought in
-    block k % 2.  Rayleigh-quotient iteration proposes each level: from
-    ``starts[k]`` if given (a vector in H's basis, zero-padded or cut to
-    its size, such as level k's eigenvector in a smaller basis), else from
-    the unperturbed state |k>.  All levels are certified at once by one
-    count in each gap between the proposed intervals; if those intervals
-    overlap or a count is off, each level is certified by its own counts
-    and bisection (`_bisected`).
+    ``h`` is a `Band`, taken as given: `_hamiltonian_at` builds it
+    symmetric, with rows of one length, so neither is checked, and its
+    entries past the last column are ignored.  If H keeps parity (no odd
+    diagonal), its even and odd states are two independent bands of half
+    the size and width, and level k is sought in block k % 2.
+    Rayleigh-quotient iteration proposes each level: from ``starts[k]`` if
+    given (a vector on a leading block of H's basis, zero-padded to its
+    size, such as level k's eigenvector in a smaller basis), else from the
+    unperturbed state |k>.  All levels are certified at once by one count
+    in each gap between the proposed intervals; if those intervals overlap
+    or a count is off, each level is certified by its own counts and
+    bisection (`_bisected`).
 
     Returns the pair (eigenvalues, the iteration's unit vectors in H's
     basis): vector k is the one whose Rayleigh quotient is eigenvalue k,
     unless bisection certified that level.  Raises ``ValueError`` if
-    ``count`` exceeds the dimension or the band is not symmetric, and
-    `EigensolverError` if a level cannot be certified.
+    ``count`` exceeds the dimension, and `EigensolverError` if an entry
+    of the matrix is not finite or a level cannot be certified.
     """
     n = len(h)
     if count > n:
         raise ValueError(f"asked for {count} eigenvalues of a {n}-dim matrix")
     b = len(h[0]) // 2
-    if any(len(row) != 2 * b + 1 for row in h):
-        raise ValueError("band rows must all have one odd length")
-    if any(row[b + d] != h[i + d][b - d]
-           for i, row in enumerate(h) for d in range(1, min(b, n - 1 - i) + 1)):
-        raise ValueError("matrix must be symmetric")
-    norm = max(sum(map(abs, row)) for row in h)
+    norm = max(sum(map(abs, row[:b + n - i])) for i, row in enumerate(h))
     if not math.isfinite(norm):
         raise EigensolverError("matrix has non-finite entries")
     floor = _CERTIFY_ULPS * sys.float_info.epsilon * (norm or 1.0)
@@ -456,16 +468,17 @@ def lowest_eigenvalues(
 def converged_levels(problem: OracleProblem) -> tuple[list[float], float]:
     """Requested eigenvalues, gated on basis-size convergence.
 
-    Diagonalizes at ``basis_size`` and ``check_size``; every requested
-    level must shift by less than ``GATE_TOL`` between the two, and the
-    spectrum must be strictly increasing and positive, else the result
-    is rejected.
+    Builds H once, at ``check_size``, and diagonalizes its leading block
+    of ``basis_size`` rows and then the whole of it; every requested level
+    must shift by less than ``GATE_TOL`` between the two, and the spectrum
+    must be strictly increasing and positive, else the result is rejected.
     """
     count = max(problem.levels) + 1
-    base, vectors = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), count)
+    h = _hamiltonian_at(problem, problem.check_size)
+    base, vectors = lowest_eigenvalues(h[:problem.basis_size], count)
     # each level's eigenvector at the base size, zero-padded, is close to
     # its eigenvector at the check size: a step or none, not three or four
-    check, _ = lowest_eigenvalues(_hamiltonian_at(problem, problem.check_size), count, vectors)
+    check, _ = lowest_eigenvalues(h, count, vectors)
     shift = max(abs(a - b) for a, b in zip(base, check))
     if shift >= GATE_TOL:
         raise BasisNotConverged(f"eigenvalues moved by {shift:.3e} between basis sizes "

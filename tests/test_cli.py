@@ -350,6 +350,31 @@ class TestVerify:
         assert got == code
         assert (out, err) == (("", message) if code == EXIT_INVALID else (message, ""))
 
+    def test_converged_basis_where_the_iteration_misses_a_level(self, capsys, tmp_path):
+        # level 5's iteration lands elsewhere at both sizes, and bisection
+        # must find it as accurately as the iteration would
+        config = tmp_path / "sextic.ini"
+        config.write_text(SEXTIC_INI.read_text().replace("lambda = 1/1000", "lambda = 1/50")
+                          .replace("basis = 60\ncheck_basis = 80", "basis = 120")
+                          .replace("levels = 0, 1, 2, 3", "levels = 0, 1, 2, 3, 4, 5"))
+        code, out, err = run(capsys, "verify", "--config", config, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == list("012345")
+        assert all(line.endswith(",True") for line in out.splitlines()[1:])
+
+    def test_vanishing_term_at_a_tiny_mass(self, capsys, tmp_path):
+        # at lam = 0 the x^4 term is exactly zero, so H is the oscillator's
+        # diagonal, though a walk through the ladder at this mass overflows
+        config = tmp_path / "quartic.ini"
+        config.write_text(QUARTIC_INI.replace("m = 1", "m = 1/1" + "0" * 307)
+                          .replace("order = 11", "order = 4")
+                          + "\n[oracle]\nlambda = 0\nbasis = 60\n")
+        code, out, err = run(capsys, "verify", "--config", config, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(row[1], row[-1]) for row in rows] == [
+            ("0.5", "True"), ("1.5", "True"), ("2.5", "True"), ("3.5", "True")]
+
     def test_oracle_error(self, capsys, monkeypatch):
         def fail(_problem):
             raise oracle.OracleError("spectrum is not strictly increasing and positive")
