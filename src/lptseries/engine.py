@@ -23,7 +23,21 @@ skips is exactly where the energy coefficient E_k is read off instead.
 
 Everything here is exact rational arithmetic on `BiPoly` values; the only
 divisions are by the nonzero scalars 2*m*omega and 2*m, so no computation
-ever leaves the polynomial ring.
+ever leaves the polynomial ring.  Each division is fused into the
+reduction of the sum it divides (``BiPoly.dot``'s ``div``).
+
+Index lattice: let g be the gcd of the anharmonic indices i with f_i != 0
+(g = 0 for the oscillator), and call the multiples of g up to 2K-2 the
+lattice (i = 0 alone when g = 0).  Row 0 is the series of
+-sqrt(2 m V(x))/x = -m omega sqrt(1 + sum_i 2 f_i x^i / (m omega^2)), so
+its indices lie in the semigroup the i generate, all on the lattice.  By
+induction over the power-matching identity, in k and then in i,
+C[k][i] = 0 at every index i off the lattice: there every product
+C[j][p] C[k-j][i-p] has a factor off the lattice, as does the
+previous-row term C[k-1][i], and f_i = 0.  At an off-lattice residue slot
+i = 2k-2 the same identity then reads E_k = 0, which is why the sextic's
+even orders vanish.  So the recursion and the energy readout visit only
+lattice indices (``PotentialSpec.lattice``).
 
 Depth bookkeeping: producing E_1..E_K consumes row entries up to index
 2K-2 and no further, because the energy readout at order k stops at index
@@ -35,6 +49,7 @@ the finite triangle rows 0..K by indices 0..2K-2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
@@ -125,6 +140,13 @@ class PotentialSpec(_PotentialFields):
         """True when V(-x) = V(x), i.e. no odd power of x appears."""
         return all(i % 2 == 0 for i, _ in self.terms)
 
+    def lattice(self, i_max: int) -> range:
+        """Indices 0..i_max where a table cell can be nonzero: the
+        multiples of the gcd g of the anharmonic indices, or 0 alone for
+        the oscillator (g = 0); see the module docstring."""
+        g = gcd(*(i for i, _ in self.terms))
+        return range(0, i_max + 1, g) if g else range(1)
+
 
 class CTable:
     """Triangular table of Laurent rows C[k][i] for k = 0..order, i = 0..i_max.
@@ -133,6 +155,9 @@ class CTable:
     table is stored sparse: ``cells[k]`` maps i to C[k][i] for row k's
     nonzero cells only, as ``c0_row`` and ``laurent_row`` compute them, and
     a cell missing from it is zero, as in the power-matching identity.
+    Those two visit only the potential's lattice indices
+    (``PotentialSpec.lattice``): every cell off the lattice is zero by the
+    induction in the module docstring, so skipping it drops no cell.
     Rows are appended in order during construction and treated as
     read-only after.  Within the package only ``cells`` is read: this
     module, `harmonic` and the ``check`` lines read it; the dense view
@@ -167,7 +192,8 @@ def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
     The minus branch of the square root is the one that decays at both
     ends of the well.  Squaring the ansatz gives the k = 0 case of the
     power-matching identity (``_identity_pairs``), solved for C[0][i] as
-    ``laurent_row`` solves row k, with C[0][i] still missing from the row:
+    ``laurent_row`` solves row k, with C[0][i] still missing from the row,
+    at the lattice indices i alone (``PotentialSpec.lattice``):
 
         C[0][0] = -m*omega
         C[0][i] = (sum_{p=1}^{i-1} C[0][p] C[0][i-p] - 2 m f_i) / (2 m omega)
@@ -177,10 +203,10 @@ def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
     two_m_omega = 2 * spec.m * spec.omega
     minus_two_m = BiPoly.constant(-2 * spec.m)
     row = {0: BiPoly.constant(-spec.m * spec.omega)}
-    for i in range(1, i_max + 1):
+    for i in spec.lattice(i_max)[1:]:
         once, doubled = _identity_pairs([row], 0, i)
         once.append((spec.f(i), minus_two_m))
-        if cell := BiPoly.dot(once, doubled).scale_div(two_m_omega):
+        if cell := BiPoly.dot(once, doubled, div=two_m_omega):
             row[i] = cell
     return row
 
@@ -242,10 +268,16 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
     the residue of C_k(x) at the origin; node counting fixes it to n for
     k = 1 and 0 afterwards.
 
-    Each cell is one call of the shared kernel ``BiPoly.dot``, tested for
-    zero once, and kept only when nonzero.  Only products of two nonzero
-    cells are listed; the zero cells of an even potential's odd slots, or
-    of the oscillator's off-residue slots, are never visited.
+    Only the lattice indices i are visited (``PotentialSpec.lattice``):
+    off the lattice C[k][i] is zero by the induction in the module
+    docstring, so skipping those cells changes no cell, and an off-lattice
+    residue slot is zero for k > 1 (k = 1's slot 0 is on every lattice).
+    The zero cells of an even potential's odd slots, of the sextic's
+    indices off the multiples of 4, or of the oscillator's indices past 0
+    are never visited.  Each visited cell is one call of the shared kernel
+    ``BiPoly.dot``, which also divides by 2 m omega, tested for zero once,
+    and kept only when nonzero; only products of two nonzero cells are
+    listed.
     """
     if k < 1:
         raise TableError(f"row index must be >= 1, got {k}")
@@ -256,11 +288,11 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
     two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
     row: dict[int, BiPoly] = {}
     cells = [*table.cells, row]
-    for i in range(table.i_max + 1):
+    for i in spec.lattice(table.i_max):
         if i == 2 * k - 2:
             cell = N if k == 1 else ZERO
         else:
-            cell = BiPoly.dot(*_identity_pairs(cells, k, i)).scale_div(two_m_omega)
+            cell = BiPoly.dot(*_identity_pairs(cells, k, i), div=two_m_omega)
         if cell:
             row[i] = cell
     table.cells.append(row)
@@ -270,11 +302,19 @@ def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
 def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     """Energy coefficient E_k from the power-matching identity
     (``_identity_pairs``) at the residue slot i = 2k-2, whose right side
-    is -2 m E_k."""
+    is -2 m E_k.
+
+    The identity is evaluated only when the slot is on the potential's
+    lattice (``PotentialSpec.lattice``).  Off it, every product on the left
+    side has a factor off the lattice, zero on a table the recursion built
+    (module docstring), so E_k is zero without a sum.
+    """
     slot = 2 * k - 2
     if k < 1 or len(table.cells) <= k or table.i_max < slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
-    return BiPoly.dot(*_identity_pairs(table.cells, k, slot)).scale_div(-2 * spec.m)
+    if slot not in spec.lattice(slot):
+        return ZERO
+    return BiPoly.dot(*_identity_pairs(table.cells, k, slot), div=-2 * spec.m)
 
 
 class EnergySeries(NamedTuple):
@@ -315,8 +355,18 @@ def first_power_identity_failure(
 
     Re-checks the power-matching identity (``_identity_pairs``) for every
     k = 0..order and i = 0..i_max, including the residue slots the row
-    recursion never computed.  Returns the first failing (k, i), or None
-    when every identity holds; a corrupted cell fails at its own (k, i).
+    recursion never computed.  Returns the first failing (k, i), in
+    ascending k and then i, or None when every identity holds; a corrupted
+    cell fails at its own (k, i).
+
+    When every cell of the table is on the potential's lattice
+    (``PotentialSpec.lattice``), only the lattice identities are summed.
+    An identity off the lattice then has a zero left side, since each of
+    its products has a factor off the lattice, and a zero right side
+    unless i is the residue slot 2k-2, where it reads -2 m E_k: so it is
+    decided by E_k == 0 there and holds everywhere else, and skipping the
+    sum changes no verdict.  A table with a cell off the lattice, which
+    the recursion never builds, has every identity summed.
 
     The sums go through the same kernel and identity helper as the
     recursion and the readout (``BiPoly.dot``, ``_identity_pairs``), so this
@@ -325,13 +375,19 @@ def first_power_identity_failure(
     shares no logic with the recursion, such as hypervirial plus
     Hellmann-Feynman perturbation theory.
     """
+    lattice = spec.lattice(table.i_max)
+    if any(i not in lattice for row in table.cells for i in row):
+        lattice = range(table.i_max + 1)
     for k in range(table.order + 1):
-        for i in range(table.i_max + 1):
+        slot = 2 * k - 2
+        # an off-lattice residue slot is visited too: there the identity reads E_k = 0
+        for i in sorted({*lattice, slot}) if k else lattice:
             if k == 0:
                 expected = spec.f(i) * (2 * spec.m) + (spec.m * spec.omega) ** 2 * (i == 0)
             else:
-                expected = series.e[k] * (-2 * spec.m) if i == 2 * k - 2 else ZERO
-            if BiPoly.dot(*_identity_pairs(table.cells, k, i)) != expected:
+                expected = series.e[k] * (-2 * spec.m) if i == slot else ZERO
+            left = BiPoly.dot(*_identity_pairs(table.cells, k, i)) if i in lattice else ZERO
+            if left != expected:
                 return (k, i)
     return None
 

@@ -50,7 +50,7 @@ def d_sequence(order: int) -> DSequence:
         # written out, not folded: the engine's independent reference
         pairs = [(d[j], d[k - j]) for j in range(1, k)]
         pairs.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
-        d.append(BiPoly.dot(pairs).scale_div(2))
+        d.append(BiPoly.dot(pairs, div=2))
     return DSequence(order=order, d=tuple(d))
 
 

@@ -372,30 +372,26 @@ def _holds_level(h: Band, k: int, left: float, right: float, floor: float) -> bo
     return _sturm_count(h, left, floor) == k and _sturm_count(h, right, floor) == k + 1
 
 
-def _bisected(h: Band, k: int, sigma: float, left: float, right: float, floor: float,
-              bounds: tuple[float, float]) -> float:
+def _bisected(h: Band, k: int, floor: float,
+              bounds: tuple[float, float]) -> tuple[float, list[float]]:
     """Eigenvalue k (from 0, ascending) of the band matrix ``h``, certified
-    by its own counts.
+    by its own counts, and a unit vector for it in ``h``'s basis.
 
-    sigma is returned if the counts below ``left`` and ``right``, the ends
-    of an interval that holds some eigenvalue, are k and k + 1, which puts
-    eigenvalue k in that interval.  Otherwise the counts are bisected from
-    ``bounds`` down to a bracket of width 2 * floor.  That bracket's
-    midpoint is only as accurate as the floor, so it is polished: one
-    inverse-iteration step there from the ones vector, then Rayleigh-quotient
-    iteration.  The polished quotient is returned if its own counts certify
-    it as eigenvalue k, else the midpoint.
+    The counts are bisected from ``bounds`` down to a bracket of width
+    2 * floor.  That bracket's midpoint is only as accurate as the floor,
+    so it is polished: one inverse-iteration step there from the ones
+    vector, then Rayleigh-quotient iteration.  The polished quotient is
+    returned if its own counts certify it as eigenvalue k, else the
+    midpoint; the polished vector is returned with either.
     """
-    if _holds_level(h, k, left, right, floor):
-        return sigma
     lo, hi = bounds
     if _sturm_count(h, lo, floor) > k or _sturm_count(h, hi, floor) <= k:
         raise EigensolverError(f"Sturm counts cannot bracket level {k}")
     while hi - lo > 2.0 * floor and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if _sturm_count(h, mid, floor) <= k else (lo, mid)
     mid = 0.5 * (lo + hi)
-    sigma, delta, _ = _rayleigh(h, _ldl_solve(*_ldl(h, mid, floor), [1.0] * len(h)), floor)
-    return sigma if _holds_level(h, k, sigma - delta, sigma + delta, floor) else mid
+    sigma, delta, x = _rayleigh(h, _ldl_solve(*_ldl(h, mid, floor), [1.0] * len(h)), floor)
+    return (sigma if _holds_level(h, k, sigma - delta, sigma + delta, floor) else mid), x
 
 
 def lowest_eigenvalues(
@@ -414,14 +410,15 @@ def lowest_eigenvalues(
     size, such as level k's eigenvector in a smaller basis), else from the
     unperturbed state |k>.  All levels are certified at once by one count
     in each gap between the proposed intervals; if those intervals overlap
-    or a count is off, each level is certified by its own counts and
-    bisection (`_bisected`).
+    or a count is off, each level is certified by the counts at the ends
+    of its own interval, or else found by bisection (`_bisected`).
 
-    Returns the pair (eigenvalues, the iteration's unit vectors in H's
-    basis): vector k is the one whose Rayleigh quotient is eigenvalue k,
-    unless bisection certified that level.  Raises ``ValueError`` if
-    ``count`` exceeds the dimension, and `EigensolverError` if an entry
-    of the matrix is not finite or a level cannot be certified.
+    Returns the pair (eigenvalues, unit vectors in H's basis): vector k is
+    the one whose Rayleigh quotient is eigenvalue k, or for a bisected
+    level the polished vector, so a warm start from it seeks that level
+    again.  Raises ``ValueError`` if ``count`` exceeds the dimension, and
+    `EigensolverError` if an entry of the matrix is not finite or a level
+    cannot be certified.
     """
     n = len(h)
     if count > n:
@@ -431,14 +428,15 @@ def lowest_eigenvalues(
     if not math.isfinite(norm):
         raise EigensolverError("matrix has non-finite entries")
     floor = _CERTIFY_ULPS * sys.float_info.epsilon * (norm or 1.0)
-    stride, blocks = 1, [h]
+    stride, blocks, states = 1, [h], range(n)
     if not any(row[c] for row in h for c in range(1 - b % 2, 2 * b + 1, 2)):
         # no odd diagonal, so H keeps parity: listed even states first, it is
         # block diagonal with half the bandwidth, a count on it is the sum of
         # the two blocks' counts, and each block is a band of its own
         half = b // 2
+        states = [*range(0, n, 2), *range(1, n, 2)]
         h = [[h[i][b + d] if 0 <= i + d < n else 0.0 for d in range(-2 * half, 2 * half + 1, 2)]
-             for i in [*range(0, n, 2), *range(1, n, 2)]]
+             for i in states]
         stride, blocks = 2, [h[:(n + 1) // 2], h[(n + 1) // 2:]]
     values, ends, xs = [], [], []
     for k in range(count):
@@ -461,7 +459,12 @@ def lowest_eigenvalues(
         # every eigenvalue lies within the infinity norm of zero
         bounds = (-norm - floor, norm + floor)
         for k in range(count):
-            values[k] = _bisected(h, k, values[k], ends[2 * k], ends[2 * k + 1], floor, bounds)
+            if not _holds_level(h, k, ends[2 * k], ends[2 * k + 1], floor):
+                values[k], x = _bisected(h, k, floor, bounds)
+                # back from h's order of states, even ones first if it keeps parity
+                xs[k] = [0.0] * n
+                for i, v in zip(states, x):
+                    xs[k][i] = v
     return values, xs
 
 

@@ -189,8 +189,9 @@ class BiPoly:
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs: Iterable[Pair], doubled: Iterable[Pair] = ()) -> "BiPoly":
-        """Exact ``sum a*b`` over ``pairs`` plus ``2 * sum a*b`` over ``doubled``.
+    def dot(pairs: Iterable[Pair], doubled: Iterable[Pair] = (), div: Scalar = 1) -> "BiPoly":
+        """Exact ``sum a*b`` over ``pairs`` plus ``2 * sum a*b`` over ``doubled``,
+        divided by the nonzero scalar ``div``.
 
         Pairs with a zero operand are skipped.  The result is over the
         common denominator ``den`` of all pairs, so pair (a, b) enters
@@ -201,13 +202,18 @@ class BiPoly:
         derives the bound).  They are summed per ``lam`` degree and per
         pair denominator, the ``doubled`` partial sums are doubled once,
         every such group is scaled once, and the sum is decoded and
-        reduced by one gcd.
+        reduced by one gcd.  ``div = p/q`` joins that reduction: the
+        decoded numerators are multiplied by q (negated if p < 0) and the
+        common denominator by |p|, so a quotient costs no second reduction.
 
         Each operand memoises its packed form per width, so a cell that
         joins many sums, as a table cell does across a row, is packed once
         per width it meets.  The memo depends only on the operand's value,
         so sharing instances stays safe.
         """
+        div_num, div_den = (div, 1) if type(div) is int else _as_fraction(div).as_integer_ratio()
+        if not div_num:
+            raise ZeroDivisionError("division of a polynomial by zero")
         twice = [(a, b) for a, b in doubled if a._terms and b._terms]
         once = [(a, b) for a, b in pairs if a._terms and b._terms]
         if not twice and not once:
@@ -222,11 +228,12 @@ class BiPoly:
         total: dict[int, int] = {}
         for (pair_den, deg_lam), value in sums.items():
             total[deg_lam] = total.get(deg_lam, 0) + value * (den // pair_den)
+        factor = div_den if div_num > 0 else -div_den
         out: dict[tuple[int, int], int] = {}
         for deg_lam, value in total.items():
             for deg_n, num in _unpack(value, width):
-                out[(deg_n, deg_lam)] = num
-        return BiPoly._reduced(out, den)
+                out[(deg_n, deg_lam)] = num * factor
+        return BiPoly._reduced(out, den * abs(div_num))
 
     def _packed(self, width: int) -> dict[int, int]:
         """Build and memoise ``{deg_lam: sum of num << (width * deg_n)}``.
@@ -241,16 +248,7 @@ class BiPoly:
 
     def scale_div(self, scalar: Scalar) -> "BiPoly":
         """Divide every coefficient exactly by a nonzero scalar."""
-        s = _as_fraction(scalar)
-        if s == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        if not self._terms:
-            return ZERO
-        factor = s.denominator if s > 0 else -s.denominator
-        return BiPoly._reduced(
-            {key: num * factor for key, num in self._terms.items()},
-            self._den * abs(s.numerator),
-        )
+        return BiPoly.dot(((self, ONE),), div=scalar)
 
     # -- queries ----------------------------------------------------------
 

@@ -21,6 +21,10 @@ ODDDEN_INI = GOLDEN_DIR / "oddden.ini"
 ODDDEN_GOLDEN = GOLDEN_DIR / "oddden_k8_machine.json"
 MULTILAM_INI = GOLDEN_DIR / "multilam.ini"
 MULTILAM_GOLDEN = GOLDEN_DIR / "multilam_k8_machine.json"
+LATTICE_GOLDENS = [(GOLDEN_DIR / "quartic.ini", GOLDEN_DIR / "quartic_k16_machine.json"),
+                   (GOLDEN_DIR / "quintic.ini", GOLDEN_DIR / "quintic_k10_machine.json"),
+                   (GOLDEN_DIR / "quartsext.ini", GOLDEN_DIR / "quartsext_k10_machine.json")]
+LATTICE_IDS = ["quartic-k16", "quintic-k10", "quartsext-k10"]
 
 QUARTIC_INI = "[potential]\nm = 1\nomega = 1\nf2 = 1 lam\n\n[run]\norder = 11\n"
 HARMONIC_INI = "[potential]\nm = 2\nomega = 3/5\n\n[run]\norder = 6\n"
@@ -100,6 +104,26 @@ class TestMultiLambdaGolden:
         assert code == EXIT_OK
         assert out.splitlines() == ["power-identity: PASS", "residue-slots: PASS",
                                     "golden-comparison: PASS"]
+
+
+class TestLatticeGoldens:
+    """Goldens whose cells step the index lattice by g = 2, 3 and 2 from
+    two terms: the quartic at K = 16, the quintic x^5 term at K = 10, whose
+    E_k vanish unless k = 1 mod 3, and the quartic plus a sextic term."""
+
+    @pytest.mark.parametrize("ini, golden", LATTICE_GOLDENS, ids=LATTICE_IDS)
+    def test_render_machine_reproduces_the_file(self, ini, golden):
+        cfg = parse_config(ini.read_text())
+        _, series = expand(cfg.potential, cfg.order)
+        assert render_machine(cfg, series) == golden.read_text()
+
+    @pytest.mark.parametrize("ini, golden", LATTICE_GOLDENS, ids=LATTICE_IDS)
+    def test_check_against_it_passes(self, capsys, ini, golden):
+        code, out, _ = run(capsys, "check", "--config", ini, "--golden", golden)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "power-identity: PASS"
+        assert out.splitlines()[-1] == "golden-comparison: PASS"
+        assert "FAIL" not in out
 
 
 class TestCheck:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from lptseries import engine
+from lptseries.config import parse_config
 from lptseries.engine import (
     CTable,
     _identity_pairs,
@@ -19,7 +21,7 @@ from lptseries.engine import (
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
-from conftest import add_to_cell, rand_bipoly, rand_fraction
+from conftest import GOLDEN_DIR, add_to_cell, rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 
@@ -308,6 +310,88 @@ class TestPowerIdentity:
         perturbed = series._replace(e=tuple(e))
         # E_3 enters only the identity at its readout slot, i = 2*3 - 2
         assert first_power_identity_failure(table, perturbed, spec) == (3, 4)
+
+
+OSCILLATOR = PotentialSpec.make(1, 1)
+QUINTIC = PotentialSpec.make(1, 1, {3: LAM})
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record one entry per call of ``owner.name`` from here on."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # on a class the spy stands for a static method
+    monkeypatch.setattr(owner, name, staticmethod(spy) if isinstance(owner, type) else spy)
+    return calls
+
+
+class TestLattice:
+    """Cells vanish off the multiples of g, the gcd of the anharmonic
+    indices (i = 0 alone for the oscillator), so the recursion, the energy
+    readout and the sweep visit only those indices."""
+
+    @pytest.mark.parametrize("ini", sorted(GOLDEN_DIR.glob("*.ini")), ids=lambda p: p.stem)
+    def test_golden_table_cells_are_multiples_of_g(self, ini):
+        cfg = parse_config(ini.read_text())
+        g = math.gcd(*(i for i, _ in cfg.potential.terms))
+        table, series = expand(cfg.potential, cfg.order)
+        assert all(i % g == 0 for row in table.cells for i in row)
+        assert all(not series.e[k] for k in range(1, cfg.order + 1) if (2 * k - 2) % g)
+
+    @pytest.mark.parametrize("f, step", [
+        ({}, None), ({4: LAM}, 4), ({3: LAM}, 3), ({2: LAM, 4: LAM * LAM}, 2),
+        ({4: LAM, 6: 1}, 2), ({2: LAM, 3: 1}, 1), ({1: LAM, 2: LAM * LAM}, 1),
+    ])
+    def test_lattice_is_the_multiples_of_the_gcd(self, f, step):
+        lattice = PotentialSpec.make(1, 1, f).lattice(12)
+        assert list(lattice) == ([0] if step is None else list(range(0, 13, step)))
+
+    @pytest.mark.parametrize("spec, order, most", [
+        (OSCILLATOR, 21, 21), (PotentialSpec.make(1, 1, {2: LAM}), 12, 155),
+    ], ids=["oscillator-k21", "quartic-k12"])
+    def test_expand_sums_lattice_cells_only(self, monkeypatch, spec, order, most):
+        # the oscillator's rows 2..21 at i = 0 and E_1; the quartic's 11
+        # cells of row 0, 11 per row past the residue slot, and 12 energies
+        calls = count_calls(monkeypatch, BiPoly, "dot")
+        expand(spec, order)
+        assert len(calls) <= most
+
+    def test_sweep_sums_lattice_identities_only(self, monkeypatch):
+        table, series = expand(OSCILLATOR, 21)
+        calls = count_calls(monkeypatch, engine, "_identity_pairs")
+        assert first_power_identity_failure(table, series, OSCILLATOR) is None
+        assert len(calls) == 21 + 1
+
+    # a cell off the lattice, which the recursion never builds, has the sweep
+    # sum every identity; it first enters the one at its own (k, i)
+    @pytest.mark.parametrize("spec, k, i", [
+        (OSCILLATOR, 0, 1), (OSCILLATOR, 2, 2), (OSCILLATOR, 4, 6), (QUINTIC, 0, 2),
+        (QUINTIC, 1, 1), (QUINTIC, 3, 4), (QUINTIC, 4, 5), (PotentialSpec.make(1, 1, {2: LAM}), 2, 3),
+    ], ids=["oscillator-row-zero", "oscillator-residue-slot", "oscillator-last-cell",
+            "quintic-row-zero", "quintic-first-row", "quintic-residue-slot", "quintic-last-row",
+            "quartic-odd-slot"])
+    def test_inserted_off_lattice_cell_fails_at_its_own_index(self, spec, k, i):
+        table, series = expand(spec, 4)
+        assert i not in spec.lattice(table.i_max)
+        add_to_cell(table, k, i, N + LAM)
+        assert first_power_identity_failure(table, series, spec) == (k, i)
+
+    # off the lattice the residue slot's identity reads E_k = 0
+    @pytest.mark.parametrize("spec, k", [
+        (OSCILLATOR, 2), (OSCILLATOR, 4), (PotentialSpec.make(1, 1, {4: LAM}), 2),
+        (PotentialSpec.make(1, 1, {4: LAM}), 4), (QUINTIC, 2), (QUINTIC, 3),
+    ], ids=["oscillator-2", "oscillator-4", "sextic-2", "sextic-4", "quintic-2", "quintic-3"])
+    def test_energy_at_an_off_lattice_residue_slot(self, spec, k):
+        table, series = expand(spec, 4)
+        assert 2 * k - 2 not in spec.lattice(table.i_max) and not series.e[k]
+        e = list(series.e)
+        e[k] = e[k] + N
+        perturbed = series._replace(e=tuple(e))
+        assert first_power_identity_failure(table, perturbed, spec) == (k, 2 * k - 2)
 
 
 class TestEvaluateEnergy:

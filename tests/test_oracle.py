@@ -288,11 +288,13 @@ class TestBandSolver:
             return result
 
         monkeypatch.setattr(oracle, "_rayleigh", spy)
-        values, _ = lowest_eigenvalues(h, 3)
+        values, vectors = lowest_eigenvalues(h, 3)
         reference = np.linalg.eigvalsh(dense(h))
         assert quotients[0] == pytest.approx(reference[2], abs=1e-12)
         assert np.max(np.abs(np.array(values) - reference)) <= (
             32 * sys.float_info.epsilon * norm_inf(h))
+        # the bisected level 0 comes back with its own vector, not level 2's
+        assert np.linalg.norm(dense(h) @ vectors[0] - values[0] * np.array(vectors[0])) <= 1e-12
 
     def test_uncertified_level_is_an_eigensolver_error(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "_sturm_count", lambda _h, _sigma, _tiny: 0)
@@ -330,6 +332,9 @@ GATES = [
     (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 60, 81),
 ]
 GATE_IDS = ["quartic-120-160", "quartic-61-80", "cubic-quartic-60-80", "sextic-60-81"]
+# a gate where the iteration misses level 5 from |5> at both sizes
+BISECTED_GATE = (PotentialSpec.make(1, 1, {4: LAM.scale_div(2)}), Fraction(1, 50), 120, 160)
+SEXTIC_BISECTED = OracleProblem(*BISECTED_GATE, tuple(range(6)))
 
 
 class TestInterlacing:
@@ -375,7 +380,9 @@ class TestWarmStart:
         assert_lowest_levels(lowest_eigenvalues(larger, 6, vectors)[0], larger)
         assert len(steps) <= 2 * 6
 
-    @pytest.mark.parametrize("spec, lam, basis, check", GATES, ids=GATE_IDS)
+    # a bisected level's vector is its polished one
+    @pytest.mark.parametrize("spec, lam, basis, check", GATES + [BISECTED_GATE],
+                             ids=GATE_IDS + ["sextic-bisected-120-160"])
     def test_vectors_are_eigenvectors_in_the_basis_of_h(self, spec, lam, basis, check):
         h, _ = gate_bands(spec, lam, basis, check)
         values, vectors = lowest_eigenvalues(h, 6)
@@ -422,6 +429,23 @@ class TestWarmStart:
         (base_size, base_args, base_kwargs), (check_size, check_args, _) = calls
         assert (base_size, base_args, base_kwargs) == (120, (), {})
         assert check_size == 160 and len(check_args[0]) == 6
+
+    def test_a_bisected_level_warm_starts_on_itself(self, monkeypatch):
+        # the base size bisects level 5; started from its polished vector,
+        # the check size's iteration lands on it, and one count per gap holds
+        sizes = []
+        sturm = oracle._sturm_count
+
+        def spy(h, sigma, tiny):
+            sizes.append(len(h))
+            return sturm(h, sigma, tiny)
+
+        monkeypatch.setattr(oracle, "_sturm_count", spy)
+        values, shift = converged_levels(SEXTIC_BISECTED)
+        assert sizes.count(SEXTIC_BISECTED.basis_size) > 6 + 1
+        assert sizes.count(SEXTIC_BISECTED.check_size) == 6 + 1
+        assert shift < oracle.GATE_TOL
+        assert_lowest_levels(values, _hamiltonian_at(SEXTIC_BISECTED, SEXTIC_BISECTED.check_size))
 
 
 class TestOneCountPerGap:

@@ -212,6 +212,21 @@ class TestScalarLayer:
             assert_canonical(result)
             assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
 
+    def test_dot_divides_within_its_reduction(self):
+        rng = random.Random(36)
+        for _ in range(150):
+            pairs = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 6))]
+            doubled = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 4))]
+            div = rng.choice((rand_fraction(rng, max_den=15, nonzero=True), rng.randint(1, 9)))
+            result = BiPoly.dot(pairs, doubled, div=div)
+            assert_canonical(result)
+            reference = reference_dot(pairs + doubled + doubled)
+            assert fraction_terms(result) == {key: c / div for key, c in reference.items()}
+        with pytest.raises(ZeroDivisionError):
+            BiPoly.dot([], div=0)
+        with pytest.raises(TypeError, match="exact scalar"):
+            BiPoly.dot([(N, N)], div=0.5)
+
     def test_dot_on_wide_numerators_matches_the_fraction_reference(self):
         rng = random.Random(34)
         for trial in range(40):
