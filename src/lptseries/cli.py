@@ -10,11 +10,23 @@ Three subcommands, all driven by a config file:
 
 Exit codes: 0 success, 1 failed check/verification or internal error,
 2 invalid input or an oracle basis that did not converge.
+
+`run` is the process entry (``python -m lptseries`` and the console
+script); `main` is for callers whose process goes on, such as the tests
+and the benchmark's tracer.  `run` freezes the heap once `main` is done.
+The interpreter's exit makes full collections over every object the
+garbage collector tracks, and those passes were about a tenth of a short
+command's time; a frozen object sits in the permanent generation, which
+they skip.  Nothing is lost, since the process ends with `main`.  Not
+``gc.disable``, whose setting those collections ignore, and not
+``os._exit``, which would skip the atexit handlers and the flush of stdout
+and stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -321,5 +333,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
 
 
+def run() -> None:
+    """Run `main` on the command line and exit with its status.
+
+    The heap is frozen on the way out, after `main` has returned or raised,
+    so the interpreter's exit collections skip everything the command
+    made.  The atexit handlers, the flush of stdout and stderr (exit status
+    120 if it fails) and module teardown still run, so the output and the
+    exit status are those of `main`.  ``gc.disable`` would not do, as those
+    collections run regardless, and ``os._exit`` would skip the handlers and
+    the flush.  Only for a process that ends here: a frozen object is never
+    collected.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

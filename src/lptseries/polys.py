@@ -298,6 +298,9 @@ class BiPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its scalar (``ONE == 1``), so it hashes as one
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(Fraction(self._terms.get((0, 0), 0), self._den))
         return hash((self._den, frozenset(self._terms.items())))
 
     # -- rendering --------------------------------------------------------

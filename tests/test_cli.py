@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -508,6 +509,55 @@ class TestVersion:
             capture_output=True, text=True, timeout=120,
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, f"{cli.__version__}\n", "")
+
+
+class TestProcessEntry:
+    """A command process ends through `cli.run`, which freezes the heap so
+    the interpreter's exit collections skip it; `cli.main` never freezes,
+    since the tests and the benchmark's tracer call it many times in one
+    process and their garbage must stay collectable."""
+
+    # the child imports it at start-up, as sitecustomize; an atexit handler
+    # registered first runs last, after the command's own
+    PROBE = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen: {gc.get_freeze_count() > 0}\\n'))\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--config", str(SEXTIC_INI)],
+        ["--version"],
+        ["expand", "--config", str(SEXTIC_INI), "--order", "0"],
+    ], ids=["expand", "version", "order-0"])
+    def test_module_entry_freezes_the_heap_and_prints_what_main_prints(
+            self, argv, tmp_path, capsys):
+        (tmp_path / "sitecustomize.py").write_text(self.PROBE)
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "lptseries", *argv],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])},
+            capture_output=True, text=True, timeout=120,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == (EXIT_INVALID if "--order" in argv else EXIT_OK)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err + "frozen: True\n")
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        for argv in (["expand", "--config", SEXTIC_INI],
+                     ["check", "--config", SEXTIC_INI, "--golden", SEXTIC_GOLDEN],
+                     ["verify", "--config", SEXTIC_INI]):
+            assert main([str(a) for a in argv]) == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_process_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^lptseries = "lptseries\.cli:run"$', scripts, re.M)
 
 
 class TestNumpyImport:

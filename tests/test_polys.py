@@ -39,6 +39,13 @@ class TestBiPolyBasics:
         assert N - N == ZERO
         assert hash(N * N) == hash(BiPoly({(2, 0): 1}))
 
+    def test_a_constant_hashes_as_the_scalar_it_equals(self):
+        for poly, scalar in ((ZERO, 0), (ONE, 1), (BiPoly.constant(Fraction(-3, 4)), Fraction(-3, 4))):
+            assert poly == scalar and hash(poly) == hash(scalar)
+            assert len({poly, scalar}) == 1
+        # a non-constant polynomial equals no scalar, and sits beside its constant term
+        assert len({N + 1, BiPoly({(0, 0): 1, (1, 0): 1}), 1}) == 2
+
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): 1})
