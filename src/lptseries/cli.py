@@ -9,23 +9,17 @@ Three subcommands, all driven by a config file:
                  basis-diagonalization oracle.
 
 Exit codes: 0 success, 1 failed check/verification or internal error,
-2 invalid input or an oracle basis that did not converge.
+2 invalid input, output that cannot be written or an unconverged oracle basis.
 
 `run` is the process entry (``python -m lptseries`` and the console
 script); `main` is for callers whose process goes on, such as the tests
 and the benchmark's tracer.  `run` freezes the heap once `main` is done.
-The interpreter's exit makes full collections over every object the
-garbage collector tracks, and those passes were about a tenth of a short
-command's time; a frozen object sits in the permanent generation, which
-they skip.  Nothing is lost, since the process ends with `main`.  Not
-``gc.disable``, whose setting those collections ignore, and not
-``os._exit``, which would skip the atexit handlers and the flush of stdout
-and stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import sys
 from fractions import Fraction
@@ -34,8 +28,7 @@ from pathlib import Path
 # `oracle` and `harmonic` are read as ``oracle.X`` and ``harmonic.X``: the
 # package registers both unexecuted, and a ``from`` import would load them
 # here, for every command.  Each loads on its first attribute read: `oracle`
-# in ``verify`` (or when an exception other than a ``ValueError`` reaches
-# ``main``'s ``except`` clauses), `harmonic` in a harmonic ``check``.
+# in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
 from .config import FORMATS, ConfigError, RunConfig, parse_config
 from .engine import EnergySeries, expand, first_power_identity_failure
@@ -92,15 +85,18 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # closing drops what stdout still holds, which the exit's flush would retry
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise ConfigError(f"cannot write output {args.out or '<stdout>'}: {exc}") from None
 
 
 def machine_document(cfg: RunConfig, series: EnergySeries) -> dict:
@@ -169,19 +165,24 @@ def _not_machine_document(golden) -> str | None:
     Checks only the structure `_golden_mismatch` reads: a top-level object
     whose ``energies`` is a list of objects, each with a list of term
     records keyed by integer ``deg_n`` and ``deg_lam`` and a ``coeff``.
+    The degrees, and ``order`` and each ``k`` where given, must be JSON
+    integers: true, false and 11.0 compare equal to the ints 1, 0 and 11.
     """
     if not isinstance(golden, dict):
         return f"top level is a JSON {type(golden).__name__}, not an object"
     energies = golden.get("energies", [])
     if not isinstance(energies, list):
         return f"energies is a JSON {type(energies).__name__}, not a list"
+    if type(golden.get("order", 0)) is not int:
+        return f"order is a JSON {type(golden['order']).__name__}, not an integer"
     for index, entry in enumerate(energies):
         if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
             return f"energies[{index}] has no list of terms"
+        if type(entry.get("k", 0)) is not int:
+            return f"energies[{index}].k is a JSON {type(entry['k']).__name__}, not an integer"
         for record in entry["terms"]:
             if not (
                 isinstance(record, dict)
-                # JSON true is a Python int equal to 1: refuse bools
                 and type(record.get("deg_n")) is int
                 and type(record.get("deg_lam")) is int
                 and "coeff" in record
@@ -312,6 +313,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     except (oracle.BasisNotConverged, oracle.EigensolverError) as exc:
         _emit(f"oracle not converged: {exc}\n", args)
         return EXIT_INVALID
+    except oracle.OracleError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     render = oracle.report_csv if cfg.fmt == "csv" else oracle.report_text
     _emit(render(report), args)
@@ -328,22 +332,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and PotentialError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except oracle.OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def run() -> None:
     """Run `main` on the command line and exit with its status.
 
-    The heap is frozen on the way out, after `main` has returned or raised,
-    so the interpreter's exit collections skip everything the command
-    made.  The atexit handlers, the flush of stdout and stderr (exit status
-    120 if it fails) and module teardown still run, so the output and the
-    exit status are those of `main`.  ``gc.disable`` would not do, as those
-    collections run regardless, and ``os._exit`` would skip the handlers and
-    the flush.  Only for a process that ends here: a frozen object is never
-    collected.
+    The heap is frozen on the way out, after `main` has returned or raised:
+    the interpreter's exit collections, full passes over every tracked
+    object that were about a tenth of a short command's time, skip it.  The
+    atexit handlers and module teardown still run, and `main` has flushed
+    its output, so the exit status is `main`'s.  Not ``gc.disable``, which
+    those collections ignore, nor ``os._exit``, which skips the handlers.
+    Only for a process that ends here: a frozen object is never collected.
     """
     try:
         sys.exit(main())

@@ -42,9 +42,7 @@ exactly; the exact side of every comparison lives in `engine`.
 
 Only ``verify`` diagonalizes, so only ``verify`` loads this module: the
 package registers it in ``sys.modules`` unexecuted, and `cli` reads it as
-``oracle.X``, so ``expand`` and ``check`` never compile or run it, unless
-an exception other than a ``ValueError`` reaches ``main``'s ``except``
-clause for `OracleError`.
+``oracle.X``, so ``expand`` and ``check`` never compile or run it.
 The benchmark's tracer also loads it, when it installs, by reading the
 functions it wraps.
 """

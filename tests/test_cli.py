@@ -184,8 +184,18 @@ class TestCheck:
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
         ({"energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": False, "coeff": "1"}]}]},
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+        ({"order": True, "energies": [{"k": 1, "terms": []}]},
+         "order is a JSON bool, not an integer"),
+        ({"order": 1, "energies": [{"k": True, "terms": []}]},
+         "energies[0].k is a JSON bool, not an integer"),
+        # a float equal to the order, or a string that prints as it
+        ({"order": 11.0, "energies": []}, "order is a JSON float, not an integer"),
+        ({"order": "11", "energies": []}, "order is a JSON str, not an integer"),
+        ({"order": 1, "energies": [{"k": 1.0, "terms": []}]},
+         "energies[0].k is a JSON float, not an integer"),
     ], ids=["list", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
-            "list-as-degree", "true-as-degree", "false-as-degree"])
+            "list-as-degree", "true-as-degree", "false-as-degree", "true-as-order",
+            "true-as-k", "float-as-order", "string-as-order", "float-as-k"])
     def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, document, why):
         path = write_golden(tmp_path, document)
         code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
@@ -490,6 +500,48 @@ class TestInvalidInput:
         assert "No such file or directory" in err
 
 
+class TestOutputThatCannotBeWritten:
+    """A stdout that refuses the output ends the command with exit 2 and one
+    error line, however Python buffers it: no traceback, and no failure of
+    the interpreter's own flush at exit."""
+
+    @staticmethod
+    def run_module(command, stdout, unbuffered=False):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "lptseries", command, "--config", str(SEXTIC_INI)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+
+    @staticmethod
+    def assert_one_error_line(result, reason):
+        assert result.returncode == EXIT_INVALID
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+        assert result.stderr.startswith("error: cannot write output <stdout>: ")
+        assert result.stderr.count("\n") == 1 and reason in result.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["expand", "check", "verify"])
+    def test_full_device(self, command, unbuffered):
+        with open("/dev/full", "w") as full:
+            result = self.run_module(command, full, unbuffered)
+        self.assert_one_error_line(result, "No space left on device")
+
+    @pytest.mark.parametrize("command", ["expand", "check", "verify"])
+    def test_pipe_with_its_read_end_closed(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_module(command, write_end)
+        finally:
+            os.close(write_end)
+        self.assert_one_error_line(result, "Broken pipe")
+
+
 class TestVersion:
     def test_prints_the_version_pyproject_declares(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -626,6 +678,26 @@ class TestNumpyImport:
             self.SCRIPT, command, "--config", config, "--out", tmp_path / "out.txt")
         assert code == str(EXIT_OK)
         assert ran == executed
+
+    @pytest.mark.parametrize("command", ["expand", "check"])
+    def test_an_error_inside_a_command_leaves_the_oracle_unexecuted(self, command):
+        """An exception other than a ``ValueError`` leaves `main` as it was
+        raised, and nothing on its way out reads the oracle."""
+        script = (
+            "import sys, types\n"
+            "from lptseries import cli\n"
+            "def fail(*_args):\n"
+            "    raise RuntimeError('raised inside expand')\n"
+            "cli.expand = fail\n"
+            "try:\n"
+            "    cli.main(sys.argv[1:])\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "print(type(sys.modules['lptseries.oracle']) is types.ModuleType)\n"
+        )
+        assert self.run_fresh(script, command, "--config", SEXTIC_INI) == [
+            ["raised", "inside", "expand"], ["False"],
+        ]
 
     def test_bare_import_compiles_no_submodule(self):
         """``import lptseries`` runs no submodule and re-exports no name; the
