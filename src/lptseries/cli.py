@@ -6,7 +6,8 @@ Three subcommands, all driven by a config file:
 * ``check``   -- re-derive self-consistency identities on the built table
                  and compare against a golden machine-format file if given;
 * ``verify``  -- compare optimally truncated partial sums against the
-                 basis-diagonalization oracle.
+                 basis-diagonalization oracle and print the report as CSV
+                 for ``csv`` and as text for any other format.
 
 Exit codes: 0 success, 1 failed check/verification or internal error,
 2 invalid input, output that cannot be written or an unconverged oracle basis.
@@ -31,7 +32,7 @@ from pathlib import Path
 # in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
 from .config import FORMATS, ConfigError, RunConfig, parse_config
-from .engine import EnergySeries, expand, first_power_identity_failure
+from .engine import EnergySeries, expand, first_power_identity_failure, residue
 from .polys import N, ZERO
 
 EXIT_OK = 0
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the expansion order from the config")
         if formatted:  # check prints its PASS/FAIL lines alike in every format
             p.add_argument("--format", dest="fmt", choices=FORMATS,
-                           help="override the output format from the config")
+                           help="override the output format from the config; verify "
+                                "prints CSV for csv and its text report otherwise")
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
 
@@ -159,27 +161,33 @@ def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# JSON's name for each type that ``json.loads`` returns
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
 def _not_machine_document(golden) -> str | None:
     """Why a parsed golden file cannot be a machine document, or None.
 
     Checks only the structure `_golden_mismatch` reads: a top-level object
-    whose ``energies`` is a list of objects, each with a list of term
-    records keyed by integer ``deg_n`` and ``deg_lam`` and a ``coeff``.
-    The degrees, and ``order`` and each ``k`` where given, must be JSON
-    integers: true, false and 11.0 compare equal to the ints 1, 0 and 11.
+    whose ``energies`` is an array of objects, each with an array of term
+    records keyed by integer ``deg_n`` and ``deg_lam`` and a string
+    ``coeff``.  The degrees, and ``order`` and each ``k`` where given, must
+    be JSON integers: true, false and 11.0 compare equal to the ints 1, 0
+    and 11.
     """
     if not isinstance(golden, dict):
-        return f"top level is a JSON {type(golden).__name__}, not an object"
+        return f"top level is a JSON {_JSON_TYPES[type(golden)]}, not an object"
     energies = golden.get("energies", [])
     if not isinstance(energies, list):
-        return f"energies is a JSON {type(energies).__name__}, not a list"
+        return f"energies is a JSON {_JSON_TYPES[type(energies)]}, not an array"
     if type(golden.get("order", 0)) is not int:
-        return f"order is a JSON {type(golden['order']).__name__}, not an integer"
+        return f"order is a JSON {_JSON_TYPES[type(golden['order'])]}, not an integer"
     for index, entry in enumerate(energies):
         if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
-            return f"energies[{index}] has no list of terms"
+            return f"energies[{index}] has no array of terms"
         if type(entry.get("k", 0)) is not int:
-            return f"energies[{index}].k is a JSON {type(entry['k']).__name__}, not an integer"
+            return f"energies[{index}].k is a JSON {_JSON_TYPES[type(entry['k'])]}, not an integer"
         for record in entry["terms"]:
             if not (
                 isinstance(record, dict)
@@ -188,6 +196,9 @@ def _not_machine_document(golden) -> str | None:
                 and "coeff" in record
             ):
                 return f"energies[{index}] has a term that is not a deg_n/deg_lam/coeff record"
+            if type(record["coeff"]) is not str:
+                coeff = _JSON_TYPES[type(record["coeff"])]
+                return f"energies[{index}] has a coeff that is a JSON {coeff}, not a string"
     return None
 
 
@@ -206,8 +217,10 @@ def _golden_mismatch(golden: dict, produced: dict) -> str | None:
         keys = sorted(key for key in set(g_potential) | set(p_potential)
                       if g_potential.get(key) != p_potential.get(key))
         return f"potential differs from the golden's in {', '.join(keys)}"
-    if golden.get("order") != produced["order"]:
-        return f"order: golden {golden.get('order')} vs computed {produced['order']}"
+    if "order" not in golden:
+        return f"order: missing from the golden, computed {produced['order']}"
+    if golden["order"] != produced["order"]:
+        return f"order: golden {golden['order']} vs computed {produced['order']}"
     g_energies, p_energies = golden.get("energies", []), produced["energies"]
     if len(g_energies) != len(p_energies):
         return (
@@ -247,7 +260,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     record(
         "residue-slots",
         all(
-            table.cells[k].get(2 * k - 2, ZERO) == (N if k == 1 else ZERO)
+            table.cells[k].get(2 * k - 2, ZERO) == residue(k)
             for k in range(1, cfg.order + 1)
         ),
     )

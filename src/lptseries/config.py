@@ -36,9 +36,11 @@ from .polys import ZERO, BiPoly, parse_rational
 
 FORMATS = ("pretty", "csv", "machine")
 
-_F_KEY_RE = re.compile(r"^f(\d+)$")
-_LAM_RE = re.compile(r"^lam(?:\^(\d+))?$")
-_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)$")
+# numbers are ASCII digits alone: ``int`` would also read "1_2" and other scripts' digits
+_F_KEY_RE = re.compile(r"^f([0-9]+)$")
+_LAM_RE = re.compile(r"^lam(?:\^([0-9]+))?$")
+_DECIMAL_RE = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)$")
+_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 class ConfigError(ValueError):
@@ -92,10 +94,9 @@ def _oracle_number(text: str) -> Fraction:
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+    if not _INTEGER_RE.match(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _format(text: str) -> str:

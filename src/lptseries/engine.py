@@ -10,40 +10,46 @@ U turns the Schroedinger equation into a Riccati equation; inserting the
 power series E = sum_k E_k hbar^k and C = sum_k C_k(x) hbar^k decouples it
 into one first-order relation per power of hbar.
 
-Near the minimum, C_0(x) = -sqrt(2 m V(x)) is x times a power series and
-every higher order C_k(x) has a pole of order 2k-1 at x = 0, so it is
-carried as a Laurent row: C_k(x) = x^(1-2k) * sum_i C[k][i] x^i.  Matching
-powers of x gives a triangular recursion over the rows.  Node counting --
-the contour integral of C around the origin counts the zeros of the
-wavefunction -- pins the residue of each row: the coefficient at index
-2k-2 equals n for k = 1 and 0 for every later row.  That single condition
-injects the quantum number and makes the same recursion valid for the
-ground state and all excitations.  The slot index 2k-2 that the recursion
-skips is exactly where the energy coefficient E_k is read off instead.
+The table.  C_0(x) = -sqrt(2 m V(x)) is x times a power series, and every
+higher order C_k(x) has a pole of order 2k-1 at x = 0, so row k holds the
+Laurent coefficients of C_k(x) = x^(1-2k) * sum_i C[k][i] x^i.  Matching
+powers of x gives one power-matching identity per cell (k, i):
+
+    (3-2k+i) C[k-1][i] + sum_{j=0}^{k} sum_{p=0}^{i} C[j][p] C[k-j][i-p] - 2 m f_i [k = 0]
+        = m^2 omega^2 [k = i = 0] - 2 m E_k [i = 2k-2]
+
+with no C[k-1] term at k = 0 and f_0 = 0; the k = 0 identities are
+C_0(x)^2 = 2 m V(x).
+
+One recursion for every row.  Each row has one pinned cell.  Row 0 pins
+C[0][0] = -m omega, the root that decays at both ends of the well.  Row
+k >= 1 pins its residue slot i = 2k-2, the residue of C_k(x) at the
+origin: node counting -- the contour integral of C around the origin counts
+the zeros of the wavefunction -- fixes it to n for k = 1 and to 0 for every
+later row (`residue`).  That single condition injects the quantum number
+and makes the same recursion valid for the ground state and all
+excitations; the identity at the residue slot gives E_k instead
+(`energy_coefficient`).  At every other cell the right side is zero, and
+C[k][i] enters the left side only as 2 C[0][0] C[k][i] = -2 m omega C[k][i].
+So with a row's cells filled in ascending i and C[k][i] still missing, the
+rest of the left side over 2 m omega is C[k][i].  Producing E_1..E_K
+consumes indices up to 2K-2 and no further, since the readout of E_k stops
+at 2k-2 and the cell at index i consumes indices <= i of earlier rows and
+< i of its own: the table is the triangle rows 0..K by indices 0..2K-2.
 
 Everything here is exact rational arithmetic on `BiPoly` values; the only
-divisions are by the nonzero scalars 2*m*omega and 2*m, so no computation
-ever leaves the polynomial ring.  Each division is fused into the
+divisions are by the nonzero scalars 2 m omega and 2 m, each fused into the
 reduction of the sum it divides (``BiPoly.dot``'s ``div``).
 
-Index lattice: let g be the gcd of the anharmonic indices i with f_i != 0
-(g = 0 for the oscillator), and call the multiples of g up to 2K-2 the
-lattice (i = 0 alone when g = 0).  Row 0 is the series of
--sqrt(2 m V(x))/x = -m omega sqrt(1 + sum_i 2 f_i x^i / (m omega^2)), so
-its indices lie in the semigroup the i generate, all on the lattice.  By
-induction over the power-matching identity, in k and then in i,
-C[k][i] = 0 at every index i off the lattice: there every product
-C[j][p] C[k-j][i-p] has a factor off the lattice, as does the
-previous-row term C[k-1][i], and f_i = 0.  At an off-lattice residue slot
-i = 2k-2 the same identity then reads E_k = 0, which is why the sextic's
-even orders vanish.  So the recursion and the energy readout visit only
-lattice indices (``PotentialSpec.lattice``).
-
-Depth bookkeeping: producing E_1..E_K consumes row entries up to index
-2K-2 and no further, because the energy readout at order k stops at index
-2k-2 while the row recursion at index i only consumes indices <= i from
-earlier rows and < i from its own row.  Hence the whole computation is
-the finite triangle rows 0..K by indices 0..2K-2.
+The index lattice.  Let g be the gcd of the anharmonic indices i with
+f_i != 0 (g = 0 for the oscillator), and call the multiples of g up to
+2K-2 the lattice (i = 0 alone when g = 0; ``PotentialSpec.lattice``).  By
+induction over the identity, in k and then in i, C[k][i] = 0 at every index
+i off the lattice: there every product C[j][p] C[k-j][i-p] has a factor off
+the lattice, as does C[k-1][i], and f_i = 0.  At an off-lattice residue
+slot the identity then reads E_k = 0, which is why the sextic's even orders
+vanish.  So the recursion, the energy readout and the sweep visit lattice
+indices alone.
 """
 
 from __future__ import annotations
@@ -141,9 +147,8 @@ class PotentialSpec(_PotentialFields):
         return all(i % 2 == 0 for i, _ in self.terms)
 
     def lattice(self, i_max: int) -> range:
-        """Indices 0..i_max where a table cell can be nonzero: the
-        multiples of the gcd g of the anharmonic indices, or 0 alone for
-        the oscillator (g = 0); see the module docstring."""
+        """Indices 0..i_max where a table cell can be nonzero (module
+        docstring)."""
         g = gcd(*(i for i, _ in self.terms))
         return range(0, i_max + 1, g) if g else range(1)
 
@@ -151,17 +156,11 @@ class PotentialSpec(_PotentialFields):
 class CTable:
     """Triangular table of Laurent rows C[k][i] for k = 0..order, i = 0..i_max.
 
-    Row k holds the coefficients of x^(1-2k) * sum_i C[k][i] x^i.  The
-    table is stored sparse: ``cells[k]`` maps i to C[k][i] for row k's
-    nonzero cells only, as ``c0_row`` and ``laurent_row`` compute them, and
-    a cell missing from it is zero, as in the power-matching identity.
-    Those two visit only the potential's lattice indices
-    (``PotentialSpec.lattice``): every cell off the lattice is zero by the
-    induction in the module docstring, so skipping it drops no cell.
-    Rows are appended in order during construction and treated as
-    read-only after.  Within the package only ``cells`` is read: this
-    module, `harmonic` and the ``check`` lines read it; the dense view
-    ``rows`` is kept for the benchmark's tracer alone.
+    Stored sparse: ``cells[k]`` maps i to C[k][i] for row k's nonzero
+    cells only, as `c0_row` and `laurent_row` build them, and a missing
+    cell is zero.  Rows are appended in order and read-only after.  Within
+    the package only ``cells`` is read; the dense view ``rows`` is kept for
+    the benchmark's tracer alone.
     """
 
     def __init__(self, order: int, cells: list[dict[int, BiPoly]] | None = None) -> None:
@@ -175,57 +174,23 @@ class CTable:
 
     @property
     def rows(self) -> list[list[BiPoly]]:
-        """Dense view, built on each access: row k as a list over
-        0..i_max, with ``ZERO`` where a cell is absent.
-
-        No program path reads it; it stays public only because the
-        benchmark's tracer reads it for its table statistics.
-        """
+        """Dense view, built on each access: row k over 0..i_max, ``ZERO``
+        where a cell is absent.  Read by the benchmark's tracer alone."""
         width = range(self.i_max + 1)
         return [[row.get(i, ZERO) for i in width] for row in self.cells]
 
 
-def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
-    """Leading-order row: nonzero series coefficients of -sqrt(2 m V(x)) / x
-    up to x^i_max, by index (``CTable.cells[0]``).
-
-    The minus branch of the square root is the one that decays at both
-    ends of the well.  Squaring the ansatz gives the k = 0 case of the
-    power-matching identity (``_identity_pairs``), solved for C[0][i] as
-    ``laurent_row`` solves row k, with C[0][i] still missing from the row,
-    at the lattice indices i alone (``PotentialSpec.lattice``):
-
-        C[0][0] = -m*omega
-        C[0][i] = (sum_{p=1}^{i-1} C[0][p] C[0][i-p] - 2 m f_i) / (2 m omega)
-    """
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
-    two_m_omega = 2 * spec.m * spec.omega
-    minus_two_m = BiPoly.constant(-2 * spec.m)
-    row = {0: BiPoly.constant(-spec.m * spec.omega)}
-    for i in spec.lattice(i_max)[1:]:
-        once, doubled = _identity_pairs([row], 0, i)
-        once.append((spec.f(i), minus_two_m))
-        if cell := BiPoly.dot(once, doubled, div=two_m_omega):
-            row[i] = cell
-    return row
+def residue(k: int) -> BiPoly:
+    """C[k][2k-2] for k >= 1: the residue of C_k(x) at the origin, as node
+    counting pins it (module docstring)."""
+    return N if k == 1 else ZERO
 
 
 def _identity_pairs(
-    cells: list[dict[int, BiPoly]], k: int, i: int
+    cells: list[dict[int, BiPoly]], k: int, i: int, spec: PotentialSpec
 ) -> tuple[list[Pair], list[Pair]]:
-    """Left side of the power-matching identity at (k, i) as ``(once, doubled)``.
-
-    Matching powers of x in the Riccati equation at order hbar^k gives one
-    identity per (k, i):
-
-        (3-2k+i) C[k-1][i] + sum_{j=0}^{k} sum_{p=0}^{i} C[j][p] C[k-j][i-p]
-            = -2 m E_k * [i == 2k-2]
-
-    The row recursion solves it for C[k][i], the energy readout for E_k,
-    and the sweep re-checks it; all three list its left side here.  At
-    k = 0 (``c0_row``) there is no C[k-1] term, and the right side is
-    m^2 omega^2 * [i == 0] + 2 m f_i, from C_0(x)^2 = 2 m V(x).
+    """Left side of the power-matching identity at (k, i) (module docstring)
+    as ``(once, doubled)``, for ``BiPoly.dot``.
 
     ``cells[j]`` holds row j's nonzero cells by index, in any order, as in
     ``CTable.cells``; cells past i are skipped, and row k may be built only
@@ -233,7 +198,7 @@ def _identity_pairs(
     and a missing cell counts as zero.  The term (j, p) equals the term
     (k-j, i-p), so each pair of rows j < k-j is listed once, in
     ``doubled``; the middle row j = k/2 is folded the same way in p, with
-    its square term p = i/2 listed once.  Feed both lists to ``BiPoly.dot``.
+    its square term p = i/2 listed once.
     """
     doubled = [
         (a, b)
@@ -249,72 +214,61 @@ def _identity_pairs(
         ]
         if i % 2 == 0 and (a := mid.get(i // 2)) is not None:
             once.append((a, a))
-    weight = 3 - 2 * k + i
-    # at k = 0, cells[k - 1] would silently read the last row
-    if k and weight and (previous := cells[k - 1].get(i)) is not None:
+    # the potential enters row 0 alone; at k = 0, cells[k - 1] would read the last row
+    if k == 0 and (f := spec.f(i)):
+        once.append((f, BiPoly.constant(-2 * spec.m)))
+    elif k and (weight := 3 - 2 * k + i) and (previous := cells[k - 1].get(i)) is not None:
         once.append((previous, BiPoly.constant(weight)))
     return once, doubled
 
 
+def _row(
+    k: int, cells: list[dict[int, BiPoly]], spec: PotentialSpec, i_max: int
+) -> dict[int, BiPoly]:
+    """Row k's nonzero cells up to index i_max, given rows 0..k-1 as
+    ``cells``: its pinned cell, and each other lattice cell solved from its
+    identity in ascending i (module docstring)."""
+    pinned = 2 * k - 2 if k else 0
+    two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
+    row: dict[int, BiPoly] = {}
+    cells = [*cells, row]
+    for i in spec.lattice(i_max):
+        if i == pinned:
+            cell = residue(k) if k else BiPoly.constant(-spec.m * spec.omega)
+        else:
+            cell = BiPoly.dot(*_identity_pairs(cells, k, i, spec), div=two_m_omega)
+        if cell:
+            row[i] = cell
+    return row
+
+
+def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
+    """Row 0 up to index i_max (``CTable.cells[0]``): the series of
+    -sqrt(2 m V(x)) / x."""
+    if i_max < 0:
+        raise ValueError(f"i_max must be nonnegative, got {i_max}")
+    return _row(0, [], spec, i_max)
+
+
 def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
-    """Append row k to the table's ``cells``.
-
-    For i != 2k-2 the right side of the power-matching identity
-    (``_identity_pairs``) is zero, and C[k][i] enters its left side only
-    as 2 C[0][0] C[k][i] = -2 m omega C[k][i].  Cells are filled in
-    ascending i with row k passed in as built so far; C[k][i] is still
-    missing from it, so the listed pairs sum to the rest of the left side,
-    and that sum over 2 m omega is C[k][i].  The skipped slot i = 2k-2 is
-    the residue of C_k(x) at the origin; node counting fixes it to n for
-    k = 1 and 0 afterwards.
-
-    Only the lattice indices i are visited (``PotentialSpec.lattice``):
-    off the lattice C[k][i] is zero by the induction in the module
-    docstring, so skipping those cells changes no cell, and an off-lattice
-    residue slot is zero for k > 1 (k = 1's slot 0 is on every lattice).
-    The zero cells of an even potential's odd slots, of the sextic's
-    indices off the multiples of 4, or of the oscillator's indices past 0
-    are never visited.  Each visited cell is one call of the shared kernel
-    ``BiPoly.dot``, which also divides by 2 m omega, tested for zero once,
-    and kept only when nonzero; only products of two nonzero cells are
-    listed.
-    """
+    """Append row k >= 1 to the table's ``cells``."""
     if k < 1:
         raise TableError(f"row index must be >= 1, got {k}")
     if len(table.cells) != k:
-        raise TableError(
-            f"row {k} requested but only rows 0..{len(table.cells) - 1} are built"
-        )
-    two_m_omega = 2 * spec.m * spec.omega  # equals -2*C[0][0]
-    row: dict[int, BiPoly] = {}
-    cells = [*table.cells, row]
-    for i in spec.lattice(table.i_max):
-        if i == 2 * k - 2:
-            cell = N if k == 1 else ZERO
-        else:
-            cell = BiPoly.dot(*_identity_pairs(cells, k, i), div=two_m_omega)
-        if cell:
-            row[i] = cell
-    table.cells.append(row)
+        raise TableError(f"row {k} requested but only rows 0..{len(table.cells) - 1} are built")
+    table.cells.append(_row(k, table.cells, spec, table.i_max))
     return table
 
 
 def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
-    """Energy coefficient E_k from the power-matching identity
-    (``_identity_pairs``) at the residue slot i = 2k-2, whose right side
-    is -2 m E_k.
-
-    The identity is evaluated only when the slot is on the potential's
-    lattice (``PotentialSpec.lattice``).  Off it, every product on the left
-    side has a factor off the lattice, zero on a table the recursion built
-    (module docstring), so E_k is zero without a sum.
-    """
+    """E_k, from the identity at the residue slot i = 2k-2, or zero without
+    a sum where the slot is off the lattice (module docstring)."""
     slot = 2 * k - 2
     if k < 1 or len(table.cells) <= k or table.i_max < slot:
         raise TableError(f"energy order {k} requested from an incomplete table")
     if slot not in spec.lattice(slot):
         return ZERO
-    return BiPoly.dot(*_identity_pairs(table.cells, k, slot), div=-2 * spec.m)
+    return BiPoly.dot(*_identity_pairs(table.cells, k, slot, spec), div=-2 * spec.m)
 
 
 class EnergySeries(NamedTuple):
@@ -329,12 +283,8 @@ class EnergySeries(NamedTuple):
 
 
 def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
-    """Build the full coefficient triangle and energy series to ``order``.
-
-    Checks the order, lays down the leading row to index
-    i_max = 2*order - 2, then alternates: extend one Laurent row, read one
-    energy coefficient.
-    """
+    """Build the table to ``order`` (index i_max = 2*order - 2), alternating
+    one Laurent row and one energy coefficient after row 0."""
     if order < 1:
         raise ValueError(f"expansion order must be >= 1, got {order}")
     if order > MAX_ORDER:
@@ -351,29 +301,20 @@ def expand(spec: PotentialSpec, order: int) -> tuple[CTable, EnergySeries]:
 def first_power_identity_failure(
     table: CTable, series: EnergySeries, spec: PotentialSpec
 ) -> tuple[int, int] | None:
-    """Self-consistency sweep over the whole triangle.
+    """The first (k, i), in ascending k and then i, at which the identity
+    (module docstring) fails on the table and series, or None.
 
-    Re-checks the power-matching identity (``_identity_pairs``) for every
-    k = 0..order and i = 0..i_max, including the residue slots the row
-    recursion never computed.  Returns the first failing (k, i), in
-    ascending k and then i, or None when every identity holds; a corrupted
-    cell fails at its own (k, i).
+    Every k = 0..order and i = 0..i_max is checked, the pinned cells
+    included, so a corrupted cell fails at its own (k, i).  When every cell
+    is on the lattice only the lattice identities are summed: off it the
+    left side is zero, so the identity holds except at a residue slot,
+    where it reads E_k = 0.  A table with a cell off the lattice, which the
+    recursion never builds, has every identity summed.
 
-    When every cell of the table is on the potential's lattice
-    (``PotentialSpec.lattice``), only the lattice identities are summed.
-    An identity off the lattice then has a zero left side, since each of
-    its products has a factor off the lattice, and a zero right side
-    unless i is the residue slot 2k-2, where it reads -2 m E_k: so it is
-    decided by E_k == 0 there and holds everywhere else, and skipping the
-    sum changes no verdict.  A table with a cell off the lattice, which
-    the recursion never builds, has every identity summed.
-
-    The sums go through the same kernel and identity helper as the
-    recursion and the readout (``BiPoly.dot``, ``_identity_pairs``), so this
-    checks that the table is consistent with its own identities; it is not
-    an independent method.  An independent exact check needs a method that
-    shares no logic with the recursion, such as hypervirial plus
-    Hellmann-Feynman perturbation theory.
+    The sums share ``_identity_pairs`` and ``BiPoly.dot`` with the
+    recursion, so this checks the table against its own identities, not by
+    an independent method such as hypervirial plus Hellmann-Feynman
+    perturbation theory.
     """
     lattice = spec.lattice(table.i_max)
     if any(i not in lattice for row in table.cells for i in row):
@@ -382,11 +323,9 @@ def first_power_identity_failure(
         slot = 2 * k - 2
         # an off-lattice residue slot is visited too: there the identity reads E_k = 0
         for i in sorted({*lattice, slot}) if k else lattice:
-            if k == 0:
-                expected = spec.f(i) * (2 * spec.m) + (spec.m * spec.omega) ** 2 * (i == 0)
-            else:
-                expected = series.e[k] * (-2 * spec.m) if i == slot else ZERO
-            left = BiPoly.dot(*_identity_pairs(table.cells, k, i)) if i in lattice else ZERO
+            expected = (series.e[k] * (-2 * spec.m) if i == slot
+                        else (spec.m * spec.omega) ** 2 if k == i == 0 else ZERO)
+            left = BiPoly.dot(*_identity_pairs(table.cells, k, i, spec)) if i in lattice else ZERO
             if left != expected:
                 return (k, i)
     return None

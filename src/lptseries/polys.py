@@ -49,14 +49,15 @@ from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a strict ``"p"`` or ``"p/q"`` string into a Fraction.
 
     Rejects anything else, in particular decimal literals such as
-    ``"0.5"`` (use ``1/2``) and zero denominators.
+    ``"0.5"`` (use ``1/2``), digits other than ASCII 0-9 and zero
+    denominators.
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):

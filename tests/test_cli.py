@@ -162,6 +162,16 @@ class TestCheck:
             "golden-comparison: FAIL energies: golden has 3 orders vs computed 11"
         )
 
+    def test_golden_without_order(self, capsys, tmp_path):
+        golden = json.loads(SEXTIC_GOLDEN.read_text())
+        del golden["order"]
+        code, out, _ = run(capsys, "check", "--config", SEXTIC_INI,
+                           "--golden", write_golden(tmp_path, golden))
+        assert code == EXIT_FAIL
+        assert out.splitlines()[-1] == (
+            "golden-comparison: FAIL order: missing from the golden, computed 11"
+        )
+
     def test_golden_of_another_potential(self, capsys, tmp_path):
         config = tmp_path / "quartic.ini"
         config.write_text(QUARTIC_INI)
@@ -171,10 +181,12 @@ class TestCheck:
             "golden-comparison: FAIL potential differs from the golden's in f"
         )
 
+    # types are named as JSON names them
     @pytest.mark.parametrize("document, why", [
-        ([1, 2], "top level is a JSON list, not an object"),
-        ({"order": 11, "energies": [{"k": 1}]}, "energies[0] has no list of terms"),
-        ({"order": 11, "energies": {"1": []}}, "energies is a JSON dict, not a list"),
+        ([1, 2], "top level is a JSON array, not an object"),
+        (None, "top level is a JSON null, not an object"),
+        ({"order": 11, "energies": [{"k": 1}]}, "energies[0] has no array of terms"),
+        ({"order": 11, "energies": {"1": []}}, "energies is a JSON object, not an array"),
         ({"energies": [{"k": 1, "terms": [{"deg_n": 0, "deg_lam": 0}]}]},
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
         ({"energies": [{"k": 1, "terms": [{"deg_n": [0], "deg_lam": 0, "coeff": "1"}]}]},
@@ -185,17 +197,20 @@ class TestCheck:
         ({"energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": False, "coeff": "1"}]}]},
          "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
         ({"order": True, "energies": [{"k": 1, "terms": []}]},
-         "order is a JSON bool, not an integer"),
+         "order is a JSON boolean, not an integer"),
         ({"order": 1, "energies": [{"k": True, "terms": []}]},
-         "energies[0].k is a JSON bool, not an integer"),
+         "energies[0].k is a JSON boolean, not an integer"),
         # a float equal to the order, or a string that prints as it
-        ({"order": 11.0, "energies": []}, "order is a JSON float, not an integer"),
-        ({"order": "11", "energies": []}, "order is a JSON str, not an integer"),
+        ({"order": 11.0, "energies": []}, "order is a JSON number, not an integer"),
+        ({"order": "11", "energies": []}, "order is a JSON string, not an integer"),
         ({"order": 1, "energies": [{"k": 1.0, "terms": []}]},
-         "energies[0].k is a JSON float, not an integer"),
-    ], ids=["list", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
+         "energies[0].k is a JSON number, not an integer"),
+        # a number equal to the coefficient of n in E1, which the expansion prints as "1"
+        ({"order": 11, "energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": 0, "coeff": 1}]}]},
+         "energies[0] has a coeff that is a JSON number, not a string"),
+    ], ids=["list", "null", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
             "list-as-degree", "true-as-degree", "false-as-degree", "true-as-order",
-            "true-as-k", "float-as-order", "string-as-order", "float-as-k"])
+            "true-as-k", "float-as-order", "string-as-order", "float-as-k", "number-as-coeff"])
     def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, document, why):
         path = write_golden(tmp_path, document)
         code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)

@@ -26,6 +26,9 @@ check_basis = 80
 levels = 0, 1, 2, 3
 """
 
+# the [potential] lines of the unit oscillator
+UNIT = "m = 1\nomega = 1\n"
+
 
 class TestParse:
     def test_sextic_config(self):
@@ -90,10 +93,24 @@ class TestParse:
             parse_config("[potential]\nm = 1\nomega = 1\nf0 = 1\n")
 
     def test_bad_integer_named(self):
-        with pytest.raises(ConfigError, match=r"run\.order: not an integer: '3\.5'"):
-            parse_config("[potential]\nm = 1\nomega = 1\n[run]\norder = 3.5\n")
-        with pytest.raises(ConfigError, match="oracle.levels: levels must be nonnegative"):
-            parse_config("[potential]\nm = 1\nomega = 1\n[oracle]\nlambda = 1\nlevels = 0, -1\n")
+        # numbers are ASCII digits only: int() and a regex \d read 1_2 as 12
+        # and the Arabic-Indic digit three (U+0663) as 3
+        for text, why in [
+            (UNIT + "[run]\norder = 3.5", r"run\.order: not an integer: '3\.5'"),
+            (UNIT + "[run]\norder = 1_2", r"run\.order: not an integer: '1_2'"),
+            (UNIT + "[oracle]\nlambda = 1\nbasis = 6_0", r"oracle\.basis: not an integer: '6_0'"),
+            (UNIT + "[oracle]\nlambda = 1\nlevels = 0, \u0663",
+             "oracle\\.levels: not an integer: ' \u0663'"),
+            (UNIT + "[oracle]\nlambda = 1\nlevels = 0, -1",
+             r"oracle\.levels: levels must be nonnegative"),
+            (UNIT + "[oracle]\nlambda = \u0660.5",
+             r"oracle\.lambda: not a rational or decimal number"),
+            (UNIT + "f\u0663 = 1 lam", "unknown key potential\\.f\u0663"),
+            (UNIT + "f2 = 1 lam^\u0663", r"potential\.f2: expected 'lam' or 'lam\^E'"),
+            ("m = \u0663\nomega = 1", r"potential\.m: not an integer or p/q rational"),
+        ]:
+            with pytest.raises(ConfigError, match=why):
+                parse_config(f"[potential]\n{text}\n")
 
     def test_invalid_potential_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match="quadratic minimum"):

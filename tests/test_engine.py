@@ -188,12 +188,16 @@ class TestLaurentRows:
         def cell(j, p):
             return rows[j][p] if p < len(rows[j]) else ZERO
 
+        f = {p: rand_bipoly(rng, max_deg_n=0) for p in range(1, 6)}
+        spec = PotentialSpec.make(rand_fraction(rng, 1, 4), rand_fraction(rng, 1, 4), f)
         key_order = reversed if row_k.endswith("reversed") else list
         cells = [{p: c for p, c in key_order(list(enumerate(row))) if c} for row in rows]
-        once, doubled = _identity_pairs(cells, k, i)
-        # at k = 0 the identity has no previous-row term
+        once, doubled = _identity_pairs(cells, k, i, spec)
+        # at k = 0 the identity has no previous-row term but the potential's -2 m f_i
         weight = 3 - 2 * k + i if k else 0
         plain = rows[k - 1][i] * weight if weight else ZERO
+        if k == 0:
+            plain = plain - 2 * spec.m * spec.f(i)
         for j in range(k + 1):
             for p in range(i + 1):
                 plain = plain + cell(j, p) * cell(k - j, i - p)
@@ -206,6 +210,7 @@ class TestLaurentRows:
             for p in range(i + 1)
         )
         nonzero_terms += bool(weight) and bool(rows[k - 1][i])
+        nonzero_terms += k == 0 and bool(spec.f(i))
         assert 2 * len(doubled) + len(once) == nonzero_terms
 
     def test_energy_requires_complete_rows(self):
@@ -284,13 +289,14 @@ class TestPowerIdentity:
 
     # a mutated cell first enters the identity at its own (k, i), through
     # 2 C[0][0] C[k][i]; (4, 6) is the last cell of an order-4 table, and
-    # row 0 is checked against the potential.  A deleted cell is a nonzero
+    # row 0 is checked against the potential, (0, 0) against the right side
+    # m^2 omega^2, the one the sweep states apart.  A deleted cell is a nonzero
     # one set to zero; the order-4 sextic's nonzero cells are (k, 0) and
     # (k, 4), except (3, 4)
     @pytest.mark.parametrize("k,i,delete", [
-        (2, 3, False), (2, 2, False), (1, 0, False), (4, 6, False), (0, 2, False),
+        (2, 3, False), (2, 2, False), (1, 0, False), (4, 6, False), (0, 0, False), (0, 2, False),
         (0, 4, False), (0, 6, False), (1, 0, True), (0, 4, True), (3, 0, True), (4, 4, True),
-    ], ids=["odd-slot", "residue-slot", "first-cell", "last-cell", "row-zero-2",
+    ], ids=["odd-slot", "residue-slot", "first-cell", "last-cell", "row-zero-0", "row-zero-2",
             "row-zero-4", "row-zero-6", "deleted-first-cell", "deleted-row-zero-4",
             "deleted-only-cell-of-row", "deleted-last-nonzero-cell"])
     def test_detects_a_mutated_coefficient(self, sextic_spec, k, i, delete):

@@ -22,7 +22,9 @@ class TestParseRational:
         for text in ["3/4", "-2", "0", "22/7"]:
             assert str(parse_rational(text)) == text
 
-    @pytest.mark.parametrize("bad", ["0.5", "1.0", "1e-3", "a", "1/0", "1//2", "", "3 / 4"])
+    # digits are ASCII only: int() would read "1_2" and the Arabic-Indic "\u0663"
+    @pytest.mark.parametrize("bad", ["0.5", "1.0", "1e-3", "a", "1/0", "1//2", "", "3 / 4",
+                                     "1_2", "\u0663", "1/\u0663", "\uff11"])
     def test_rejects_non_rational_text(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
