@@ -3,8 +3,10 @@
 Three subcommands, all driven by a config file:
 
 * ``expand``  -- build the energy series and print it (pretty/csv/machine);
-* ``check``   -- re-derive self-consistency identities on the built table
-                 and compare against a golden machine-format file if given;
+* ``check``   -- check the built table, one line each: ``power-identity``,
+                 ``residue-slots`` and ``lattice-cells`` (every cell on the
+                 index lattice), the oscillator's closed forms, and a golden
+                 machine-format file if given;
 * ``verify``  -- compare optimally truncated partial sums against the
                  basis-diagonalization oracle and print the report as CSV
                  for ``csv`` and as text for any other format.
@@ -31,7 +33,7 @@ from pathlib import Path
 # here, for every command.  Each loads on its first attribute read: `oracle`
 # in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
-from .config import FORMATS, ConfigError, RunConfig, parse_config
+from .config import FORMATS, ConfigError, RunConfig, integer, parse_config
 from .engine import EnergySeries, expand, first_power_identity_failure, residue
 from .polys import N, ZERO
 
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, formatted: bool = True) -> None:
         p.add_argument("--config", required=True, metavar="PATH",
                        help="problem configuration file")
-        p.add_argument("--order", type=int, metavar="K",
+        p.add_argument("--order", type=integer, metavar="K",
                        help="override the expansion order from the config")
         if formatted:  # check prints its PASS/FAIL lines alike in every format
             p.add_argument("--format", dest="fmt", choices=FORMATS,
@@ -265,14 +267,11 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         ),
     )
 
-    if cfg.potential.is_even:
-        # the cells hold only nonzero slots, so any odd index is a failure
-        bad = min(
-            ((k, i) for k, row in enumerate(table.cells) for i in row if i % 2),
-            default=None,
-        )
-        record("parity-odd-slots", bad is None,
-               f"at (k={bad[0]}, i={bad[1]})" if bad else "")
+    # the cells hold only nonzero slots, so any index off the lattice is a failure
+    lattice = cfg.potential.lattice(table.i_max)
+    bad = min(((k, i) for k, row in enumerate(table.cells) for i in row if i not in lattice),
+              default=None)
+    record("lattice-cells", bad is None, f"at (k={bad[0]}, i={bad[1]})" if bad else "")
 
     if cfg.potential.is_harmonic:
         oscillator_e1 = (N + Fraction(1, 2)) * cfg.potential.omega

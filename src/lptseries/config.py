@@ -93,7 +93,8 @@ def _oracle_number(text: str) -> Fraction:
     raise ValueError(f"not a rational or decimal number: {text!r}")
 
 
-def _integer(text: str) -> int:
+def integer(text: str) -> int:
+    """Strict ASCII-digit integer, for config values and ``--order``."""
     if not _INTEGER_RE.match(text.strip()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
@@ -107,7 +108,7 @@ def _format(text: str) -> str:
 
 
 def _levels(text: str) -> tuple[int, ...]:
-    levels = tuple(_integer(part) for part in text.split(","))
+    levels = tuple(integer(part) for part in text.split(","))
     if any(level < 0 for level in levels):
         raise ValueError("levels must be nonnegative")
     repeated = [level for i, level in enumerate(levels) if level in levels[:i]]
@@ -120,11 +121,11 @@ def _levels(text: str) -> tuple[int, ...]:
 # ``_lam_poly``
 _KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "potential": {"m": parse_rational, "omega": parse_rational},
-    "run": {"order": _integer, "format": _format},
+    "run": {"order": integer, "format": _format},
     "oracle": {
         "lambda": _oracle_number,
-        "basis": _integer,
-        "check_basis": _integer,
+        "basis": integer,
+        "check_basis": integer,
         "levels": _levels,
     },
 }

@@ -141,11 +141,6 @@ class PotentialSpec(_PotentialFields):
     def is_harmonic(self) -> bool:
         return not self.terms
 
-    @property
-    def is_even(self) -> bool:
-        """True when V(-x) = V(x), i.e. no odd power of x appears."""
-        return all(i % 2 == 0 for i, _ in self.terms)
-
     def lattice(self, i_max: int) -> range:
         """Indices 0..i_max where a table cell can be nonzero (module
         docstring)."""
@@ -304,12 +299,12 @@ def first_power_identity_failure(
     """The first (k, i), in ascending k and then i, at which the identity
     (module docstring) fails on the table and series, or None.
 
-    Every k = 0..order and i = 0..i_max is checked, the pinned cells
-    included, so a corrupted cell fails at its own (k, i).  When every cell
-    is on the lattice only the lattice identities are summed: off it the
-    left side is zero, so the identity holds except at a residue slot,
-    where it reads E_k = 0.  A table with a cell off the lattice, which the
-    recursion never builds, has every identity summed.
+    The lattice identities are summed, the pinned cells included, so a
+    corrupted lattice cell fails at its own (k, i).  Off the lattice the
+    left side is zero on a table the recursion built, so there only the
+    residue slots are checked, where the identity reads E_k = 0.  A cell
+    off the lattice is ``check``'s ``lattice-cells`` line to find, not this
+    sweep's.
 
     The sums share ``_identity_pairs`` and ``BiPoly.dot`` with the
     recursion, so this checks the table against its own identities, not by
@@ -317,8 +312,6 @@ def first_power_identity_failure(
     perturbation theory.
     """
     lattice = spec.lattice(table.i_max)
-    if any(i not in lattice for row in table.cells for i in row):
-        lattice = range(table.i_max + 1)
     for k in range(table.order + 1):
         slot = 2 * k - 2
         # an off-lattice residue slot is visited too: there the identity reads E_k = 0

@@ -166,21 +166,6 @@ class BiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({key: -num for key, num in self._terms.items()}, self._den)
-
-    def __sub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "BiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -246,10 +231,6 @@ class BiPoly:
             packed[deg_lam] = packed.get(deg_lam, 0) + (num << (width * deg_n))
         self._packs[width] = packed
         return packed
-
-    def scale_div(self, scalar: Scalar) -> "BiPoly":
-        """Divide every coefficient exactly by a nonzero scalar."""
-        return BiPoly.dot(((self, ONE),), div=scalar)
 
     # -- queries ----------------------------------------------------------
 

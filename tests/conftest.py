@@ -35,7 +35,7 @@ def sextic_spec():
     from lptseries.engine import PotentialSpec
     from lptseries.polys import LAM
 
-    return PotentialSpec.make(1, 1, {4: LAM.scale_div(2)})
+    return PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)})
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ class TestMultiLambdaGolden:
                            "--golden", MULTILAM_GOLDEN)
         assert code == EXIT_OK
         assert out.splitlines() == ["power-identity: PASS", "residue-slots: PASS",
-                                    "golden-comparison: PASS"]
+                                    "lattice-cells: PASS", "golden-comparison: PASS"]
 
 
 class TestLatticeGoldens:
@@ -132,7 +132,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--config", SEXTIC_INI)
         assert code == EXIT_OK
         assert out.splitlines() == [
-            "power-identity: PASS", "residue-slots: PASS", "parity-odd-slots: PASS",
+            "power-identity: PASS", "residue-slots: PASS", "lattice-cells: PASS",
         ]
 
     def test_matching_golden(self, capsys):
@@ -234,7 +234,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--config", config)
         assert code == EXIT_OK
         assert out.splitlines() == [
-            "power-identity: PASS", "residue-slots: PASS", "parity-odd-slots: PASS",
+            "power-identity: PASS", "residue-slots: PASS", "lattice-cells: PASS",
             "harmonic-reduction: PASS", "harmonic-crosscheck: PASS",
             "hermite-recurrence: PASS",
         ]
@@ -289,13 +289,13 @@ class TestCheckFailures:
     the expansion; a check that no corruption can fail checks nothing."""
 
     @pytest.mark.parametrize("ini, corrupt, line", [
-        (SEXTIC_INI.read_text(), bump_cell(2, 3, 1), "power-identity: FAIL at (k=2, i=3)"),
+        (SEXTIC_INI.read_text(), bump_cell(2, 4, 1), "power-identity: FAIL at (k=2, i=4)"),
         (SEXTIC_INI.read_text(), bump_cell(2, 2, 1), "residue-slots: FAIL"),
-        (SEXTIC_INI.read_text(), bump_cell(1, 1, LAM), "parity-odd-slots: FAIL at (k=1, i=1)"),
+        (SEXTIC_INI.read_text(), bump_cell(1, 1, LAM), "lattice-cells: FAIL at (k=1, i=1)"),
         (HARMONIC_INI, bump_energy(2, N), "harmonic-reduction: FAIL"),
         (HARMONIC_INI, bump_cell(3, 0, 1), "harmonic-crosscheck: FAIL"),
         (HARMONIC_INI, bump_cell(2, 0, N), "hermite-recurrence: FAIL at level n=2"),
-    ], ids=["power-identity", "residue-slots", "parity-odd-slots", "harmonic-reduction",
+    ], ids=["power-identity", "residue-slots", "lattice-cells", "harmonic-reduction",
             "harmonic-crosscheck", "hermite-recurrence"])
     def test_corrupted_table_fails_its_line(
         self, capsys, tmp_path, monkeypatch, ini, corrupt, line
@@ -496,6 +496,16 @@ class TestInvalidInput:
         assert err == (
             "error: potential.f2 and potential.f02 both give the coefficient of x^4\n"
         )
+
+    # the flag reads the config's integers: int() would run "1_2" as order 12
+    @pytest.mark.parametrize("order", ["1_2", "\u0663", "\uff11"])
+    def test_order_flag_reads_ascii_digits_only(self, capsys, order):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["expand", "--config", str(SEXTIC_INI), "--order", order])
+        assert exit_info.value.code == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: lptseries ")
+        assert err.endswith(f"error: argument --order: invalid integer value: '{order}'\n")
 
     def test_check_has_no_format_flag(self, capsys):
         # expand and verify keep theirs: TestExpand.test_csv, TestVerify.test_csv_report

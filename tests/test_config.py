@@ -34,7 +34,7 @@ class TestParse:
     def test_sextic_config(self):
         cfg = parse_config(SEXTIC_TEXT)
         assert cfg.potential.m == 1 and cfg.potential.omega == 1
-        assert cfg.potential.f(4) == LAM.scale_div(2)
+        assert cfg.potential.f(4) == LAM * Fraction(1, 2)
         assert cfg.order == 11 and cfg.fmt == "pretty"
         assert cfg.oracle == OracleConfig(
             lam=Fraction(1, 1000), basis_size=60, check_size=80, levels=(0, 1, 2, 3)

@@ -24,7 +24,7 @@ class TestDSequence:
     def test_first_residues(self):
         ds = d_sequence(3)
         assert ds.d[1] == N
-        assert ds.d[2] == (N * N - N).scale_div(2)
+        assert ds.d[2] == (N * N + N * -1) * HALF
         assert ds.d[3] == BiPoly(
             {(3, 0): HALF, (2, 0): Fraction(-5, 4), (1, 0): Fraction(3, 4)}
         )
