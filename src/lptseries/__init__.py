@@ -33,7 +33,7 @@ def _register_lazily(name: str):
 # it wraps through ``sys.modules`` when it installs; its ``getattr`` then
 # loads them.  Plain imports where each module is used would be simpler,
 # but they wait on the tracer no longer looking names up there (ROADMAP
-# item 3, a change to the benchmark).  ``from .oracle import X`` would load
+# item 1, a change to the benchmark).  ``from .oracle import X`` would load
 # the module at once, so callers write ``oracle.X``.
 oracle = _register_lazily("oracle")
 harmonic = _register_lazily("harmonic")

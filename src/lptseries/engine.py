@@ -70,10 +70,6 @@ class PotentialError(ValueError):
     """The potential does not describe a simple quadratic minimum."""
 
 
-class TableError(RuntimeError):
-    """A recursion step was invoked before its prerequisites were built."""
-
-
 class _PotentialFields(NamedTuple):
     m: Fraction
     omega: Fraction
@@ -240,17 +236,11 @@ def _row(
 def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
     """Row 0 up to index i_max (``CTable.cells[0]``): the series of
     -sqrt(2 m V(x)) / x."""
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
     return _row(0, [], spec, i_max)
 
 
 def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
-    """Append row k >= 1 to the table's ``cells``."""
-    if k < 1:
-        raise TableError(f"row index must be >= 1, got {k}")
-    if len(table.cells) != k:
-        raise TableError(f"row {k} requested but only rows 0..{len(table.cells) - 1} are built")
+    """Append row k >= 1 to the table's ``cells``, which hold rows 0..k-1."""
     table.cells.append(_row(k, table.cells, spec, table.i_max))
     return table
 
@@ -259,8 +249,6 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     """E_k, from the identity at the residue slot i = 2k-2, or zero without
     a sum where the slot is off the lattice (module docstring)."""
     slot = 2 * k - 2
-    if k < 1 or len(table.cells) <= k or table.i_max < slot:
-        raise TableError(f"energy order {k} requested from an incomplete table")
     if slot not in spec.lattice(slot):
         return ZERO
     return BiPoly.dot(*_identity_pairs(table.cells, k, slot, spec), div=-2 * spec.m)

@@ -20,29 +20,21 @@ Note the Laurent series of P_n'/P_n does not terminate for n >= 2 (for
 n = 2, d_3 = 1/2 and every later residue is nonzero); only d_2 .. d_{m0+1}
 enter the reconstruction, and only n = 0, 1 have all residues beyond d_1
 vanish.
+
+The residues travel as the tuple ``d = (0, d_1, ..., d_K)``, so d[k] is
+d_k, and a node polynomial as its coefficients ``(a_0, ..., a_m0)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .engine import CTable, PotentialSpec
 from .polys import ZERO, BiPoly, N
 
 
-class DSequence(NamedTuple):
-    """Residues d_1..d_order of the oscillator log-derivative, symbolic in n."""
-
-    order: int
-    d: tuple[BiPoly, ...]  # d[k] for k = 1..order; d[0] unused (zero)
-
-    def at_level(self, k: int, n: int) -> Fraction:
-        return self.d[k].evaluate(n, 0)
-
-
-def d_sequence(order: int) -> DSequence:
-    """Generate d_1..d_order from the quadratic residue recursion."""
+def d_sequence(order: int) -> tuple[BiPoly, ...]:
+    """``(0, d_1, ..., d_order)``, symbolic in n, from the recursion."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     d: list[BiPoly] = [ZERO, N]
@@ -51,20 +43,11 @@ def d_sequence(order: int) -> DSequence:
         pairs = [(d[j], d[k - j]) for j in range(1, k)]
         pairs.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
         d.append(BiPoly.dot(pairs, div=2))
-    return DSequence(order=order, d=tuple(d))
+    return tuple(d)
 
 
-class NodePolynomial(NamedTuple):
-    """P_n(x) = x^sigma * sum_i a[i] x^(2i), normalized to a leading 1."""
-
-    level: int
-    sigma: int
-    m0: int
-    a: tuple[Fraction, ...]
-
-
-def reconstruct_polynomial(n: int, ds: DSequence) -> NodePolynomial:
-    """Solve the coefficient system of the node polynomial for level n.
+def reconstruct_polynomial(n: int, d: tuple[BiPoly, ...]) -> tuple[Fraction, ...]:
+    """``(a_0, ..., a_m0)`` of level n's node polynomial, with a_m0 = 1.
 
     Matching P_n'/P_n against the residue series gives, for m = 0..m0,
 
@@ -76,59 +59,47 @@ def reconstruct_polynomial(n: int, ds: DSequence) -> NodePolynomial:
     """
     if n < 0:
         raise ValueError(f"level must be a nonnegative integer, got {n}")
-    sigma = n % 2
-    m0 = (n - sigma) // 2
-    if ds.order < m0 + 1:
-        raise ValueError(
-            f"need residues up to d_{m0 + 1} for level {n}, have {ds.order}"
-        )
-    d_at_n = [Fraction(0)] + [ds.at_level(k, n) for k in range(1, m0 + 2)]
+    m0 = n // 2
+    if len(d) < m0 + 2:
+        raise ValueError(f"need residues up to d_{m0 + 1} for level {n}, have {len(d) - 1}")
+    d_at_n = [d[k].evaluate(n, 0) for k in range(m0 + 2)]
     a = [Fraction(0)] * (m0 + 1)
     a[m0] = Fraction(1)
     for m in range(m0 - 1, -1, -1):
         tail = sum((d_at_n[t - m + 1] * a[t] for t in range(m + 1, m0 + 1)), Fraction(0))
         # n - 2m - sigma = 2*(m0 - m), never zero for m < m0
         a[m] = -tail / (2 * (m0 - m))
-    return NodePolynomial(level=n, sigma=sigma, m0=m0, a=tuple(a))
+    return tuple(a)
 
 
-def hermite_ratio_check(n: int, p: NodePolynomial) -> bool:
-    """True iff consecutive coefficients sit in the Hermite ratio
+def hermite_ratio_check(n: int, a: tuple[Fraction, ...]) -> bool:
+    """True iff level n's coefficients ``a`` sit in the Hermite ratio
 
         a_m = -a_{m+1} (2m+sigma+2)(2m+sigma+1) / (4 (m0 - m))
 
-    exactly, for every m = 0..m0-1.
+    exactly, for every m = 0..m0-1 (sigma = n % 2, m0 = n // 2).
     """
-    if p.level != n:
-        raise ValueError(f"polynomial was built for level {p.level}, not {n}")
-    for m in range(p.m0):
-        expected = (
-            -p.a[m + 1]
-            * (2 * m + p.sigma + 2)
-            * (2 * m + p.sigma + 1)
-            / Fraction(4 * (p.m0 - m))
-        )
-        if p.a[m] != expected:
-            return False
-    return True
+    sigma, m0 = n % 2, n // 2
+    return all(
+        a[m] == -a[m + 1] * (2 * m + sigma + 2) * (2 * m + sigma + 1) / Fraction(4 * (m0 - m))
+        for m in range(m0)
+    )
 
 
-def table_residues(table: CTable, spec: PotentialSpec) -> DSequence:
-    """The residues d_k = C[k][0] (m omega)^(k-1) of an engine table: for
-    the pure oscillator, the closed-form d_k at every m and omega."""
+def table_residues(table: CTable, spec: PotentialSpec) -> tuple[BiPoly, ...]:
+    """``(0, d_1, ..., d_order)`` of an engine table, d_k = C[k][0]
+    (m omega)^(k-1): for an oscillator, `d_sequence`'s at any m, omega."""
     m_omega = spec.m * spec.omega
-    d = [row.get(0, ZERO) * m_omega ** (k - 1)
-         for k, row in enumerate(table.cells[1:], 1)]
-    return DSequence(table.order, (ZERO, *d))
+    return (ZERO, *(row.get(0, ZERO) * m_omega ** (k - 1)
+                    for k, row in enumerate(table.cells[1:], 1)))
 
 
-def crosscheck_with_engine(table: CTable, residues: DSequence) -> bool:
+def crosscheck_with_engine(table: CTable, residues: tuple[BiPoly, ...]) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
     ``table`` is the engine's table for a pure oscillator and ``residues``
-    its `table_residues`: they must be `d_sequence`'s, and rows 1..order
-    must be zero past index 0.
+    its `table_residues`, which must equal `d_sequence`'s.  That the rows
+    hold nothing past index 0 is ``check``'s ``lattice-cells`` line to
+    find: the oscillator's index lattice is {0}.
     """
-    return residues.d == d_sequence(table.order).d and all(
-        row.keys() <= {0} for row in table.cells[1:]
-    )
+    return residues == d_sequence(table.order)

@@ -244,9 +244,8 @@ class BiPoly:
         a, b = _as_fraction(n_value).as_integer_ratio()
         p, q = _as_fraction(lam_value).as_integer_ratio()
         top_n, top_lam = map(max, zip((0, 0), *self._terms))  # (0, 0) for ZERO
-        n_pows = [a**i * b ** (top_n - i) for i in range(top_n + 1)]
-        lam_pows = [p**j * q ** (top_lam - j) for j in range(top_lam + 1)]
-        total = sum(num * n_pows[i] * lam_pows[j] for (i, j), num in self._terms.items())
+        total = sum(num * a**i * b ** (top_n - i) * p**j * q ** (top_lam - j)
+                    for (i, j), num in self._terms.items())
         return Fraction(total, self._den * b**top_n * q**top_lam)
 
     def coefficient(self, deg_n: int, deg_lam: int) -> Fraction:

@@ -72,3 +72,16 @@ def add_to_cell(table, k, i, value) -> None:
         row[i] = cell
     else:
         row.pop(i, None)
+
+
+def failed_check_lines(monkeypatch, capsys, tmp_path, ini, table, series) -> list[str]:
+    """The lines of a failing ``check`` on the problem in ``ini`` whose
+    expansion returns ``table`` and ``series``."""
+    from lptseries import cli
+
+    monkeypatch.setattr(cli, "expand", lambda *args: (table, series))
+    config = tmp_path / "problem.ini"
+    config.write_text(ini)
+    code = cli.main(["check", "--config", str(config), "--order", str(table.order)])
+    assert code == cli.EXIT_FAIL
+    return capsys.readouterr().out.splitlines()

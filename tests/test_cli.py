@@ -380,21 +380,24 @@ class TestVerify:
 
     # exact inputs that no double holds: refused before expanding (exit 2),
     # or, where only a series term is out of range, reported like any other
-    # breakdown (exit 1); never a traceback
-    @pytest.mark.parametrize("m, lam, code, message", [
-        ("1", "1" + "0" * 400, EXIT_INVALID,
+    # breakdown (exit 1); never a traceback.  A sparse high power of lam is
+    # refused as promptly as the rest: 1/100^20000 costs its own powers only
+    @pytest.mark.parametrize("m, f2, lam, code, message", [
+        ("1", "1 lam", "1" + "0" * 400, EXIT_INVALID,
          "error: lam = 1e+400 is outside the range of a double\n"),
-        ("1" + "0" * 400, "1/100", EXIT_INVALID,
+        ("1" + "0" * 400, "1 lam", "1/100", EXIT_INVALID,
          "error: m = 1e+400 is outside the range of a double\n"),
-        ("1/1" + "0" * 400, "1/100", EXIT_INVALID,
+        ("1/1" + "0" * 400, "1 lam", "1/100", EXIT_INVALID,
          "error: m = 1e-400 is outside the range of a double\n"),
-        ("1/1" + "0" * 300, "1/100", EXIT_FAIL,
+        ("1", "1 lam^20000", "1/100", EXIT_INVALID,
+         "error: the x^4 coefficient = 1e-40000 is outside the range of a double\n"),
+        ("1/1" + "0" * 300, "1 lam", "1/100", EXIT_FAIL,
          "verification rejected: first two nonzero series terms do not decrease "
          "(|0.5| then |7.5e+597|): the coupling is too large for an asymptotic partial sum\n"),
-    ], ids=["huge-lambda", "huge-m", "tiny-m", "term-beyond-a-double"])
-    def test_exact_inputs_beyond_a_double(self, capsys, tmp_path, m, lam, code, message):
+    ], ids=["huge-lambda", "huge-m", "tiny-m", "sparse-lambda-power", "term-beyond-a-double"])
+    def test_exact_inputs_beyond_a_double(self, capsys, tmp_path, m, f2, lam, code, message):
         config = tmp_path / "quartic.ini"
-        config.write_text(QUARTIC_INI.replace("m = 1", f"m = {m}")
+        config.write_text(QUARTIC_INI.replace("m = 1", f"m = {m}").replace("1 lam", f2)
                           + f"\n[oracle]\nlambda = {lam}\nbasis = 60\n")
         got, out, err = run(capsys, "verify", "--config", config)
         assert got == code

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from lptseries import cli, engine
+from lptseries import engine
 from lptseries.config import parse_config
 from lptseries.engine import (
     CTable,
     _identity_pairs,
     PotentialError,
     PotentialSpec,
-    TableError,
     c0_row,
-    energy_coefficient,
     evaluate_energy,
     expand,
     first_power_identity_failure,
@@ -21,24 +19,13 @@ from lptseries.engine import (
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
-from conftest import GOLDEN_DIR, add_to_cell, rand_bipoly, rand_fraction
+from conftest import GOLDEN_DIR, add_to_cell, failed_check_lines, rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 SEXTIC_INI = (GOLDEN_DIR / "sextic.ini").read_text()
 OSCILLATOR_INI = "[potential]\nm = 1\nomega = 1\n"
 QUINTIC_INI = OSCILLATOR_INI + "f3 = 1 lam\n"
 QUARTIC_INI = OSCILLATOR_INI + "f2 = 1 lam\n"
-
-
-def failed_check_lines(monkeypatch, capsys, tmp_path, ini, table, series) -> list[str]:
-    """The lines of a failing ``check`` on the problem in ``ini`` whose
-    expansion returns ``table`` and ``series``."""
-    monkeypatch.setattr(cli, "expand", lambda *args: (table, series))
-    config = tmp_path / "problem.ini"
-    config.write_text(ini)
-    code = cli.main(["check", "--config", str(config), "--order", str(table.order)])
-    assert code == cli.EXIT_FAIL
-    return capsys.readouterr().out.splitlines()
 
 
 def oscillator_first_order(omega) -> BiPoly:
@@ -179,14 +166,6 @@ class TestLaurentRows:
         laurent_row(2, table, spec)
         assert table.rows[2][0] == (N * N + N * -1) * HALF
 
-    def test_out_of_order_rows_rejected(self):
-        spec = PotentialSpec.make(1, 1)
-        table = CTable(order=3, cells=[c0_row(spec, 4)])
-        with pytest.raises(TableError):
-            laurent_row(2, table, spec)
-        with pytest.raises(TableError):
-            laurent_row(0, table, spec)
-
     # "-reversed": the same rows with their cells in descending index order,
     # since a row's dict of nonzero cells carries no ordering invariant
     @pytest.mark.parametrize("row_k", ["full", "partial", "full-reversed", "partial-reversed"])
@@ -227,12 +206,6 @@ class TestLaurentRows:
         nonzero_terms += bool(weight) and bool(rows[k - 1][i])
         nonzero_terms += k == 0 and bool(spec.f(i))
         assert 2 * len(doubled) + len(once) == nonzero_terms
-
-    def test_energy_requires_complete_rows(self):
-        spec = PotentialSpec.make(1, 1)
-        table = CTable(order=2, cells=[c0_row(spec, 2)])
-        with pytest.raises(TableError):
-            energy_coefficient(1, table, spec)
 
 
 class TestEnergyCoefficients:

@@ -85,6 +85,11 @@ class TestBiPolyBasics:
         )
         assert third_order.evaluate(0, 1) == Fraction(15, 16)
         assert (N * N).evaluate(3, 7) == 9
+        # a sparse high degree costs its own terms' powers, not every lower one
+        assert BiPoly.monomial(1, deg_lam=10000).evaluate(0, Fraction(1, 100)) == Fraction(
+            1, 100**10000)
+        sparse = BiPoly({(0, 0): Fraction(1), (3, 20000): HALF})
+        assert sparse.evaluate(2, Fraction(-1, 10)) == 1 + Fraction(4, 10**20000)
 
     def test_evaluate_matches_the_fraction_per_term_reference(self):
         rng = random.Random(36)
