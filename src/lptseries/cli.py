@@ -6,7 +6,9 @@ Three subcommands, all driven by a config file:
 * ``check``   -- check the built table, one line each: ``power-identity``,
                  ``residue-slots`` and ``lattice-cells`` (every cell on the
                  index lattice), the oscillator's closed forms, and a golden
-                 machine-format file if given;
+                 machine-format file if given, which must equal the machine
+                 document ``expand`` prints: its first departure fails the
+                 line, or is invalid input where a value has another type;
 * ``verify``  -- compare optimally truncated partial sums against the
                  basis-diagonalization oracle and print the report as CSV
                  for ``csv`` and as text for any other format.
@@ -65,16 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
 
-    p_expand = sub.add_parser("expand", help="compute energy series coefficients")
-    add_common(p_expand)
+    add_common(sub.add_parser("expand", help="compute energy series coefficients"))
 
     p_check = sub.add_parser("check", help="run self-consistency checks")
     add_common(p_check, formatted=False)
     p_check.add_argument("--golden", metavar="PATH",
-                         help="machine-format file the expansion must reproduce")
+                         help="machine-format file the expansion must reproduce exactly; "
+                              "a value of another JSON type is invalid input")
 
-    p_verify = sub.add_parser("verify", help="compare series against diagonalization")
-    add_common(p_verify)
+    add_common(sub.add_parser("verify", help="compare series against diagonalization"))
     return parser
 
 
@@ -103,6 +104,20 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot write output {args.out or '<stdout>'}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _every_digit():
+    """Lift the interpreter's cap on int-to-str digits (Python 3.10.7 on)
+    while the program's own results render, and restore it after: config
+    input keeps the cap."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(cap)
+
+
 def machine_document(cfg: RunConfig, series: EnergySeries) -> dict:
     """Machine format: every polynomial as exponent-sorted term records."""
     return {
@@ -128,12 +143,8 @@ def render_machine(cfg: RunConfig, series: EnergySeries) -> str:
 def render_csv(series: EnergySeries) -> str:
     lines = ["k,deg_n,deg_lam,coeff"]
     for k in range(1, series.order + 1):
-        records = series.e[k].to_records()
-        if not records:
-            lines.append(f"{k},0,0,0")
-            continue
-        for r in records:
-            lines.append(f"{k},{r['deg_n']},{r['deg_lam']},{r['coeff']}")
+        records = series.e[k].to_records() or [{"deg_n": 0, "deg_lam": 0, "coeff": "0"}]
+        lines += (f"{k},{r['deg_n']},{r['deg_lam']},{r['coeff']}" for r in records)
     return "\n".join(lines) + "\n"
 
 
@@ -154,93 +165,47 @@ def render_pretty(cfg: RunConfig, series: EnergySeries) -> str:
 
 def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, series = expand(cfg.potential, cfg.order)
-    if cfg.fmt == "machine":
-        _emit(render_machine(cfg, series), args)
-    elif cfg.fmt == "csv":
-        _emit(render_csv(series), args)
-    else:
-        _emit(render_pretty(cfg, series), args)
+    with _every_digit():
+        text = (render_machine(cfg, series) if cfg.fmt == "machine"
+                else render_csv(series) if cfg.fmt == "csv" else render_pretty(cfg, series))
+    _emit(text, args)
     return EXIT_OK
 
 
-# JSON's name for each type that ``json.loads`` returns
+# JSON's names for the types that ``json.loads`` returns and a machine document holds
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
                str: "string", list: "array", dict: "object"}
+_MACHINE_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
 
 
-def _not_machine_document(golden) -> str | None:
-    """Why a parsed golden file cannot be a machine document, or None.
+def _golden_departure(golden, computed, path: str = "") -> str | None:
+    """Where a parsed golden first departs from the computed machine
+    document, or None where the two are equal: the first departure decides.
 
-    Checks only the structure `_golden_mismatch` reads: a top-level object
-    whose ``energies`` is an array of objects, each with an array of term
-    records keyed by integer ``deg_n`` and ``deg_lam`` and a string
-    ``coeff``.  The degrees, and ``order`` and each ``k`` where given, must
-    be JSON integers: true, false and 11.0 compare equal to the ints 1, 0
-    and 11.
+    An object is walked in the computed document's key order, then over the
+    keys only the golden has; an array by index, then over the indices only
+    one side has.  A golden value whose type is not the computed value's
+    makes the file no machine document and raises `ConfigError`: the types
+    themselves are compared, since JSON true, false and 11.0 compare equal
+    to 1, 0 and 11.  A key or index that one side lacks, or a differing
+    value, is returned as the comparison's failure.
     """
-    if not isinstance(golden, dict):
-        return f"top level is a JSON {_JSON_TYPES[type(golden)]}, not an object"
-    energies = golden.get("energies", [])
-    if not isinstance(energies, list):
-        return f"energies is a JSON {_JSON_TYPES[type(energies)]}, not an array"
-    if type(golden.get("order", 0)) is not int:
-        return f"order is a JSON {_JSON_TYPES[type(golden['order'])]}, not an integer"
-    for index, entry in enumerate(energies):
-        if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
-            return f"energies[{index}] has no array of terms"
-        if type(entry.get("k", 0)) is not int:
-            return f"energies[{index}].k is a JSON {_JSON_TYPES[type(entry['k'])]}, not an integer"
-        for record in entry["terms"]:
-            if not (
-                isinstance(record, dict)
-                and type(record.get("deg_n")) is int
-                and type(record.get("deg_lam")) is int
-                and "coeff" in record
-            ):
-                return f"energies[{index}] has a term that is not a deg_n/deg_lam/coeff record"
-            if type(record["coeff"]) is not str:
-                coeff = _JSON_TYPES[type(record["coeff"])]
-                return f"energies[{index}] has a coeff that is a JSON {coeff}, not a string"
-    return None
-
-
-def _golden_mismatch(golden: dict, produced: dict) -> str | None:
-    """Locate the first difference between two machine documents.
-
-    The potential is compared first, so a golden made for another problem
-    is named as such, and then the number of energy orders, so a truncated
-    golden cannot pass on the orders it still has.
-    """
-    g_potential = golden.get("potential")
-    if not isinstance(g_potential, dict):
-        g_potential = {}
-    p_potential = produced["potential"]
-    if g_potential != p_potential:
-        keys = sorted(key for key in set(g_potential) | set(p_potential)
-                      if g_potential.get(key) != p_potential.get(key))
-        return f"potential differs from the golden's in {', '.join(keys)}"
-    if "order" not in golden:
-        return f"order: missing from the golden, computed {produced['order']}"
-    if golden["order"] != produced["order"]:
-        return f"order: golden {golden['order']} vs computed {produced['order']}"
-    g_energies, p_energies = golden.get("energies", []), produced["energies"]
-    if len(g_energies) != len(p_energies):
-        return (
-            f"energies: golden has {len(g_energies)} orders "
-            f"vs computed {len(p_energies)}"
-        )
-    for g_entry, p_entry in zip(g_energies, p_energies):
-        k = p_entry["k"]
-        if g_entry != p_entry:
-            g_terms = {(r["deg_n"], r["deg_lam"]): r["coeff"] for r in g_entry["terms"]}
-            p_terms = {(r["deg_n"], r["deg_lam"]): r["coeff"] for r in p_entry["terms"]}
-            for key in sorted(set(g_terms) | set(p_terms)):
-                if g_terms.get(key) != p_terms.get(key):
-                    return (
-                        f"E{k} term n^{key[0]} lam^{key[1]}: golden "
-                        f"{g_terms.get(key, '0')} vs computed {p_terms.get(key, '0')}"
-                    )
-            return f"E{k}: structural mismatch"
+    where = path or "top level"
+    if type(golden) is not type(computed):
+        raise ConfigError(f"{where} is a JSON {_JSON_TYPES[type(golden)]}, "
+                          f"not {_MACHINE_TYPES[type(computed)]}")
+    if not isinstance(computed, (dict, list)):
+        return None if golden == computed else f"at {where}: golden {golden} vs computed {computed}"
+    keys, golden_keys = ((computed, golden) if isinstance(computed, dict)
+                         else (range(len(computed)), range(len(golden))))
+    for key in [*keys, *(key for key in golden_keys if key not in keys)]:
+        at = f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+        if key not in golden_keys:
+            return f"at {at}: missing from the golden"
+        if key not in keys:
+            return f"at {at}: not in the computed document"
+        if departure := _golden_departure(golden[key], computed[key], at):
+            return departure
     return None
 
 
@@ -294,16 +259,14 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 
         try:
             golden = json.loads(Path(args.golden).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8
             raise ConfigError(f"cannot read golden file {args.golden}: {exc}") from None
-        malformed = _not_machine_document(golden)
-        if malformed:
-            raise ConfigError(
-                f"golden file {args.golden} is not a machine document: {malformed}"
-            )
-        produced = machine_document(cfg, series)
-        mismatch = _golden_mismatch(golden, produced)
-        record("golden-comparison", mismatch is None, mismatch or "")
+        try:
+            with _every_digit():
+                departure = _golden_departure(golden, machine_document(cfg, series))
+        except ConfigError as exc:
+            raise ConfigError(f"golden file {args.golden} is not a machine document: {exc}") from None
+        record("golden-comparison", departure is None, departure or "")
 
     _emit("\n".join(lines) + "\n", args)
     return EXIT_FAIL if failed else EXIT_OK

@@ -154,7 +154,8 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config file; diagnostics name section and key."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header spells "\n", so a [DEFAULT] section is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -185,15 +185,25 @@ def _double(value: Fraction) -> float:
 
 
 def _g6(value: Fraction) -> str:
-    """``f"{float(value):.6g}"`` at any magnitude: rounded through `decimal`
-    instead where ``float`` would overflow, or lose digits below the
-    smallest normal double."""
+    """``f"{float(value):.6g}"`` at any magnitude: where ``float`` would
+    overflow, or lose digits below the smallest normal double, the six
+    significant digits are rounded in integers, half to even, from a
+    decimal exponent that the bit lengths give to within one."""
     if sys.float_info.min <= abs(double := _double(value)) < math.inf or not value:
         return f"{double:.6g}"
-    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
-
-    context = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return f"{context.divide(Decimal(value.numerator), value.denominator).normalize(context):.6g}"
+    num, den = abs(value.numerator), value.denominator
+    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while True:  # the digits of num/den * 10^(5 - exp), six of them once exp is right
+        scaled, scale = (num * 10 ** (5 - exp), den) if exp <= 5 else (num, den * 10 ** (exp - 5))
+        digits, rest = divmod(scaled, scale)
+        if 10**5 <= digits < 10**6:
+            break
+        exp += 1 if digits >= 10**6 else -1
+    digits += 2 * rest > scale or (2 * rest == scale and digits % 2)
+    if digits == 10**6:  # rounded up to the next power of ten
+        digits, exp = 10**5, exp + 1
+    # a double prints six significant digits back as they were
+    return f"{'-' if value < 0 else ''}{digits / 10**5:.6g}e{exp:+03d}"
 
 
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:

@@ -12,7 +12,7 @@ from lptseries import cli, engine, harmonic, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
 from lptseries.config import parse_config
 from lptseries.engine import expand
-from lptseries.polys import LAM, N
+from lptseries.polys import LAM, N, BiPoly
 
 from conftest import GOLDEN_DIR, add_to_cell
 
@@ -35,6 +35,11 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def get_digit_cap() -> int:
+    """The interpreter's cap on int-to-str digits; 0, none, before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def write_golden(tmp_path, document) -> str:
@@ -64,6 +69,28 @@ class TestExpand:
             "k,deg_n,deg_lam,coeff", "1,0,0,1/2", "1,1,0,1", "2,0,0,0",
             "3,0,1,15/16", "3,1,1,5/2", "3,2,1,15/8", "3,3,1,5/4",
         ]
+
+    # E_4's coefficients have about 6000 digits, past the cap on int-to-str
+    # conversion (4300 digits, Python 3.10.7 on) that config input keeps
+    @pytest.mark.parametrize("fmt", ["csv", "machine", "pretty"])
+    def test_coefficients_past_the_digit_cap(self, capsys, tmp_path, fmt):
+        config = tmp_path / "tiny.ini"
+        config.write_text(QUARTIC_INI.replace("1 lam", "1/1" + "0" * 2000 + " lam")
+                          .replace("order = 11", "order = 4"))
+        cap = get_digit_cap()
+        code, out, err = run(capsys, "expand", "--config", config, "--format", fmt)
+        assert (code, err, get_digit_cap()) == (EXIT_OK, "", cap)
+        e4 = expand(parse_config(config.read_text()).potential, 4)[1].e[4]
+        with cli._every_digit():  # to read the digits back
+            assert max(len(record["coeff"]) for record in e4.to_records()) > 6000
+            if fmt == "csv":
+                rows = [line.split(",") for line in out.splitlines()[1:]]
+                assert BiPoly.from_records({"deg_n": dn, "deg_lam": dl, "coeff": c}
+                                           for k, dn, dl, c in rows if k == "4") == e4
+            elif fmt == "machine":
+                assert BiPoly.from_records(json.loads(out)["energies"][3]["terms"]) == e4
+            else:
+                assert out.splitlines()[-1] == f"  E4 = {e4}"
 
     def test_machine_matches_the_golden_file(self, capsys, tmp_path):
         out_path = tmp_path / "out.json"
@@ -140,82 +167,153 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "golden-comparison: PASS"
 
+    def check_golden(self, capsys, tmp_path, golden, config=SEXTIC_INI):
+        return run(capsys, "check", "--config", config, "--golden", write_golden(tmp_path, golden))
+
     def test_mismatched_term(self, capsys, tmp_path):
         golden = json.loads(SEXTIC_GOLDEN.read_text())
         entry = golden["energies"][2]
         assert entry["k"] == 3 and entry["terms"][0]["coeff"] == "15/16"
         entry["terms"][0]["coeff"] = "15/17"
-        code, out, _ = run(capsys, "check", "--config", SEXTIC_INI,
-                           "--golden", write_golden(tmp_path, golden))
+        code, out, _ = self.check_golden(capsys, tmp_path, golden)
         assert code == EXIT_FAIL
         assert out.splitlines()[-1] == (
-            "golden-comparison: FAIL E3 term n^0 lam^1: golden 15/17 vs computed 15/16"
+            "golden-comparison: FAIL at energies[2].terms[0].coeff: golden 15/17 vs computed 15/16"
         )
 
+    # its own orders match, so it fails on the first order it lacks
     def test_truncated_golden(self, capsys, tmp_path):
         golden = json.loads(SEXTIC_GOLDEN.read_text())
         golden["energies"] = golden["energies"][:3]
-        code, out, _ = run(capsys, "check", "--config", SEXTIC_INI,
-                           "--golden", write_golden(tmp_path, golden))
+        code, out, _ = self.check_golden(capsys, tmp_path, golden)
         assert code == EXIT_FAIL
         assert out.splitlines()[-1] == (
-            "golden-comparison: FAIL energies: golden has 3 orders vs computed 11"
+            "golden-comparison: FAIL at energies[3]: missing from the golden"
         )
 
     def test_golden_without_order(self, capsys, tmp_path):
         golden = json.loads(SEXTIC_GOLDEN.read_text())
         del golden["order"]
-        code, out, _ = run(capsys, "check", "--config", SEXTIC_INI,
-                           "--golden", write_golden(tmp_path, golden))
+        code, out, _ = self.check_golden(capsys, tmp_path, golden)
         assert code == EXIT_FAIL
-        assert out.splitlines()[-1] == (
-            "golden-comparison: FAIL order: missing from the golden, computed 11"
-        )
+        assert out.splitlines()[-1] == "golden-comparison: FAIL at order: missing from the golden"
 
+    # the sextic golden's f4 against a quartic's f2, at the same order
     def test_golden_of_another_potential(self, capsys, tmp_path):
         config = tmp_path / "quartic.ini"
         config.write_text(QUARTIC_INI)
         code, out, _ = run(capsys, "check", "--config", config, "--golden", SEXTIC_GOLDEN)
         assert code == EXIT_FAIL
         assert out.splitlines()[-1] == (
-            "golden-comparison: FAIL potential differs from the golden's in f"
+            "golden-comparison: FAIL at potential.f.2: missing from the golden"
         )
 
-    # types are named as JSON names them
-    @pytest.mark.parametrize("document, why", [
-        ([1, 2], "top level is a JSON array, not an object"),
-        (None, "top level is a JSON null, not an object"),
-        ({"order": 11, "energies": [{"k": 1}]}, "energies[0] has no array of terms"),
-        ({"order": 11, "energies": {"1": []}}, "energies is a JSON object, not an array"),
-        ({"energies": [{"k": 1, "terms": [{"deg_n": 0, "deg_lam": 0}]}]},
-         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
-        ({"energies": [{"k": 1, "terms": [{"deg_n": [0], "deg_lam": 0, "coeff": "1"}]}]},
-         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
+    # every energy differs too, yet the potential, compared first, is named
+    @pytest.mark.parametrize("old, new, where", [
+        ("m = 1", "m = 2", "potential.m: golden 1 vs computed 2"),
+        ("omega = 1", "omega = 3/2", "potential.omega: golden 1 vs computed 3/2"),
+        ("f4 = 1/2 lam", "f4 = 1/3 lam", "potential.f.4[0].coeff: golden 1/2 vs computed 1/3"),
+        ("f4 = 1/2 lam", "f4 = 1/2 lam^2", "potential.f.4[0].deg_lam: golden 1 vs computed 2"),
+    ], ids=["mass", "frequency", "coefficient", "lambda-power"])
+    def test_golden_of_another_potential_at_the_same_order(self, capsys, tmp_path, old, new, where):
+        config = tmp_path / "sextic.ini"
+        config.write_text(SEXTIC_INI.read_text().replace(old, new, 1))
+        code, out, _ = run(capsys, "check", "--config", config, "--golden", SEXTIC_GOLDEN)
+        assert code == EXIT_FAIL
+        assert out.splitlines()[-1] == f"golden-comparison: FAIL at {where}"
+
+    # E_4's coefficients have about 6000 digits, past the interpreter's cap
+    def test_golden_past_the_digit_cap(self, capsys, tmp_path):
+        config = tmp_path / "tiny.ini"
+        config.write_text(QUARTIC_INI.replace("1 lam", "1/1" + "0" * 2000 + " lam")
+                          .replace("order = 11", "order = 4"))
+        golden = tmp_path / "golden.json"
+        assert run(capsys, "expand", "--config", config, "--format", "machine",
+                   "--out", golden)[0] == EXIT_OK
+        cap = get_digit_cap()
+        code, out, err = run(capsys, "check", "--config", config, "--golden", golden)
+        assert (code, err, get_digit_cap()) == (EXIT_OK, "", cap)
+        assert out.splitlines()[-1] == "golden-comparison: PASS"
+
+    def test_extra_top_level_key_fails(self, capsys, tmp_path):
+        golden = json.loads(SEXTIC_GOLDEN.read_text())
+        golden["comment"] = "made by hand"
+        code, out, _ = self.check_golden(capsys, tmp_path, golden)
+        assert code == EXIT_FAIL
+        assert out.splitlines()[-1] == (
+            "golden-comparison: FAIL at comment: not in the computed document"
+        )
+
+    def test_potential_as_an_array_is_invalid(self, capsys, tmp_path):
+        golden = json.loads(SEXTIC_GOLDEN.read_text())
+        golden["potential"] = [golden["potential"]]
+        path = write_golden(tmp_path, golden)
+        code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
+        assert code == EXIT_INVALID and out == ""
+        assert err == (f"error: golden file {path} is not a machine document: "
+                       "potential is a JSON array, not an object\n")
+
+    # the first departure decides, whichever kind comes later
+    def test_differing_value_before_a_type_error_fails(self, capsys, tmp_path):
+        golden = json.loads(SEXTIC_GOLDEN.read_text())
+        golden["energies"][0]["terms"][0]["coeff"] = "1/3"
+        golden["energies"][2]["terms"][0]["coeff"] = 15 / 16
+        code, out, err = self.check_golden(capsys, tmp_path, golden)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert out.splitlines()[-1] == (
+            "golden-comparison: FAIL at energies[0].terms[0].coeff: golden 1/3 vs computed 1/2"
+        )
+
+    # each case changes one field of the sextic golden, at the path given
+    # (none: the whole document; a missing value: the field deleted); types
+    # are named as JSON names them
+    @pytest.mark.parametrize("field, value, code, why", [
+        ((), [1, 2], EXIT_INVALID, "top level is a JSON array, not an object"),
+        ((), None, EXIT_INVALID, "top level is a JSON null, not an object"),
+        (("energies", 0, "terms"), ..., EXIT_FAIL, "at energies[0].terms: missing from the golden"),
+        (("energies",), {"1": []}, EXIT_INVALID, "energies is a JSON object, not an array"),
+        (("energies", 0, "terms", 0, "coeff"), ..., EXIT_FAIL,
+         "at energies[0].terms[0].coeff: missing from the golden"),
+        (("energies", 0, "terms", 0, "deg_n"), [0], EXIT_INVALID,
+         "energies[0].terms[0].deg_n is a JSON array, not an integer"),
         # JSON true and false are Python ints equal to 1 and 0
-        ({"energies": [{"k": 1, "terms": [{"deg_n": True, "deg_lam": 0, "coeff": "1"}]}]},
-         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
-        ({"energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": False, "coeff": "1"}]}]},
-         "energies[0] has a term that is not a deg_n/deg_lam/coeff record"),
-        ({"order": True, "energies": [{"k": 1, "terms": []}]},
-         "order is a JSON boolean, not an integer"),
-        ({"order": 1, "energies": [{"k": True, "terms": []}]},
-         "energies[0].k is a JSON boolean, not an integer"),
+        (("energies", 0, "terms", 1, "deg_n"), True, EXIT_INVALID,
+         "energies[0].terms[1].deg_n is a JSON boolean, not an integer"),
+        (("energies", 0, "terms", 1, "deg_lam"), False, EXIT_INVALID,
+         "energies[0].terms[1].deg_lam is a JSON boolean, not an integer"),
+        (("order",), True, EXIT_INVALID, "order is a JSON boolean, not an integer"),
+        (("energies", 0, "k"), True, EXIT_INVALID, "energies[0].k is a JSON boolean, not an integer"),
         # a float equal to the order, or a string that prints as it
-        ({"order": 11.0, "energies": []}, "order is a JSON number, not an integer"),
-        ({"order": "11", "energies": []}, "order is a JSON string, not an integer"),
-        ({"order": 1, "energies": [{"k": 1.0, "terms": []}]},
-         "energies[0].k is a JSON number, not an integer"),
+        (("order",), 11.0, EXIT_INVALID, "order is a JSON number, not an integer"),
+        (("order",), "11", EXIT_INVALID, "order is a JSON string, not an integer"),
+        (("energies", 0, "k"), 1.0, EXIT_INVALID, "energies[0].k is a JSON number, not an integer"),
         # a number equal to the coefficient of n in E1, which the expansion prints as "1"
-        ({"order": 11, "energies": [{"k": 1, "terms": [{"deg_n": 1, "deg_lam": 0, "coeff": 1}]}]},
-         "energies[0] has a coeff that is a JSON number, not a string"),
+        (("energies", 0, "terms", 1, "coeff"), 1, EXIT_INVALID,
+         "energies[0].terms[1].coeff is a JSON number, not a string"),
     ], ids=["list", "null", "entry-without-terms", "energies-not-a-list", "term-without-coeff",
             "list-as-degree", "true-as-degree", "false-as-degree", "true-as-order",
             "true-as-k", "float-as-order", "string-as-order", "float-as-k", "number-as-coeff"])
-    def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, document, why):
-        path = write_golden(tmp_path, document)
-        code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
-        assert code == EXIT_INVALID and out == ""
-        assert err == f"error: golden file {path} is not a machine document: {why}\n"
+    def test_golden_that_is_not_a_machine_document(self, capsys, tmp_path, field, value, code, why):
+        golden = json.loads(SEXTIC_GOLDEN.read_text())
+        if not field:
+            golden = value
+        else:
+            *parents, last = field
+            inner = golden
+            for key in parents:
+                inner = inner[key]
+            if value is ...:
+                del inner[last]
+            else:
+                inner[last] = value
+        path = write_golden(tmp_path, golden)
+        got, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
+        assert got == code
+        if code == EXIT_FAIL:  # a field the golden lacks: the comparison fails
+            assert err == "" and out.splitlines()[-1] == f"golden-comparison: FAIL {why}"
+        else:
+            assert out == ""
+            assert err == f"error: golden file {path} is not a machine document: {why}\n"
 
     # the oscillator checks read the table check built, at any m and omega
     @pytest.mark.parametrize("m, omega", [(1, 1), (2, 2), (2, "3/5")])
@@ -267,6 +365,22 @@ class TestCheck:
                            "--golden", tmp_path / "missing.json")
         assert code == EXIT_INVALID
         assert "cannot read golden file" in err
+
+    # JSON nested deeper than the parser's recursion, an integer longer than
+    # the interpreter's cap on str-to-int digits, and bytes that are not UTF-8
+    @pytest.mark.parametrize("data, why", [
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b'{"a": ' * 100000 + b"1" + b"}" * 100000, "maximum recursion depth exceeded"),
+        pytest.param(b'{"order": 1' + b"0" * 5000 + b"}", "Exceeds the limit",
+                     marks=pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")),
+        (b"\xff\xfe", "'utf-8' codec can't decode"),
+    ], ids=["nested-arrays", "nested-objects", "long-integer", "not-utf-8"])
+    def test_golden_the_parser_refuses(self, capsys, tmp_path, data, why):
+        path = tmp_path / "golden.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "check", "--config", SEXTIC_INI, "--golden", path)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"error: cannot read golden file {path}: {why}")
 
 
 def bump_cell(k, i, by):

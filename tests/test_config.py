@@ -77,6 +77,16 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"\[extras\]"):
             parse_config("[potential]\nm = 1\nomega = 1\n[extras]\nx = 1\n")
 
+    # configparser's default section would otherwise lend its keys to every
+    # other section, outside the check of section names
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nomega = 1\n[potential]\nm = 1\n",
+        "[DEFAULT]\norder = 3\n[potential]\nm = 1\nomega = 1\n",
+    ], ids=["default-omega", "default-order"])
+    def test_default_section_is_unknown(self, text):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text)
+
     def test_missing_required_fields(self):
         with pytest.raises(ConfigError, match="omega"):
             parse_config("[potential]\nm = 1\n")

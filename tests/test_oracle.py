@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -579,6 +580,25 @@ class TestDoubleRange:
         outside = rf"^{re.escape(message)} is outside the range of a double$"
         with pytest.raises(ValueError, match=outside):
             OracleProblem(spec, lam, 60, None, (0,))
+
+    # six significant digits, ties to even, as .6g prints a double in range
+    @pytest.mark.parametrize("value, text", [
+        (BIG, "1e+400"),
+        (Fraction(-123456789, 10**330), "-1.23457e-322"),
+        (Fraction(5, 10**400), "5e-400"),
+        (Fraction(3, 7 * 10**20000), "4.28571e-20001"),
+        (Fraction(1234565, 10**326), "1.23456e-320"),  # a tie, kept even
+        (Fraction(1234575, 10**326), "1.23458e-320"),  # a tie, rounded up to even
+        (Fraction(9999995, 10**340), "1e-333"),  # a tie that rolls over a power of ten
+    ], ids=["huge", "negative-subnormal", "tiny", "far-below", "tie-down", "tie-up",
+            "tie-rolls-over"])
+    def test_outside_values_printed_to_six_digits(self, value, text):
+        assert oracle._g6(value) == text
+
+    def test_far_outside_values_are_printed_promptly(self):
+        start = time.process_time()
+        assert oracle._g6(Fraction(1, 10**400000)) == "1e-400000"
+        assert time.process_time() - start < 2
 
     def test_largest_and_smallest_doubles_pass(self):
         big, tiny = Fraction(sys.float_info.max), Fraction(sys.float_info.min)
