@@ -82,17 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = Path(args.config)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     overrides = {"order": args.order, "fmt": getattr(args, "fmt", None)}
-    return parse_config(text)._replace(**{k: v for k, v in overrides.items() if v is not None})
+    cfg = parse_config(text, str(path))
+    return cfg._replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     try:
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -258,7 +259,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         import json
 
         try:
-            golden = json.loads(Path(args.golden).read_text())
+            golden = json.loads(Path(args.golden).read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8
             raise ConfigError(f"cannot read golden file {args.golden}: {exc}") from None
         try:

@@ -5,7 +5,8 @@ A run is described by one file with up to three sections::
     [potential]
     m = 1
     omega = 1
-    f4 = 1/2 lam        ; coefficient of x^6: (1/2)*lam
+    ; coefficient of x^6: (1/2)*lam
+    f4 = 1/2 lam
 
     [run]
     order = 11
@@ -21,7 +22,8 @@ Every exact quantity crosses this boundary as an integer or ``p/q``
 string; decimal literals are rejected everywhere except the oracle
 section, whose numbers feed double-precision work anyway.  An ``fN``
 key gives the coefficient of ``x^(N+2)`` as a sum of monomials in the
-formal coupling: ``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``.
+formal coupling: ``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``,
+where ``RAT`` may carry its own sign, as in ``1 lam + +1/2 lam^2``.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ class RunConfig(NamedTuple):
 
 
 def _lam_poly(text: str) -> BiPoly:
-    """Coupling polynomial: monomials ``RAT [lam[^E]]`` joined by ``+``."""
+    """Coupling polynomial: monomials ``RAT [lam[^E]]`` joined by ``+``;
+    a joiner follows a term, so a ``+`` at the start or after a joiner is a sign."""
     poly = ZERO
-    for chunk in text.split("+"):
+    for chunk in re.split(r"(?<=[^\s+])\s*\+", text):
         parts = chunk.split()
         if not parts:
             raise ValueError(f"empty term in {text!r}")
@@ -77,7 +80,7 @@ def _lam_poly(text: str) -> BiPoly:
             deg = int(match.group(1) or 1)
         elif len(parts) > 2:
             raise ValueError(f"too many tokens in term {chunk!r}")
-        poly = poly + BiPoly.monomial(coeff, deg_lam=deg)
+        poly = poly + BiPoly({(0, deg): coeff})
     return poly
 
 
@@ -152,12 +155,13 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
     return values
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config file; diagnostics name section and key."""
+def parse_config(text: str, source: str = "<string>") -> RunConfig:
+    """Parse and validate a config file; diagnostics name section and key,
+    and a malformed file by ``source``, its path."""
     # no header spells "\n", so a [DEFAULT] section is an ordinary, unknown one
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
@@ -179,7 +183,7 @@ def parse_config(text: str) -> RunConfig:
                 f"the coefficient of x^{int(key[1:]) + 2}"
             )
     try:
-        potential = PotentialSpec.make(
+        potential = PotentialSpec(
             pot["m"], pot["omega"], {i: pot[key] for i, key in f_keys.items()}
         )
     except PotentialError as exc:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
 
@@ -79,8 +79,9 @@ class _PotentialFields(NamedTuple):
 class PotentialSpec(_PotentialFields):
     """Polynomial oscillator potential, all parameters exact.
 
-    ``terms`` holds the anharmonic part as pairs ``(i, f_i)`` where
-    ``f_i`` (a polynomial in ``lam`` only) multiplies ``x^(i+2)``.
+    ``terms`` holds the anharmonic part as pairs ``(i, f_i)``, given as
+    such or as a mapping ``{i: f_i}``, where ``f_i`` (a polynomial in
+    ``lam`` only) multiplies ``x^(i+2)``.
 
     Construction checks and canonicalizes, so every instance describes a
     simple quadratic minimum: m > 0 and omega > 0 as Fractions, each index
@@ -92,7 +93,7 @@ class PotentialSpec(_PotentialFields):
 
     __slots__ = ()
 
-    def __new__(cls, m: Scalar, omega: Scalar, terms: tuple = ()) -> PotentialSpec:
+    def __new__(cls, m: Scalar, omega: Scalar, terms: Mapping | Iterable = ()) -> PotentialSpec:
         m, omega = _as_fraction(m), _as_fraction(omega)
         if m <= 0:
             raise PotentialError(f"mass must be positive, got {m}")
@@ -102,7 +103,7 @@ class PotentialSpec(_PotentialFields):
                 "the potential needs a simple quadratic minimum"
             )
         polys: dict[int, BiPoly] = {}
-        for i, value in terms:
+        for i, value in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(i, int) or i < 1:
                 raise PotentialError(f"anharmonic index must be an integer >= 1, got {i}")
             if i in polys:
@@ -119,15 +120,6 @@ class PotentialSpec(_PotentialFields):
     def _make(cls, iterable) -> PotentialSpec:
         # ``_replace`` builds through ``_make``: check there too
         return cls(*iterable)
-
-    @staticmethod
-    def make(
-        m: Scalar,
-        omega: Scalar,
-        f: Mapping[int, BiPoly | Scalar] | None = None,
-    ) -> "PotentialSpec":
-        """Build a spec from a mapping of index to coefficient."""
-        return PotentialSpec(m, omega, tuple((f or {}).items()))
 
     def f(self, i: int) -> BiPoly:
         """Coefficient of x^(i+2); zero when absent."""

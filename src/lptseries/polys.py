@@ -135,10 +135,6 @@ class BiPoly:
         return cls({(0, 0): _as_fraction(value)})
 
     @classmethod
-    def monomial(cls, coeff: Scalar, deg_n: int = 0, deg_lam: int = 0) -> "BiPoly":
-        return cls({(deg_n, deg_lam): _as_fraction(coeff)})
-
-    @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "BiPoly":
         """Rebuild a polynomial from its machine-format term records."""
         return cls(
@@ -378,5 +374,5 @@ def _unpack(value: int, width: int) -> Iterator[tuple[int, int]]:
 
 ZERO = BiPoly()
 ONE = BiPoly.constant(1)
-N = BiPoly.monomial(1, deg_n=1)
-LAM = BiPoly.monomial(1, deg_lam=1)
+N = BiPoly({(1, 0): 1})
+LAM = BiPoly({(0, 1): 1})

@@ -18,9 +18,7 @@ def load_golden_energies() -> dict[int, BiPoly]:
         lam_power = int(entry["lam_power"])
         poly = ZERO
         for deg, coeff in entry["poly_n"].items():
-            poly = poly + BiPoly.monomial(
-                prefactor * parse_rational(coeff), deg_n=int(deg), deg_lam=lam_power
-            )
+            poly = poly + BiPoly({(int(deg), lam_power): prefactor * parse_rational(coeff)})
         out[int(order)] = poly
     return out
 
@@ -35,7 +33,7 @@ def sextic_spec():
     from lptseries.engine import PotentialSpec
     from lptseries.polys import LAM
 
-    return PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)})
+    return PotentialSpec(1, 1, {4: LAM * Fraction(1, 2)})
 
 
 @pytest.fixture(scope="session")

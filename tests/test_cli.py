@@ -557,6 +557,24 @@ class TestInvalidInput:
         code, _, err = run(capsys, "expand", "--config", tmp_path / "missing.ini")
         assert code == EXIT_INVALID
         assert "cannot read config" in err
+        # a file that is not UTF-8, or that configparser refuses, is named too
+        for data, why in [
+            (b"[potential]\nm = 1\nomega = 1\nf2 = 1 lam \xff\n",
+             "cannot read config {}: 'utf-8' codec can't decode byte 0xff in position 39"),
+            (b"[potential]\nm = 1\nomega = 1\n[potential]\nm = 2\n",
+             "malformed config: While reading from '{}' [line  4]: "
+             "section 'potential' already exists"),
+            (b"[potential]\nm = 1\nm = 2\nomega = 1\n",
+             "malformed config: While reading from '{}' [line  3]: "
+             "option 'm' in section 'potential' already exists"),
+            (b"m = 1\nomega = 1\n",
+             "malformed config: File contains no section headers.\nfile: '{}', line: 1"),
+        ]:
+            config = tmp_path / "bad.ini"
+            config.write_bytes(data)
+            code, out, err = run(capsys, "expand", "--config", config)
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err.startswith("error: " + why.format(config))
 
     # the flag and the config key meet the one order check, in expand
     @pytest.mark.parametrize("command", ["expand", "check", "verify"])
@@ -747,6 +765,23 @@ class TestProcessEntry:
                      ["verify", "--config", SEXTIC_INI]):
             assert main([str(a) for a in argv]) == EXIT_OK
         assert gc.get_freeze_count() == before
+
+    # files are read and written as UTF-8, whatever the locale's encoding
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--config", str(SEXTIC_INI), "--out", "{tmp}/out.json"],
+        ["check", "--config", str(SEXTIC_INI), "--golden", str(SEXTIC_GOLDEN)],
+    ], ids=["expand-out", "check-golden"])
+    def test_no_file_access_uses_the_locale_encoding(self, argv, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "lptseries", *(a.format(tmp=tmp_path) for a in argv)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        if argv[0] == "expand":
+            assert (tmp_path / "out.json").read_bytes() == SEXTIC_GOLDEN.read_bytes()
 
     def test_console_script_is_the_process_entry(self):
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -1,13 +1,18 @@
+import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from lptseries import config
 from lptseries.config import (
     ConfigError,
     OracleConfig,
     parse_config,
 )
 from lptseries.polys import LAM, BiPoly
+
+from conftest import GOLDEN_DIR
 
 SEXTIC_TEXT = """
 [potential]
@@ -58,6 +63,12 @@ class TestParse:
         )
         expected = BiPoly({(0, 0): Fraction(1, 3), (0, 2): Fraction(-2)})
         assert cfg.potential.f(2) == expected
+        # a term's rational carries its own sign, + as well as -; the joiner
+        # is only a + that follows a term
+        for signed, plain in [("+1 lam", "1 lam"), ("1/2 lam + +1 lam^2", "1/2 lam + 1 lam^2")]:
+            assert parse_config(f"[potential]\n{UNIT}f2 = {signed}\n") == parse_config(
+                f"[potential]\n{UNIT}f2 = {plain}\n"
+            )
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(ConfigError, match="potential.f4"):
@@ -161,4 +172,15 @@ class TestParse:
             parse_config("[potential]\nm = 1\nomega = 1\nf2 = 1/2 mu\n")
         with pytest.raises(ConfigError, match="too many"):
             parse_config("[potential]\nm = 1\nomega = 1\nf2 = 1/2 lam lam\n")
+        with pytest.raises(ConfigError, match=r"^potential\.f2: empty term in '1 lam \+'$"):
+            parse_config("[potential]\nm = 1\nomega = 1\nf2 = 1 lam +\n")
+
+    def test_docstring_example_is_the_sextic_golden(self):
+        # the indented block after the module docstring's "::", dedented
+        lines = config.__doc__.split("::\n", 1)[1].splitlines()
+        block = itertools.takewhile(lambda line: not line or line.startswith("    "), lines)
+        example = parse_config(textwrap.dedent("\n".join(block)))
+        golden = parse_config((GOLDEN_DIR / "sextic.ini").read_text(encoding="utf-8"))
+        fields = ("potential", "order", "oracle")
+        assert [getattr(example, f) for f in fields] == [getattr(golden, f) for f in fields]
 

@@ -111,13 +111,13 @@ def assert_check_names(monkeypatch, capsys, tmp_path, spec, table, series, row, 
 class TestEngineCrosscheck:
     @pytest.mark.parametrize("order", [2, 10, 20])
     def test_generic_recursion_restores_closed_form(self, order):
-        spec = PotentialSpec.make(1, 1)
+        spec = PotentialSpec(1, 1)
         table, _ = expand(spec, order)
         assert crosscheck_with_engine(table, table_residues(table, spec))
 
     @pytest.mark.parametrize("slot", [0, 3])
     def test_passed_table_with_one_corrupted_row_fails(self, monkeypatch, capsys, tmp_path, slot):
-        spec = PotentialSpec.make(1, 1)
+        spec = PotentialSpec(1, 1)
         table, series = expand(spec, 8)
         assert crosscheck_with_engine(table, table_residues(table, spec))
         add_to_cell(table, 5, slot, N)
@@ -125,7 +125,7 @@ class TestEngineCrosscheck:
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS)
     def test_rows_are_residues_scaled_by_m_omega(self, m, omega):
-        spec = PotentialSpec.make(m, omega)
+        spec = PotentialSpec(m, omega)
         table, _ = expand(spec, 12)
         assert crosscheck_with_engine(table, table_residues(table, spec))
         d = d_sequence(12)
@@ -137,15 +137,15 @@ class TestEngineCrosscheck:
     def test_corrupted_row_fails_at_any_m_and_omega(
         self, monkeypatch, capsys, tmp_path, m, omega, row, slot
     ):
-        spec = PotentialSpec.make(m, omega)
+        spec = PotentialSpec(m, omega)
         table, series = expand(spec, 12)
         add_to_cell(table, row, slot, N)
         assert_check_names(monkeypatch, capsys, tmp_path, spec, table, series, row, slot)
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS[1:])
     def test_table_of_another_oscillator_fails(self, m, omega):
-        unit_table, _ = expand(PotentialSpec.make(1, 1), 8)
-        residues = table_residues(unit_table, PotentialSpec.make(m, omega))
+        unit_table, _ = expand(PotentialSpec(1, 1), 8)
+        residues = table_residues(unit_table, PotentialSpec(m, omega))
         assert not crosscheck_with_engine(unit_table, residues)
 
     def test_anharmonic_rows_are_not_single_residues(self, sextic_expansion):

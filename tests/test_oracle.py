@@ -62,20 +62,20 @@ def norm_inf(h) -> float:
     return float(np.abs(dense(h)).sum(axis=1).max())
 
 
-QUARTIC = PotentialSpec.make(1, 1, {2: LAM})
+QUARTIC = PotentialSpec(1, 1, {2: LAM})
 
 
 def x_power_diagonal(m, omega, power, n_basis):
     """<n|x^power|n> for every n, read from H of the potential x^power (at
     lam = 1) less its oscillator diagonal omega * (n + 1/2)."""
-    spec = PotentialSpec.make(m, omega, {power - 2: LAM})
+    spec = PotentialSpec(m, omega, {power - 2: LAM})
     h = _hamiltonian_at(OracleProblem(spec, 1, n_basis, None, (0,)), n_basis)
     return [entry(h, n, n) - float(omega) * (n + 0.5) for n in range(n_basis)]
 
 
 class TestPositionMatrix:
     def test_exactly_symmetric(self):
-        spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3), {1: LAM, 2: LAM * LAM})
+        spec = PotentialSpec(Fraction(3, 2), Fraction(2, 3), {1: LAM, 2: LAM * LAM})
         problem = OracleProblem(spec, Fraction(1, 20), 25, 30, (0,))
         h = dense(_hamiltonian_at(problem, 25))
         assert np.array_equal(h, h.T)
@@ -92,7 +92,7 @@ class TestPositionMatrix:
 
 class TestHamiltonian:
     def test_harmonic_is_diagonal(self):
-        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 10, 14, (0,))
+        problem = OracleProblem(PotentialSpec(1, 1), 0, 10, 14, (0,))
         h = _hamiltonian_at(problem, problem.basis_size)
         assert h == [[i + 0.5] for i in range(10)]
 
@@ -104,15 +104,15 @@ class TestHamiltonian:
 
     def test_zero_coupling_reduces_to_harmonic(self, sextic_spec):
         free = OracleProblem(sextic_spec, 0, 12, 16, (0,))
-        harmonic = OracleProblem(PotentialSpec.make(1, 1), 0, 12, 16, (0,))
+        harmonic = OracleProblem(PotentialSpec(1, 1), 0, 12, 16, (0,))
         assert np.allclose(dense(_hamiltonian_at(free, free.basis_size)),
                            dense(_hamiltonian_at(harmonic, harmonic.basis_size)))
 
     def test_band_holds_the_truncated_dense_matrix_powers(self):
         """The leading n x n block of powers of a dense X with 2n states,
         which no walk from the block truncates: the operator's own block."""
-        spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3),
-                                  {1: LAM, 2: LAM * LAM, 4: LAM * Fraction(1, 7)})
+        spec = PotentialSpec(Fraction(3, 2), Fraction(2, 3),
+                             {1: LAM, 2: LAM * LAM, 4: LAM * Fraction(1, 7)})
         lam = Fraction(1, 20)
         n = 30
         problem = OracleProblem(spec, lam, n, 40, (0,))
@@ -128,10 +128,10 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("spec", [
         QUARTIC,
-        PotentialSpec.make(Fraction(3, 2), Fraction(2, 3),
-                           {1: LAM, 2: LAM * LAM, 4: LAM * Fraction(1, 7)}),
-        PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)}),
-        PotentialSpec.make(1, 1),
+        PotentialSpec(Fraction(3, 2), Fraction(2, 3),
+                      {1: LAM, 2: LAM * LAM, 4: LAM * Fraction(1, 7)}),
+        PotentialSpec(1, 1, {4: LAM * Fraction(1, 2)}),
+        PotentialSpec(1, 1),
     ], ids=["quartic", "cubic-quartic-sextic-m-omega", "sextic", "harmonic"])
     @pytest.mark.parametrize("n", [1, 7, 60, 61, 120])
     def test_a_smaller_basis_is_a_prefix_of_the_rows(self, spec, n):
@@ -140,7 +140,7 @@ class TestHamiltonian:
         assert np.array(_hamiltonian_at(problem, n)).tobytes() == np.array(full[:n]).tobytes()
 
     def test_direct_construction_is_checked(self):
-        args = dict(potential=PotentialSpec.make(1, 1), lam_value=0, levels=(0,))
+        args = dict(potential=PotentialSpec(1, 1), lam_value=0, levels=(0,))
         OracleProblem(basis_size=10, check_size=11, **args)
         with pytest.raises(ValueError, match="strictly larger"):
             OracleProblem(basis_size=10, check_size=10, **args)
@@ -152,13 +152,13 @@ class TestHamiltonian:
             OracleProblem(basis_size=10, check_size=11, **{**args, "levels": (-1,)})
 
     def test_replace_is_checked(self):
-        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 10, 11, (0,))
+        problem = OracleProblem(PotentialSpec(1, 1), 0, 10, 11, (0,))
         assert problem._replace(check_size=12).check_size == 12
         with pytest.raises(ValueError, match="strictly larger"):
             problem._replace(check_size=problem.basis_size)
 
     def test_check_size_defaults_from_the_basis_size(self):
-        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 60, None, (0,))
+        problem = OracleProblem(PotentialSpec(1, 1), 0, 60, None, (0,))
         assert problem.check_size == 80
         assert problem._replace(basis_size=300, check_size=None).check_size == 400
         with pytest.raises(ValueError, match=r"^check basis size 1066 exceeds the limit of 1000 "
@@ -171,7 +171,7 @@ class TestHamiltonian:
             problem._replace(basis_size=800, check_size=1066)
 
     def test_exact_inputs_stay_exact(self):
-        spec = PotentialSpec.make(Fraction(3, 2), Fraction(2, 3), {2: LAM})
+        spec = PotentialSpec(Fraction(3, 2), Fraction(2, 3), {2: LAM})
         problem = OracleProblem(spec, 1, 60, 80, [0, 2])
         assert problem.potential is spec
         assert problem.lam_value == 1 and isinstance(problem.lam_value, Fraction)
@@ -206,7 +206,7 @@ class TestJacobi:
             assert np.max(np.abs(mine - ref)) < 1e-11 * max(1.0, np.linalg.norm(a))
 
     def test_harmonic_spectrum_to_twelve_digits(self):
-        problem = OracleProblem(PotentialSpec.make(1, 1), 0, 40, 54, (0, 1, 2, 3))
+        problem = OracleProblem(PotentialSpec(1, 1), 0, 40, 54, (0, 1, 2, 3))
         vals, _ = lowest_eigenvalues(_hamiltonian_at(problem, problem.basis_size), 4)
         assert np.max(np.abs(np.array(vals) - (np.arange(4) + 0.5))) < 1e-12
 
@@ -224,10 +224,10 @@ class TestLapack:
     the Jacobi sweep's values and the Jacobi-era literals."""
 
     @pytest.mark.parametrize("spec, lam, basis", [
-        (PotentialSpec.make(1, 1), 0, 40),
-        (PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 1000), 60),
+        (PotentialSpec(1, 1), 0, 40),
+        (PotentialSpec(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 1000), 60),
         (QUARTIC, Fraction(1, 100), 120),
-        (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 20), 60),
+        (PotentialSpec(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 20), 60),
     ], ids=["harmonic", "sextic", "quartic", "cubic-quartic"])
     def test_agrees_with_jacobi_on_oracle_hamiltonians(self, spec, lam, basis):
         problem = OracleProblem(spec, lam, basis, basis + 20, (0, 1, 2, 3))
@@ -248,22 +248,22 @@ class TestBandSolver:
     eps * ||H||_inf, the scale the Sturm counts certify to."""
 
     @pytest.mark.parametrize("spec, lam, basis", [
-        (PotentialSpec.make(1, 1), 0, 40),
+        (PotentialSpec(1, 1), 0, 40),
         (QUARTIC, Fraction(1, 100), 120),
         (QUARTIC, Fraction(1, 100), 160),
-        (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 24),
-        (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 48),
-        (PotentialSpec.make(1, 1, {4: LAM}), 1, 24),
-        (PotentialSpec.make(1, 1, {4: LAM}), 1, 48),
-        (PotentialSpec.make(Fraction(3, 2), Fraction(2, 3), {1: LAM, 2: LAM * LAM}),
+        (PotentialSpec(1, 1, {4: LAM}), Fraction(1, 1000), 24),
+        (PotentialSpec(1, 1, {4: LAM}), Fraction(1, 1000), 48),
+        (PotentialSpec(1, 1, {4: LAM}), 1, 24),
+        (PotentialSpec(1, 1, {4: LAM}), 1, 48),
+        (PotentialSpec(Fraction(3, 2), Fraction(2, 3), {1: LAM, 2: LAM * LAM}),
          Fraction(1, 20), 80),
         # the x^3 term outweighs the x^4 one, so the basis holds a deep second
         # well: the lowest levels are far below zero and no |k> is near them
-        (PotentialSpec.make(1, 1, {1: 3 * LAM, 2: LAM * LAM}), Fraction(1, 10), 80),
-        (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), 0, 30),
+        (PotentialSpec(1, 1, {1: 3 * LAM, 2: LAM * LAM}), Fraction(1, 10), 80),
+        (PotentialSpec(1, 1, {1: LAM, 2: LAM * LAM}), 0, 30),
         # odd sizes: the even-state block is one state larger than the odd one
         (QUARTIC, Fraction(1, 100), 121),
-        (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 25),
+        (PotentialSpec(1, 1, {4: LAM}), Fraction(1, 1000), 25),
         (QUARTIC, Fraction(1, 100), 7),
     ], ids=["harmonic", "quartic-120", "quartic-160", "sextic-24", "sextic-48",
             "sextic-strong-24", "sextic-strong-48", "cubic-quartic-m-omega",
@@ -329,12 +329,12 @@ def assert_lowest_levels(values, h):
 GATES = [
     (QUARTIC, Fraction(1, 100), 120, 160),
     (QUARTIC, Fraction(1, 100), 61, 80),
-    (PotentialSpec.make(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 100), 60, 80),
-    (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 1000), 60, 81),
+    (PotentialSpec(1, 1, {1: LAM, 2: LAM * LAM}), Fraction(1, 100), 60, 80),
+    (PotentialSpec(1, 1, {4: LAM}), Fraction(1, 1000), 60, 81),
 ]
 GATE_IDS = ["quartic-120-160", "quartic-61-80", "cubic-quartic-60-80", "sextic-60-81"]
 # a gate where the iteration misses level 5 from |5> at both sizes
-BISECTED_GATE = (PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 50), 120, 160)
+BISECTED_GATE = (PotentialSpec(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 50), 120, 160)
 SEXTIC_BISECTED = OracleProblem(*BISECTED_GATE, tuple(range(6)))
 
 
@@ -534,7 +534,7 @@ class TestUnboundedBelow:
             "quartic-cancels"])
     def test_refused_naming_the_term(self, terms, lam, term):
         with pytest.raises(ValueError, match=rf"unbounded below .*: its highest term is {re.escape(term)}$"):
-            OracleProblem(PotentialSpec.make(1, 1, terms), lam, 60, None, (0,))
+            OracleProblem(PotentialSpec(1, 1, terms), lam, 60, None, (0,))
 
     @pytest.mark.parametrize("terms, lam", [
         ({1: LAM, 2: LAM * LAM}, Fraction(1, 20)),
@@ -543,12 +543,12 @@ class TestUnboundedBelow:
         ({}, 1),
     ], ids=["cubic-quartic", "sextic-at-negative-coupling", "cubic-at-zero", "harmonic"])
     def test_bounded_potentials_pass(self, terms, lam):
-        OracleProblem(PotentialSpec.make(1, 1, terms), lam, 60, None, (0,))
+        OracleProblem(PotentialSpec(1, 1, terms), lam, 60, None, (0,))
 
     def test_no_construction_skips_the_check(self):
         # the record is the only way to a problem: built directly with both
         # sizes, or with its potential replaced, a pure cubic is refused
-        cubic = PotentialSpec.make(1, 1, {1: LAM})
+        cubic = PotentialSpec(1, 1, {1: LAM})
         with pytest.raises(ValueError, match="unbounded below"):
             OracleProblem(cubic, Fraction(1, 100), 60, 80, (0,))
         quartic = OracleProblem(QUARTIC, Fraction(1, 100), 60, 80, (0,))
@@ -576,7 +576,7 @@ class TestDoubleRange:
     ], ids=["huge-m", "tiny-m", "huge-omega", "tiny-omega", "huge-lam", "tiny-lam",
             "huge-coefficient", "tiny-coefficient"])
     def test_refused_naming_the_quantity(self, m, omega, terms, lam, message):
-        spec = PotentialSpec.make(m, omega, terms)
+        spec = PotentialSpec(m, omega, terms)
         outside = rf"^{re.escape(message)} is outside the range of a double$"
         with pytest.raises(ValueError, match=outside):
             OracleProblem(spec, lam, 60, None, (0,))
@@ -602,10 +602,10 @@ class TestDoubleRange:
 
     def test_largest_and_smallest_doubles_pass(self):
         big, tiny = Fraction(sys.float_info.max), Fraction(sys.float_info.min)
-        OracleProblem(PotentialSpec.make(big, tiny, {2: LAM}), tiny, 60, None, (0,))
-        OracleProblem(PotentialSpec.make(tiny, big, {2: LAM}), big, 60, None, (0,))
+        OracleProblem(PotentialSpec(big, tiny, {2: LAM}), tiny, 60, None, (0,))
+        OracleProblem(PotentialSpec(tiny, big, {2: LAM}), big, 60, None, (0,))
         # an exact zero is a double
-        OracleProblem(PotentialSpec.make(1, 1, {1: LAM}), 0, 60, None, (0,))
+        OracleProblem(PotentialSpec(1, 1, {1: LAM}), 0, 60, None, (0,))
 
 
 class TestMatrixElements:
@@ -626,10 +626,10 @@ class TestConvergenceGate:
     # at these sizes the iteration misses some level, which bisection finds
     # and the polish makes as accurate as the iteration's own levels
     @pytest.mark.parametrize("spec, lam, basis, check", [
-        (PotentialSpec.make(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 50), 120, 160),
+        (PotentialSpec(1, 1, {4: LAM * Fraction(1, 2)}), Fraction(1, 50), 120, 160),
         (QUARTIC, Fraction(1), 120, 400),
-        (PotentialSpec.make(1, 1, {4: LAM}), Fraction(1, 20), 120, 160),
-        (PotentialSpec.make(1, 1, {1: LAM * Fraction(1, 2), 2: LAM}), Fraction(1, 2), 120, 400),
+        (PotentialSpec(1, 1, {4: LAM}), Fraction(1, 20), 120, 160),
+        (PotentialSpec(1, 1, {1: LAM * Fraction(1, 2), 2: LAM}), Fraction(1, 2), 120, 400),
     ], ids=["sextic-half", "quartic-strong", "sextic-one", "cubic-quartic-half"])
     def test_converged_basis_passes_where_bisection_runs(self, spec, lam, basis, check):
         problem = OracleProblem(spec, lam, basis, check, tuple(range(6)))
@@ -682,7 +682,7 @@ class TestOptimalTruncation:
 
 class TestCompareSeries:
     def test_harmonic_agreement_is_machine_level(self):
-        spec = PotentialSpec.make(1, 1)
+        spec = PotentialSpec(1, 1)
         _, series = expand(spec, 5)
         problem = OracleProblem(spec, 0, 40, 54, (0, 1, 2, 3))
         report = compare_series(series, problem)

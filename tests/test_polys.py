@@ -62,7 +62,7 @@ class TestBiPolyBasics:
         assert (N + HALF) * ZERO == ZERO
         # (2n + 5) * (lam/4) = (lam/2) n + (5/4) lam
         left = 2 * N + 5
-        right = BiPoly.monomial(Fraction(1, 4), deg_lam=1)
+        right = BiPoly({(0, 1): Fraction(1, 4)})
         assert left * right == BiPoly({(1, 1): HALF, (0, 1): Fraction(5, 4)})
 
     def test_scale_div_examples(self):
@@ -86,7 +86,7 @@ class TestBiPolyBasics:
         assert third_order.evaluate(0, 1) == Fraction(15, 16)
         assert (N * N).evaluate(3, 7) == 9
         # a sparse high degree costs its own terms' powers, not every lower one
-        assert BiPoly.monomial(1, deg_lam=10000).evaluate(0, Fraction(1, 100)) == Fraction(
+        assert BiPoly({(0, 10000): 1}).evaluate(0, Fraction(1, 100)) == Fraction(
             1, 100**10000)
         sparse = BiPoly({(0, 0): Fraction(1), (3, 20000): HALF})
         assert sparse.evaluate(2, Fraction(-1, 10)) == 1 + Fraction(4, 10**20000)
@@ -294,7 +294,7 @@ class TestScalarLayer:
         packed = x._packs[64]
         assert BiPoly.dot([(x, ONE), (x, x)]) == narrow + x
         assert x._packs[64] is packed
-        huge = BiPoly.monomial(Fraction(2**300 + 1, 9), deg_n=1, deg_lam=2)
+        huge = BiPoly({(1, 2): Fraction(2**300 + 1, 9)})
         wide = BiPoly.dot([(x, huge), (x, x)])
         assert len(x._packs) == 2 and max(x._packs) > 64
         assert fraction_terms(wide) == reference_dot([(x, huge), (x, x)])
