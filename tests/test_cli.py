@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from lptseries import cli, engine, harmonic, oracle
-from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main, render_machine
+from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main
 from lptseries.config import parse_config
 from lptseries.engine import expand
 from lptseries.polys import LAM, N, BiPoly
@@ -18,17 +19,28 @@ from conftest import GOLDEN_DIR, add_to_cell
 
 SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
-ODDDEN_INI = GOLDEN_DIR / "oddden.ini"
-ODDDEN_GOLDEN = GOLDEN_DIR / "oddden_k8_machine.json"
-MULTILAM_INI = GOLDEN_DIR / "multilam.ini"
-MULTILAM_GOLDEN = GOLDEN_DIR / "multilam_k8_machine.json"
-LATTICE_GOLDENS = [(GOLDEN_DIR / "quartic.ini", GOLDEN_DIR / "quartic_k16_machine.json"),
-                   (GOLDEN_DIR / "quintic.ini", GOLDEN_DIR / "quintic_k10_machine.json"),
-                   (GOLDEN_DIR / "quartsext.ini", GOLDEN_DIR / "quartsext_k10_machine.json")]
-LATTICE_IDS = ["quartic-k16", "quintic-k10", "quartsext-k10"]
 
 QUARTIC_INI = "[potential]\nm = 1\nomega = 1\nf2 = 1 lam\n\n[run]\norder = 11\n"
 HARMONIC_INI = "[potential]\nm = 2\nomega = 3/5\n\n[run]\norder = 6\n"
+
+# the directory the package was imported from: src/ in a checkout, the
+# installed copy's site-packages otherwise; child interpreters import it too
+PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
+
+
+def child_env(*first) -> dict[str, str]:
+    """This process's environment, with a ``PYTHONPATH`` on which a child
+    interpreter finds the package in `PACKAGE_ROOT`, after the directories
+    ``first``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*first, PACKAGE_ROOT)))}
+
+
+def golden_cases():
+    """Each golden: a config ``<name>.ini`` and the machine document its
+    expansion prints, ``<name>_k<K>_machine.json``, K being its order."""
+    for golden in sorted(GOLDEN_DIR.glob("*_k*_machine.json")):
+        name, order = re.fullmatch(r"(.+)_k(\d+)_machine\.json", golden.name).groups()
+        yield pytest.param(GOLDEN_DIR / f"{name}.ini", golden, int(order), id=f"{name}-k{order}")
 
 
 def run(capsys, *argv):
@@ -92,66 +104,39 @@ class TestExpand:
             else:
                 assert out.splitlines()[-1] == f"  E4 = {e4}"
 
-    def test_machine_matches_the_golden_file(self, capsys, tmp_path):
+
+class TestGoldens:
+    """Every golden in tests/golden/ is reproduced byte for byte and passes
+    ``check``; a new golden needs only its two files.  Besides the sextic,
+    the quartic (K = 16), quintic and quartic-plus-sextic goldens step the
+    index lattice by g = 2, 3 and 2, the last from two terms."""
+
+    @pytest.mark.parametrize("ini, golden, order", golden_cases())
+    def test_expand_writes_the_file(self, capsys, tmp_path, ini, golden, order):
+        assert parse_config(ini.read_text()).order == order
         out_path = tmp_path / "out.json"
-        code, out, _ = run(capsys, "expand", "--config", SEXTIC_INI, "--out", out_path)
-        assert code == EXIT_OK and out == ""
-        assert out_path.read_text() == SEXTIC_GOLDEN.read_text()
+        code, out, err = run(capsys, "expand", "--config", ini, "--out", out_path)
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert out_path.read_bytes() == golden.read_bytes()
 
-
-class TestOddDenominatorGolden:
-    """Golden with factors of 3 and 5 in m, omega and the couplings."""
-
-    def test_render_machine_reproduces_the_file(self):
-        cfg = parse_config(ODDDEN_INI.read_text())
-        _, series = expand(cfg.potential, cfg.order)
-        text = render_machine(cfg, series)
-        assert text == ODDDEN_GOLDEN.read_text()
-        assert "/13107200000000000000" in text
-
-    def test_check_against_it_passes(self, capsys):
-        code, out, _ = run(capsys, "check", "--config", ODDDEN_INI, "--golden", ODDDEN_GOLDEN)
-        assert code == EXIT_OK
-        assert "golden-comparison: PASS" in out.splitlines()
-
-
-class TestMultiLambdaGolden:
-    """Golden whose table cells mix several powers of lam (f2 = lam + 2/5 lam^2),
-    so the kernel packs operands with more than one lam degree."""
-
-    def test_render_machine_reproduces_the_file(self):
-        cfg = parse_config(MULTILAM_INI.read_text())
-        table, series = expand(cfg.potential, cfg.order)
-        assert render_machine(cfg, series) == MULTILAM_GOLDEN.read_text()
-        assert max(len({dl for _, dl, _ in cell.terms_sorted()})
-                   for row in table.rows for cell in row) >= 7
-
-    def test_check_against_it_passes(self, capsys):
-        code, out, _ = run(capsys, "check", "--config", MULTILAM_INI,
-                           "--golden", MULTILAM_GOLDEN)
+    @pytest.mark.parametrize("ini, golden, order", golden_cases())
+    def test_check_against_it_passes(self, capsys, ini, golden, order):
+        code, out, _ = run(capsys, "check", "--config", ini, "--golden", golden)
         assert code == EXIT_OK
         assert out.splitlines() == ["power-identity: PASS", "residue-slots: PASS",
                                     "lattice-cells: PASS", "golden-comparison: PASS"]
 
+    def test_oddden_reaches_odd_denominators(self):
+        """m, omega and the couplings carry factors of 3 and 5."""
+        assert "/13107200000000000000" in (GOLDEN_DIR / "oddden_k8_machine.json").read_text()
 
-class TestLatticeGoldens:
-    """Goldens whose cells step the index lattice by g = 2, 3 and 2 from
-    two terms: the quartic at K = 16, the quintic x^5 term at K = 10, whose
-    E_k vanish unless k = 1 mod 3, and the quartic plus a sextic term."""
-
-    @pytest.mark.parametrize("ini, golden", LATTICE_GOLDENS, ids=LATTICE_IDS)
-    def test_render_machine_reproduces_the_file(self, ini, golden):
-        cfg = parse_config(ini.read_text())
-        _, series = expand(cfg.potential, cfg.order)
-        assert render_machine(cfg, series) == golden.read_text()
-
-    @pytest.mark.parametrize("ini, golden", LATTICE_GOLDENS, ids=LATTICE_IDS)
-    def test_check_against_it_passes(self, capsys, ini, golden):
-        code, out, _ = run(capsys, "check", "--config", ini, "--golden", golden)
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "power-identity: PASS"
-        assert out.splitlines()[-1] == "golden-comparison: PASS"
-        assert "FAIL" not in out
+    def test_multilam_cells_mix_powers_of_lam(self):
+        """f2 = lam + 2/5 lam^2, so the kernel packs operands with more
+        than one lam degree."""
+        cfg = parse_config((GOLDEN_DIR / "multilam.ini").read_text())
+        table, _ = expand(cfg.potential, cfg.order)
+        assert max(len({dl for _, dl, _ in cell.terms_sorted()})
+                   for row in table.cells for cell in row.values()) >= 7
 
 
 class TestCheck:
@@ -161,11 +146,6 @@ class TestCheck:
         assert out.splitlines() == [
             "power-identity: PASS", "residue-slots: PASS", "lattice-cells: PASS",
         ]
-
-    def test_matching_golden(self, capsys):
-        code, out, _ = run(capsys, "check", "--config", SEXTIC_INI, "--golden", SEXTIC_GOLDEN)
-        assert code == EXIT_OK
-        assert out.splitlines()[-1] == "golden-comparison: PASS"
 
     def check_golden(self, capsys, tmp_path, golden, config=SEXTIC_INI):
         return run(capsys, "check", "--config", config, "--golden", write_golden(tmp_path, golden))
@@ -495,7 +475,8 @@ class TestVerify:
     # exact inputs that no double holds: refused before expanding (exit 2),
     # or, where only a series term is out of range, reported like any other
     # breakdown (exit 1); never a traceback.  A sparse high power of lam is
-    # refused as promptly as the rest: 1/100^20000 costs its own powers only
+    # refused as promptly as the rest: 1/100^20000 costs its own powers only,
+    # and 1/100^400000 only the digits its message prints
     @pytest.mark.parametrize("m, f2, lam, code, message", [
         ("1", "1 lam", "1" + "0" * 400, EXIT_INVALID,
          "error: lam = 1e+400 is outside the range of a double\n"),
@@ -505,15 +486,21 @@ class TestVerify:
          "error: m = 1e-400 is outside the range of a double\n"),
         ("1", "1 lam^20000", "1/100", EXIT_INVALID,
          "error: the x^4 coefficient = 1e-40000 is outside the range of a double\n"),
+        ("1", "1 lam^400000", "1/100", EXIT_INVALID,
+         "error: the x^4 coefficient = 1e-800000 is outside the range of a double\n"),
         ("1/1" + "0" * 300, "1 lam", "1/100", EXIT_FAIL,
          "verification rejected: first two nonzero series terms do not decrease "
          "(|0.5| then |7.5e+597|): the coupling is too large for an asymptotic partial sum\n"),
-    ], ids=["huge-lambda", "huge-m", "tiny-m", "sparse-lambda-power", "term-beyond-a-double"])
+    ], ids=["huge-lambda", "huge-m", "tiny-m", "sparse-lambda-power", "sparser-lambda-power",
+            "term-beyond-a-double"])
     def test_exact_inputs_beyond_a_double(self, capsys, tmp_path, m, f2, lam, code, message):
         config = tmp_path / "quartic.ini"
         config.write_text(QUARTIC_INI.replace("m = 1", f"m = {m}").replace("1 lam", f2)
                           + f"\n[oracle]\nlambda = {lam}\nbasis = 60\n")
+        start = time.perf_counter()
         got, out, err = run(capsys, "verify", "--config", config)
+        if "lam^" in f2:  # the sparse powers, refused within seconds
+            assert time.perf_counter() - start < 5
         assert got == code
         assert (out, err) == (("", message) if code == EXIT_INVALID else (message, ""))
 
@@ -667,10 +654,10 @@ class TestOutputThatCannotBeWritten:
 
     @staticmethod
     def run_module(command, stdout, unbuffered=False):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         return subprocess.run(
             [sys.executable, "-m", "lptseries", command, "--config", str(SEXTIC_INI)],
             stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
@@ -714,10 +701,8 @@ class TestVersion:
         assert capsys.readouterr().out == f"{declared}\n"
 
     def test_module_entry_point(self):
-        src = Path(cli.__file__).resolve().parents[1]
         result = subprocess.run(
-            [sys.executable, "-m", "lptseries", "--version"],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            [sys.executable, "-m", "lptseries", "--version"], env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, f"{cli.__version__}\n", "")
@@ -744,10 +729,8 @@ class TestProcessEntry:
     def test_module_entry_freezes_the_heap_and_prints_what_main_prints(
             self, argv, tmp_path, capsys):
         (tmp_path / "sitecustomize.py").write_text(self.PROBE)
-        src = Path(cli.__file__).resolve().parents[1]
         result = subprocess.run(
-            [sys.executable, "-m", "lptseries", *argv],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])},
+            [sys.executable, "-m", "lptseries", *argv], env=child_env(tmp_path),
             capture_output=True, text=True, timeout=120,
         )
         try:
@@ -772,11 +755,10 @@ class TestProcessEntry:
         ["check", "--config", str(SEXTIC_INI), "--golden", str(SEXTIC_GOLDEN)],
     ], ids=["expand-out", "check-golden"])
     def test_no_file_access_uses_the_locale_encoding(self, argv, tmp_path):
-        src = Path(cli.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "lptseries", *(a.format(tmp=tmp_path) for a in argv)],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert (result.returncode, result.stderr) == (0, "")
@@ -817,11 +799,9 @@ class TestNumpyImport:
     @staticmethod
     def run_fresh(script: str, *argv) -> list[list[str]]:
         """Each line ``script`` prints, split into words."""
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
         result = subprocess.run(
             [sys.executable, "-c", script, *map(str, argv)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
         return [line.split() for line in result.stdout.splitlines()]
