@@ -280,8 +280,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     # below, a quantity no double holds, a bad [oracle] section) is refused
     # before the expansion
     problem = oracle.OracleProblem(cfg.potential, *cfg.oracle)
-    _, series = expand(cfg.potential, cfg.order)
     try:
+        oracle.refuse_from_the_head(problem, cfg.order)
+        _, series = expand(cfg.potential, cfg.order)
         report = oracle.compare_series(series, problem)
     except oracle.AsymptoticBreakdown as exc:
         _emit(f"verification rejected: {exc}\n", args)

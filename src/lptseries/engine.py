@@ -146,9 +146,9 @@ class CTable:
     the benchmark's tracer alone.
     """
 
-    def __init__(self, order: int, cells: list[dict[int, BiPoly]] | None = None) -> None:
+    def __init__(self, order: int) -> None:
         self.order = order
-        self.cells = [] if cells is None else cells
+        self.cells: list[dict[int, BiPoly]] = []
 
     @property
     def i_max(self) -> int:
@@ -231,10 +231,9 @@ def c0_row(spec: PotentialSpec, i_max: int) -> dict[int, BiPoly]:
     return _row(0, [], spec, i_max)
 
 
-def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> CTable:
+def laurent_row(k: int, table: CTable, spec: PotentialSpec) -> None:
     """Append row k >= 1 to the table's ``cells``, which hold rows 0..k-1."""
     table.cells.append(_row(k, table.cells, spec, table.i_max))
-    return table
 
 
 def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:

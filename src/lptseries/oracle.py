@@ -55,7 +55,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import EnergySeries, PotentialSpec, evaluate_energy
+from .engine import MAX_ORDER, EnergySeries, PotentialSpec, evaluate_energy, expand
 from .polys import _as_fraction
 
 if TYPE_CHECKING:
@@ -551,6 +551,24 @@ def optimal_truncation(terms: list[Fraction]) -> tuple[int, Fraction]:
         )
     k_star, smallest = min(nonzero, key=lambda pair: (abs(pair[1]), pair[0]))
     return k_star, smallest
+
+
+def refuse_from_the_head(problem: OracleProblem, order: int) -> None:
+    """Raise the breakdown `compare_series` would find in the series to
+    ``order`` where the series' head already shows it.  The head runs to
+    the first k >= 2 whose residue slot 2k-2 is on the lattice (E_k is zero
+    before it); the levels are taken in order up to the first that the head
+    sums in full, with no omitted term.  An order that `expand` refuses, or
+    that the head would reach, is left to the full series."""
+    spec = problem.potential
+    orders = range(2, order if order <= MAX_ORDER else 0)
+    head = next((k for k in orders if 2 * k - 2 in spec.lattice(2 * k - 2)), None)
+    if head is None:
+        return
+    series = expand(spec, head)[1]
+    for level in problem.levels:
+        if not optimal_truncation(evaluate_energy(series, level, problem.lam_value))[1]:
+            return
 
 
 def compare_series(series: EnergySeries, problem: OracleProblem) -> OracleReport:

@@ -94,14 +94,10 @@ class BiPoly:
 
     __slots__ = ("_terms", "_den", "_packs", "_slot_bits")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | Iterable = ()):
-        clean: dict[tuple[int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (deg_n, deg_lam), coeff in items:
-            if deg_n < 0 or deg_lam < 0:
-                raise ValueError(f"negative exponent in term {(deg_n, deg_lam)}")
-            key = (int(deg_n), int(deg_lam))
-            clean[key] = clean.get(key, Fraction(0)) + _as_fraction(coeff)
+    def __init__(self, terms: Mapping[tuple[int, int], Scalar]):
+        if negative := [key for key in terms if min(key) < 0]:
+            raise ValueError(f"negative exponent in term {negative[0]}")
+        clean = {(int(dn), int(dl)): _as_fraction(c) for (dn, dl), c in terms.items()}
         den = lcm(*(c.denominator for c in clean.values()))
         self._terms = {
             key: c.numerator * (den // c.denominator) for key, c in clean.items() if c
@@ -133,14 +129,6 @@ class BiPoly:
         if type(value) is int:  # the engine's per-cell weights: skip the Fraction round trip
             return BiPoly._raw({(0, 0): value} if value else {}, 1)
         return cls({(0, 0): _as_fraction(value)})
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping]) -> "BiPoly":
-        """Rebuild a polynomial from its machine-format term records."""
-        return cls(
-            ((int(r["deg_n"]), int(r["deg_lam"])), parse_rational(str(r["coeff"])))
-            for r in records
-        )
 
     # -- coercion helper ------------------------------------------------
 
@@ -243,9 +231,6 @@ class BiPoly:
         total = sum(num * a**i * b ** (top_n - i) * p**j * q ** (top_lam - j)
                     for (i, j), num in self._terms.items())
         return Fraction(total, self._den * b**top_n * q**top_lam)
-
-    def coefficient(self, deg_n: int, deg_lam: int) -> Fraction:
-        return Fraction(self._terms.get((deg_n, deg_lam), 0), self._den)
 
     def terms_sorted(self) -> list[tuple[int, int, Fraction]]:
         """Terms as ``(deg_n, deg_lam, coeff)``, ascending exponent order."""
@@ -372,7 +357,7 @@ def _unpack(value: int, width: int) -> Iterator[tuple[int, int]]:
             yield deg_n, num
 
 
-ZERO = BiPoly()
+ZERO = BiPoly({})
 ONE = BiPoly.constant(1)
 N = BiPoly({(1, 0): 1})
 LAM = BiPoly({(0, 1): 1})

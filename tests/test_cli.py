@@ -1,10 +1,12 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
 
 QUARTIC_INI = "[potential]\nm = 1\nomega = 1\nf2 = 1 lam\n\n[run]\norder = 11\n"
 HARMONIC_INI = "[potential]\nm = 2\nomega = 3/5\n\n[run]\norder = 6\n"
+HALF = Fraction(1, 2)
 
 # the directory the package was imported from: src/ in a checkout, the
 # installed copy's site-packages otherwise; child interpreters import it too
@@ -41,6 +44,17 @@ def golden_cases():
     for golden in sorted(GOLDEN_DIR.glob("*_k*_machine.json")):
         name, order = re.fullmatch(r"(.+)_k(\d+)_machine\.json", golden.name).groups()
         yield pytest.param(GOLDEN_DIR / f"{name}.ini", golden, int(order), id=f"{name}-k{order}")
+
+
+def has_nu_parity(k: int, energy: BiPoly) -> bool:
+    """Whether E_k, written in nu = n + 1/2, holds only the powers nu^k,
+    nu^(k-2), ...: E is a series in hbar^2 at fixed hbar * nu."""
+    in_nu: dict[tuple[int, int], Fraction] = {}
+    for deg_n, deg_lam, coeff in energy.terms_sorted():
+        for p in range(deg_n + 1):  # n^deg_n = (nu - 1/2)^deg_n
+            key = (p, deg_lam)
+            in_nu[key] = in_nu.get(key, 0) + coeff * math.comb(deg_n, p) * (-HALF) ** (deg_n - p)
+    return all(p <= k and (k - p) % 2 == 0 for (p, _), coeff in in_nu.items() if coeff)
 
 
 def run(capsys, *argv):
@@ -93,14 +107,14 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--config", config, "--format", fmt)
         assert (code, err, get_digit_cap()) == (EXIT_OK, "", cap)
         e4 = expand(parse_config(config.read_text()).potential, 4)[1].e[4]
-        with cli._every_digit():  # to read the digits back
-            assert max(len(record["coeff"]) for record in e4.to_records()) > 6000
+        with cli._every_digit():  # to write the digits out
+            records = e4.to_records()
+            assert max(len(record["coeff"]) for record in records) > 6000
             if fmt == "csv":
-                rows = [line.split(",") for line in out.splitlines()[1:]]
-                assert BiPoly.from_records({"deg_n": dn, "deg_lam": dl, "coeff": c}
-                                           for k, dn, dl, c in rows if k == "4") == e4
+                assert [line for line in out.splitlines() if line.startswith("4,")] == [
+                    f"4,{r['deg_n']},{r['deg_lam']},{r['coeff']}" for r in records]
             elif fmt == "machine":
-                assert BiPoly.from_records(json.loads(out)["energies"][3]["terms"]) == e4
+                assert json.loads(out)["energies"][3]["terms"] == records
             else:
                 assert out.splitlines()[-1] == f"  E4 = {e4}"
 
@@ -125,6 +139,15 @@ class TestGoldens:
         assert code == EXIT_OK
         assert out.splitlines() == ["power-identity: PASS", "residue-slots: PASS",
                                     "lattice-cells: PASS", "golden-comparison: PASS"]
+
+    @pytest.mark.parametrize("ini, golden, order", golden_cases())
+    def test_energies_have_nu_parity(self, ini, golden, order):
+        series = expand(parse_config(ini.read_text()).potential, order)[1]
+        assert all(has_nu_parity(k, series.e[k]) for k in range(1, order + 1))
+
+    def test_an_energy_off_nu_parity_is_told(self, sextic_expansion):
+        series = sextic_expansion[1]
+        assert has_nu_parity(3, series.e[3]) and not has_nu_parity(3, series.e[3] + N)
 
     def test_oddden_reaches_odd_denominators(self):
         """m, omega and the couplings carry factors of 3 and 5."""
@@ -428,6 +451,16 @@ class TestVerify:
             "(|0.5| then |0.75|): the coupling is too large for an asymptotic partial sum\n"
         )
 
+    def test_breakdown_past_the_head_keeps_its_level_order(self, capsys, tmp_path):
+        # E_2 vanishes at level 0 alone: level 1 breaks down within the first
+        # two orders, level 0 only at E_3, and level 0 is reported first
+        config = tmp_path / "cubic-quartic.ini"
+        config.write_text("[potential]\nm = 1\nomega = 1\nf1 = 1 lam\nf2 = 11/6 lam^2\n"
+                          "\n[run]\norder = 8\n\n[oracle]\nlambda = 1\nlevels = 0, 1\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert "(|0.5| then |15.8333|)" in out
+
     def test_order_too_short_to_truncate(self, capsys):
         code, out, err = run(capsys, "verify", "--config", SEXTIC_INI, "--order", 2)
         assert code == EXIT_INVALID and out == ""
@@ -474,9 +507,9 @@ class TestVerify:
 
     # exact inputs that no double holds: refused before expanding (exit 2),
     # or, where only a series term is out of range, reported like any other
-    # breakdown (exit 1); never a traceback.  A sparse high power of lam is
-    # refused as promptly as the rest: 1/100^20000 costs its own powers only,
-    # and 1/100^400000 only the digits its message prints
+    # breakdown (exit 1); never a traceback.  Each is refused within seconds:
+    # 1/100^20000 costs its own powers only, 1/100^400000 only the digits its
+    # message prints, and the term past a double only the series' head
     @pytest.mark.parametrize("m, f2, lam, code, message", [
         ("1", "1 lam", "1" + "0" * 400, EXIT_INVALID,
          "error: lam = 1e+400 is outside the range of a double\n"),
@@ -499,8 +532,7 @@ class TestVerify:
                           + f"\n[oracle]\nlambda = {lam}\nbasis = 60\n")
         start = time.perf_counter()
         got, out, err = run(capsys, "verify", "--config", config)
-        if "lam^" in f2:  # the sparse powers, refused within seconds
-            assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 5
         assert got == code
         assert (out, err) == (("", message) if code == EXIT_INVALID else (message, ""))
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -147,7 +148,8 @@ class TestLeadingRow:
 class TestLaurentRows:
     def test_harmonic_first_row(self):
         spec = PotentialSpec(1, 1)
-        table = CTable(order=2, cells=[c0_row(spec, 2)])
+        table = CTable(order=2)
+        table.cells.append(c0_row(spec, 2))
         laurent_row(1, table, spec)
         assert table.rows[1][0] == N
         assert all(not table.rows[1][i] for i in (1, 2))
@@ -155,14 +157,16 @@ class TestLaurentRows:
     def test_sextic_first_row_quintic_slot(self):
         # single recursion step gives C[1][4] = -lam (2n + 5) / 4
         spec = PotentialSpec(1, 1, {4: LAM * HALF})
-        table = CTable(order=3, cells=[c0_row(spec, 4)])
+        table = CTable(order=3)
+        table.cells.append(c0_row(spec, 4))
         laurent_row(1, table, spec)
         expected = BiPoly({(1, 1): -HALF, (0, 1): Fraction(-5, 4)})
         assert table.rows[1][4] == expected
 
     def test_harmonic_second_row_origin(self):
         spec = PotentialSpec(1, 1)
-        table = CTable(order=2, cells=[c0_row(spec, 2)])
+        table = CTable(order=2)
+        table.cells.append(c0_row(spec, 2))
         laurent_row(1, table, spec)
         laurent_row(2, table, spec)
         assert table.rows[2][0] == (N * N + N * -1) * HALF
@@ -449,7 +453,8 @@ class TestBenderWu:
 
     @pytest.fixture(scope="class")
     def a(self, series):
-        return [series.e[q + 1].coefficient(0, q) for q in range(self.ORDER)]
+        # E_(q+1)(0, lam) is the single term a_q lam^q
+        return [series.e[q + 1].evaluate(0, 1) for q in range(self.ORDER)]
 
     def test_signs_alternate(self, a):
         assert all((-1) ** (q + 1) * a[q] > 0 for q in range(1, self.ORDER))
@@ -473,3 +478,89 @@ class TestBenderWu:
             law = ((-1) ** (q + 1) * math.sqrt(6) / math.pi**1.5 * 12 * 3**q
                    * math.gamma(q + 1.5) * (1 - 371 / (72 * q)))
             assert abs(float(a1) / law - 1) * q * q < 3.5
+
+
+def morse_f(i: int) -> Fraction:
+    """Morse, V = (1 - e^(-lam x))^2 / (2 lam^2): f_i over lam^i."""
+    return Fraction(2 * (-1) ** (i + 1) + (-2) ** (i + 2), 2 * math.factorial(i + 2))
+
+
+def poschl_teller_f(i: int) -> Fraction:
+    """Pöschl-Teller, V = tanh(lam x)^2 / (2 lam^2): f_i over lam^i, half
+    the y^(i+2) coefficient of tanh(y)^2."""
+    tanh = [Fraction(0)]  # tanh' = 1 - tanh^2 gives each coefficient from the ones before
+    for j in range(i + 2):
+        tanh.append(((j == 0) - sum(tanh[a] * tanh[j - a] for a in range(j + 1))) / (j + 1))
+    return sum(tanh[a] * tanh[i + 2 - a] for a in range(i + 3)) / 2
+
+
+def morse_energies(order: int) -> list[BiPoly]:
+    """E_1..E_order of E = nu - lam^2 nu^2 / 2 at hbar = 1, nu = n + 1/2."""
+    nu = N + HALF
+    return [nu, BiPoly({(0, 2): -HALF}) * nu * nu] + [ZERO] * (order - 2)
+
+
+def poschl_teller_energies(order: int) -> list[BiPoly]:
+    """E_1..E_order of E = nu sqrt(1 + lam^4 / 4) - lam^2 (nu^2 + 1/4) / 2 at
+    hbar = 1, nu = n + 1/2: E_(2r+1) = binom(1/2, r) 4^(-r) lam^(4r) nu."""
+    nu = N + HALF
+    energies = [ZERO] * (order + 1)
+    energies[2] = BiPoly({(0, 2): -HALF}) * (nu * nu + Fraction(1, 4))
+    binom = Fraction(1)  # binom(1/2, r)
+    for r in range((order + 1) // 2):
+        energies[2 * r + 1] = BiPoly({(0, 4 * r): binom / 4**r}) * nu
+        binom *= (HALF - r) / (r + 1)
+    return energies[1:]
+
+
+CLOSED_FORMS = {"morse": (morse_f, morse_energies),
+                "poschlteller": (poschl_teller_f, poschl_teller_energies)}
+
+
+def closed_form_golden(name: str, order: int = 12) -> tuple[str, str]:
+    """The config and the machine document of a closed-form golden at m =
+    omega = 1: its f_i up to the table's last index 2*order - 2, and its
+    energies from the closed form."""
+    f, energies = CLOSED_FORMS[name]
+    coeffs = {i: c for i in range(1, 2 * order - 1) if (c := f(i))}
+    config = ("[potential]\nm = 1\nomega = 1\n"
+              + "".join(f"f{i} = {c} lam{f'^{i}' * (i > 1)}\n" for i, c in coeffs.items())
+              + f"\n[run]\norder = {order}\nformat = machine\n")
+    document = {
+        "order": order,
+        "potential": {"m": "1", "omega": "1",
+                      "f": {str(i): BiPoly({(0, i): c}).to_records() for i, c in coeffs.items()}},
+        "energies": [{"k": k, "terms": e.to_records()}
+                     for k, e in enumerate(energies(order), start=1)],
+    }
+    return config, json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+class TestExactClosedForms:
+    """Two potentials whose spectra are known in closed form: the engine
+    reproduces them exactly, and each is a golden in tests/golden/."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_golden_files_are_the_closed_form(self, name):
+        config, document = closed_form_golden(name)
+        assert (GOLDEN_DIR / f"{name}.ini").read_text() == config
+        assert (GOLDEN_DIR / f"{name}_k12_machine.json").read_text() == document
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_expansion_is_the_closed_form(self, name):
+        f, energies = CLOSED_FORMS[name]
+        spec = PotentialSpec(1, 1, {i: BiPoly({(0, i): f(i)}) for i in range(1, 23)})
+        assert list(expand(spec, 12)[1].e[1:]) == energies(12)
+
+    def test_closed_forms_at_low_order(self):
+        # V's Taylor terms: (1 - e^(-y))^2 = y^2 - y^3 + 7/12 y^4 - ..., and
+        # tanh(y)^2 = y^2 - 2/3 y^4 + 17/45 y^6 - ...
+        assert [morse_f(i) for i in (1, 2)] == [Fraction(-1, 2), Fraction(7, 24)]
+        assert [poschl_teller_f(i) for i in (1, 2, 3, 4)] == [0, Fraction(-1, 3), 0,
+                                                               Fraction(17, 90)]
+        assert morse_energies(3)[1] == BiPoly({(2, 2): -HALF, (1, 2): -HALF,
+                                               (0, 2): Fraction(-1, 8)})
+        # E_3 = binom(1/2, 1) lam^4 nu / 4 and E_5 = binom(1/2, 2) lam^8 nu / 16
+        assert poschl_teller_energies(5)[2:] == [BiPoly({(0, 4): Fraction(1, 8)}) * (N + HALF),
+                                                 ZERO,
+                                                 BiPoly({(0, 8): Fraction(-1, 128)}) * (N + HALF)]

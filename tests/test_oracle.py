@@ -9,7 +9,7 @@ import pytest
 
 from lptseries import oracle
 from lptseries.cli import EXIT_INVALID, main
-from lptseries.engine import PotentialSpec, expand
+from lptseries.engine import MAX_ORDER, PotentialSpec, expand
 from lptseries.oracle import (
     AsymptoticBreakdown,
     BasisNotConverged,
@@ -21,6 +21,7 @@ from lptseries.oracle import (
     jacobi_eigenvalues,
     lowest_eigenvalues,
     optimal_truncation,
+    refuse_from_the_head,
     report_csv,
     report_text,
 )
@@ -642,6 +643,16 @@ class TestConvergenceGate:
         with pytest.raises(BasisNotConverged):
             converged_levels(problem)
 
+    @pytest.mark.parametrize("b", [Fraction(5, 4), Fraction(11, 10), Fraction(103, 100)])
+    def test_quasi_exactly_solvable_ground_state(self, b):
+        # V = (a x^3 + b x)^2 / 2 - 3a x^2 / 2 with a = (b^2 - 1) / 3 is the
+        # oscillator at m = omega = 1 plus a b x^4 + a^2 x^6 / 2, and its
+        # ground state exp(-a x^4 / 4 - b x^2 / 2) lies at E_0 = b / 2
+        a = (b * b - 1) / 3
+        spec = PotentialSpec(1, 1, {2: LAM * (a * b), 4: LAM * LAM * (a * a / 2)})
+        (ground,), _ = converged_levels(OracleProblem(spec, 1, 120, 160, (0,)))
+        assert abs(ground - b / 2) < 1e-12
+
 
 class TestOptimalTruncation:
     def test_strictly_decreasing_series_truncates_at_last_term(self):
@@ -730,3 +741,46 @@ class TestCompareSeries:
         problem = OracleProblem(sextic_spec, Fraction(1, 10**320), 60, 80, (0,))
         text = report_text(oracle.OracleReport(problem, 0.0, ()))
         assert text.splitlines()[1] == f"coupling lam = 1/{10**320} (1e-320)"
+
+
+class TestRefuseFromTheHead:
+    # f1 = lam, f2 = 11/6 lam^2: E_2 vanishes at level 0 and not at level 1
+    CUBIC_QUARTIC = {1: LAM, 2: LAM * LAM * Fraction(11, 6)}
+
+    @pytest.mark.parametrize("terms, lam, levels, terms_shown", [
+        ({2: LAM}, 1, (0, 1), "|0.5| then |0.75|"),
+        ({4: LAM}, 1, (0,), "|0.5| then |1.875|"),  # the sextic's E_2 is zero
+        (CUBIC_QUARTIC, 1, (1, 0), "|1.5| then |-2|"),
+        # level 0's head holds E_1 alone, so level 1's breakdown must not come
+        # first: the full series refuses level 0 (TestVerify)
+        (CUBIC_QUARTIC, 1, (0, 1), None),
+        ({4: LAM}, Fraction(1, 1000), (0, 1), None),
+    ], ids=["quartic", "sextic", "cubic-quartic", "cubic-quartic-undecided", "sextic-small"])
+    def test_refuses_as_the_full_series_does(self, terms, lam, levels, terms_shown):
+        problem = OracleProblem(PotentialSpec(1, 1, terms), lam, 60, 80, levels)
+        if terms_shown is None:
+            refuse_from_the_head(problem, 8)
+            return
+        with pytest.raises(AsymptoticBreakdown, match=re.escape(terms_shown)) as head:
+            refuse_from_the_head(problem, 8)
+        with pytest.raises(AsymptoticBreakdown) as full:
+            compare_series(expand(problem.potential, 8)[1], problem)
+        assert str(head.value) == str(full.value)
+
+    @pytest.mark.parametrize("terms, order, built", [
+        ({2: LAM}, 11, [2]),
+        ({1: LAM, 2: LAM}, 9, [2]),
+        ({2: LAM, 4: LAM}, 10, [2]),
+        ({4: LAM}, 11, [3]),
+        ({}, 21, []),  # no later slot on the lattice
+        ({4: LAM}, 3, []),  # the head would be the whole series
+        ({2: LAM}, 2, []),  # too short to truncate
+        ({2: LAM}, MAX_ORDER + 1, []),  # above the limit
+    ])
+    def test_expands_the_head_alone(self, monkeypatch, terms, order, built):
+        orders = []
+        monkeypatch.setattr(oracle, "expand",
+                            lambda spec, k: orders.append(k) or expand(spec, k))
+        problem = OracleProblem(PotentialSpec(1, 1, terms), Fraction(1, 100), 60, 80, (0,))
+        refuse_from_the_head(problem, order)
+        assert orders == built

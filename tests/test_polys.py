@@ -151,12 +151,6 @@ class TestRendering:
         assert str(N * -1) == "-n"
         assert str(N + HALF) == "n + 1/2"
 
-    def test_records_round_trip(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            poly = rand_bipoly(rng)
-            assert BiPoly.from_records(poly.to_records()) == poly
-
     def test_records_are_exponent_sorted(self):
         poly = N * N + LAM + 3
         records = poly.to_records()
@@ -262,7 +256,9 @@ class TestScalarLayer:
             b = BiPoly({(n, lam): -top for n in range(4) for lam in range(2)})
             pairs, doubled = [(a, b)] * 9, [(b, a)] * 5
             result = BiPoly.dot(pairs, doubled)
-            assert result.coefficient(3, 1) == -19 * 8 * top * top
+            # the slot (n^d, lam^e) meets 4 - |d - 3| pairs of n terms and 2 - |e - 1| of lam terms
+            assert result == BiPoly({(d, e): -19 * top * top * (4 - abs(d - 3)) * (2 - abs(e - 1))
+                                     for d in range(7) for e in range(3)})
             assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
 
     @pytest.mark.parametrize("bits, count, n_terms", [
@@ -329,7 +325,7 @@ class TestScalarLayer:
             a, b = odd_bipoly(rng), odd_bipoly(rng)
             s = rand_fraction(rng, max_den=15, nonzero=True)
             for value in (a, b, a + b, a + b * -1, a * -1, a * b, a * s, a + s,
-                          BiPoly.dot(((a, ONE),), div=s), BiPoly.from_records(a.to_records())):
+                          BiPoly.dot(((a, ONE),), div=s)):
                 assert_canonical(value)
         assert ZERO._den == 1 and (N + N * -1)._den == 1
 
@@ -348,10 +344,7 @@ class TestScalarLayer:
     def test_coefficients_are_reduced_fractions(self):
         poly = BiPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (0, 0): 5})
         assert poly._den == 4
-        for dn, dl, coeff in poly.terms_sorted():
-            assert type(coeff) is Fraction and coeff == poly.coefficient(dn, dl)
-        assert poly.coefficient(1, 0).denominator == 2
-        assert poly.coefficient(0, 0).denominator == 1
-        assert poly.coefficient(0, 2) == Fraction(-3, 4)
-        assert type(poly.coefficient(3, 3)) is Fraction and poly.coefficient(3, 3) == 0
+        terms = poly.terms_sorted()
+        assert terms == [(0, 0, 5), (0, 2, Fraction(-3, 4)), (1, 0, Fraction(1, 2))]
+        assert all(type(coeff) is Fraction for _, _, coeff in terms)
         assert poly.to_records()[0] == {"deg_n": 0, "deg_lam": 0, "coeff": "5"}
