@@ -3,9 +3,9 @@
 Three subcommands, all driven by a config file:
 
 * ``expand``  -- build the energy series and print it (pretty/csv/machine);
-* ``check``   -- check the built table, one line each: ``power-identity``,
-                 ``residue-slots`` and ``lattice-cells`` (every cell on the
-                 index lattice), the oscillator's closed forms, and a golden
+* ``check``   -- check the built table, one line each: ``power-identity``
+                 (the recursion's identity at every lattice and every stored
+                 cell), the oscillator's closed forms, and a golden
                  machine-format file if given, which must equal the machine
                  document ``expand`` prints: its first departure fails the
                  line, or is invalid input where a value has another type;
@@ -36,8 +36,8 @@ from pathlib import Path
 # in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
 from .config import FORMATS, ConfigError, RunConfig, integer, parse_config
-from .engine import EnergySeries, expand, first_power_identity_failure, residue
-from .polys import N, ZERO
+from .engine import EnergySeries, expand, first_power_identity_failure
+from .polys import N
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -224,20 +224,6 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     where = first_power_identity_failure(table, series, cfg.potential)
     record("power-identity", where is None,
            f"at (k={where[0]}, i={where[1]})" if where else "")
-
-    record(
-        "residue-slots",
-        all(
-            table.cells[k].get(2 * k - 2, ZERO) == residue(k)
-            for k in range(1, cfg.order + 1)
-        ),
-    )
-
-    # the cells hold only nonzero slots, so any index off the lattice is a failure
-    lattice = cfg.potential.lattice(table.i_max)
-    bad = min(((k, i) for k, row in enumerate(table.cells) for i in row if i not in lattice),
-              default=None)
-    record("lattice-cells", bad is None, f"at (k={bad[0]}, i={bad[1]})" if bad else "")
 
     if cfg.potential.is_harmonic:
         oscillator_e1 = (N + Fraction(1, 2)) * cfg.potential.omega

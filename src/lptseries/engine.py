@@ -26,7 +26,7 @@ C[0][0] = -m omega, the root that decays at both ends of the well.  Row
 k >= 1 pins its residue slot i = 2k-2, the residue of C_k(x) at the
 origin: node counting -- the contour integral of C around the origin counts
 the zeros of the wavefunction -- fixes it to n for k = 1 and to 0 for every
-later row (`residue`).  That single condition injects the quantum number
+later row.  That single condition injects the quantum number
 and makes the same recursion valid for the ground state and all
 excitations; the identity at the residue slot gives E_k instead
 (`energy_coefficient`).  At every other cell the right side is zero, and
@@ -48,8 +48,8 @@ induction over the identity, in k and then in i, C[k][i] = 0 at every index
 i off the lattice: there every product C[j][p] C[k-j][i-p] has a factor off
 the lattice, as does C[k-1][i], and f_i = 0.  At an off-lattice residue
 slot the identity then reads E_k = 0, which is why the sextic's even orders
-vanish.  So the recursion, the energy readout and the sweep visit lattice
-indices alone.
+vanish.  So the recursion and the energy readout visit lattice indices
+alone; the sweep also visits every cell a row stores.
 """
 
 from __future__ import annotations
@@ -163,12 +163,6 @@ class CTable:
         return [[row.get(i, ZERO) for i in width] for row in self.cells]
 
 
-def residue(k: int) -> BiPoly:
-    """C[k][2k-2] for k >= 1: the residue of C_k(x) at the origin, as node
-    counting pins it (module docstring)."""
-    return N if k == 1 else ZERO
-
-
 def _identity_pairs(
     cells: list[dict[int, BiPoly]], k: int, i: int, spec: PotentialSpec
 ) -> tuple[list[Pair], list[Pair]]:
@@ -217,7 +211,9 @@ def _row(
     cells = [*cells, row]
     for i in spec.lattice(i_max):
         if i == pinned:
-            cell = residue(k) if k else BiPoly.constant(-spec.m * spec.omega)
+            # for k >= 1 the residue of C_k(x) at the origin, as node
+            # counting pins it (module docstring)
+            cell = (N if k == 1 else ZERO) if k else BiPoly.constant(-spec.m * spec.omega)
         else:
             cell = BiPoly.dot(*_identity_pairs(cells, k, i, spec), div=two_m_omega)
         if cell:
@@ -278,12 +274,13 @@ def first_power_identity_failure(
     """The first (k, i), in ascending k and then i, at which the identity
     (module docstring) fails on the table and series, or None.
 
-    The lattice identities are summed, the pinned cells included, so a
-    corrupted lattice cell fails at its own (k, i).  Off the lattice the
-    left side is zero on a table the recursion built, so there only the
-    residue slots are checked, where the identity reads E_k = 0.  A cell
-    off the lattice is ``check``'s ``lattice-cells`` line to find, not this
-    sweep's.
+    Row k's identities are summed at every lattice index and at every
+    index the row stores, the pinned cells included.  A stored cell
+    C[k][i] first enters the identities at its own (k, i), as
+    2 C[0][0] C[k][i], so the first corrupted cell in that order fails
+    there: off the lattice and past i_max too.  Elsewhere the left side is
+    zero on a table the recursion built, so there only the residue slot is
+    checked, where the identity reads E_k = 0.
 
     The sums share ``_identity_pairs`` and ``BiPoly.dot`` with the
     recursion, so this checks the table against its own identities, not by
@@ -292,12 +289,14 @@ def first_power_identity_failure(
     """
     lattice = spec.lattice(table.i_max)
     for k in range(table.order + 1):
-        slot = 2 * k - 2
-        # an off-lattice residue slot is visited too: there the identity reads E_k = 0
-        for i in sorted({*lattice, slot}) if k else lattice:
+        row, slot = table.cells[k], 2 * k - 2
+        # an off-lattice residue slot is visited too: there the identity reads
+        # E_k = 0; row 0's slot -2 holds no cell, and E_0 = 0
+        for i in sorted({*lattice, *row, slot}):
             expected = (series.e[k] * (-2 * spec.m) if i == slot
                         else (spec.m * spec.omega) ** 2 if k == i == 0 else ZERO)
-            left = BiPoly.dot(*_identity_pairs(table.cells, k, i, spec)) if i in lattice else ZERO
+            left = (BiPoly.dot(*_identity_pairs(table.cells, k, i, spec))
+                    if i in lattice or i in row else ZERO)
             if left != expected:
                 return (k, i)
     return None

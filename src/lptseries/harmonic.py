@@ -98,8 +98,8 @@ def crosscheck_with_engine(table: CTable, residues: tuple[BiPoly, ...]) -> bool:
     """Check the generic recursion reproduces the closed-form residues.
 
     ``table`` is the engine's table for a pure oscillator and ``residues``
-    its `table_residues`, which must equal `d_sequence`'s.  That the rows
-    hold nothing past index 0 is ``check``'s ``lattice-cells`` line to
-    find: the oscillator's index lattice is {0}.
+    its `table_residues`, which must equal `d_sequence`'s.  A cell past
+    index 0, off the oscillator's index lattice {0}, is ``check``'s
+    ``power-identity`` line to find.
     """
     return residues == d_sequence(table.order)

@@ -20,7 +20,7 @@ from lptseries.engine import (
 )
 from lptseries.polys import LAM, N, ZERO, BiPoly
 
-from conftest import GOLDEN_DIR, add_to_cell, failed_check_lines, rand_bipoly, rand_fraction
+from conftest import GOLDEN_DIR, add_to_cell, rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 SEXTIC_INI = (GOLDEN_DIR / "sextic.ini").read_text()
@@ -286,27 +286,21 @@ class TestPowerIdentity:
     # m^2 omega^2, the one the sweep states apart.  A deleted cell is a nonzero
     # one set to zero; the order-4 sextic's nonzero cells are (k, 0) and
     # (k, 4), except (3, 4).  Off the lattice, the multiples of 4, the sweep
-    # sums no identity, and check's lattice-cells line names the cell
+    # sums the identity at a cell the row stores
     @pytest.mark.parametrize("k,i,delete", [
         (2, 3, False), (2, 2, False), (1, 0, False), (4, 6, False), (0, 0, False), (0, 2, False),
         (0, 4, False), (0, 6, False), (1, 0, True), (0, 4, True), (3, 0, True), (4, 4, True),
     ], ids=["odd-slot", "residue-slot", "first-cell", "last-cell", "row-zero-0", "row-zero-2",
             "row-zero-4", "row-zero-6", "deleted-first-cell", "deleted-row-zero-4",
             "deleted-only-cell-of-row", "deleted-last-nonzero-cell"])
-    def test_detects_a_mutated_coefficient(
-        self, monkeypatch, capsys, tmp_path, sextic_spec, k, i, delete
-    ):
+    def test_detects_a_mutated_coefficient(self, sextic_spec, k, i, delete):
         spec = sextic_spec
         table, series = expand(spec, 4)
         assert (table.order, table.i_max) == (4, 6)
         by = table.rows[k][i] * -1 if delete else 1
         assert by
         add_to_cell(table, k, i, by)
-        if i in spec.lattice(table.i_max):
-            assert first_power_identity_failure(table, series, spec) == (k, i)
-        else:
-            lines = failed_check_lines(monkeypatch, capsys, tmp_path, SEXTIC_INI, table, series)
-            assert f"lattice-cells: FAIL at (k={k}, i={i})" in lines
+        assert first_power_identity_failure(table, series, spec) == (k, i)
 
     def test_detects_a_perturbed_energy(self, sextic_spec):
         spec = sextic_spec
@@ -337,8 +331,9 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 class TestLattice:
     """Cells vanish off the multiples of g, the gcd of the anharmonic
-    indices (i = 0 alone for the oscillator), so the recursion, the energy
-    readout and the sweep visit only those indices."""
+    indices (i = 0 alone for the oscillator), so the recursion and the
+    energy readout visit only those indices, and the sweep sums no other
+    identity on a table the recursion built."""
 
     @pytest.mark.parametrize("ini", sorted(GOLDEN_DIR.glob("*.ini")), ids=lambda p: p.stem)
     def test_golden_table_cells_are_multiples_of_g(self, ini):
@@ -372,24 +367,25 @@ class TestLattice:
         assert first_power_identity_failure(table, series, OSCILLATOR) is None
         assert len(calls) == 21 + 1
 
-    # a cell off the lattice, which the recursion never builds, is check's
-    # lattice-cells line to name, at its own (k, i)
+    # a cell off the lattice or past i_max = 6, which the recursion never
+    # builds, fails the sweep at its own (k, i)
     @pytest.mark.parametrize("ini, k, i", [
         (OSCILLATOR_INI, 0, 1), (OSCILLATOR_INI, 2, 2), (OSCILLATOR_INI, 4, 6),
         (QUINTIC_INI, 0, 2), (QUINTIC_INI, 1, 1), (QUINTIC_INI, 3, 4), (QUINTIC_INI, 4, 5),
-        (QUARTIC_INI, 2, 3),
+        (QUARTIC_INI, 2, 3), (OSCILLATOR_INI, 0, 7), (OSCILLATOR_INI, 4, 9),
+        (SEXTIC_INI, 2, 7), (SEXTIC_INI, 0, 8), (SEXTIC_INI, 4, 9), (QUARTIC_INI, 1, 8),
+        (QUARTIC_INI, 3, 11), (QUINTIC_INI, 2, 9),
     ], ids=["oscillator-row-zero", "oscillator-residue-slot", "oscillator-last-cell",
             "quintic-row-zero", "quintic-first-row", "quintic-residue-slot", "quintic-last-row",
-            "quartic-odd-slot"])
-    def test_inserted_off_lattice_cell_fails_at_its_own_index(
-        self, monkeypatch, capsys, tmp_path, ini, k, i
-    ):
+            "quartic-odd-slot", "oscillator-past-row-zero", "oscillator-past-last-row",
+            "sextic-past-odd", "sextic-past-row-zero", "sextic-past-last-row",
+            "quartic-past-lattice", "quartic-past-odd", "quintic-past-lattice"])
+    def test_inserted_off_lattice_cell_fails_at_its_own_index(self, ini, k, i):
         spec = parse_config(ini).potential
         table, series = expand(spec, 4)
         assert i not in spec.lattice(table.i_max)
         add_to_cell(table, k, i, N + LAM)
-        lines = failed_check_lines(monkeypatch, capsys, tmp_path, ini, table, series)
-        assert f"lattice-cells: FAIL at (k={k}, i={i})" in lines
+        assert first_power_identity_failure(table, series, spec) == (k, i)
 
     # off the lattice the residue slot's identity reads E_k = 0
     @pytest.mark.parametrize("spec, k", [

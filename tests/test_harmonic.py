@@ -99,13 +99,13 @@ OSCILLATORS = [(1, 1), (2, Fraction(3, 5)), (Fraction(1, 3), 4)]
 def assert_check_names(monkeypatch, capsys, tmp_path, spec, table, series, row, slot):
     """``check`` on the oscillator ``spec`` fails on ``table``, corrupted at
     (row, slot): at a residue (slot 0) on the crosscheck's line, and off the
-    oscillator's lattice {0} on ``lattice-cells``, at (row, slot)."""
+    oscillator's lattice {0} on ``power-identity``, at (row, slot)."""
     ini = f"[potential]\nm = {spec.m}\nomega = {spec.omega}\n\n[run]\norder = {table.order}\n"
     lines = failed_check_lines(monkeypatch, capsys, tmp_path, ini, table, series)
     if slot == 0:
         assert "harmonic-crosscheck: FAIL" in lines
     else:
-        assert f"lattice-cells: FAIL at (k={row}, i={slot})" in lines
+        assert f"power-identity: FAIL at (k={row}, i={slot})" in lines
 
 
 class TestEngineCrosscheck:

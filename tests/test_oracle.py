@@ -643,15 +643,23 @@ class TestConvergenceGate:
         with pytest.raises(BasisNotConverged):
             converged_levels(problem)
 
-    @pytest.mark.parametrize("b", [Fraction(5, 4), Fraction(11, 10), Fraction(103, 100)])
-    def test_quasi_exactly_solvable_ground_state(self, b):
-        # V = (a x^3 + b x)^2 / 2 - 3a x^2 / 2 with a = (b^2 - 1) / 3 is the
-        # oscillator at m = omega = 1 plus a b x^4 + a^2 x^6 / 2, and its
-        # ground state exp(-a x^4 / 4 - b x^2 / 2) lies at E_0 = b / 2
-        a = (b * b - 1) / 3
+    @pytest.mark.parametrize("J, b", [
+        (0, Fraction(5, 4)), (0, Fraction(11, 10)), (0, Fraction(103, 100)),
+        (1, Fraction(5, 4)), (1, Fraction(11, 10)), (1, Fraction(103, 100)),
+    ], ids=["b0", "b1", "b2", "J1-b0", "J1-b1", "J1-b2"])
+    def test_quasi_exactly_solvable_ground_state(self, J, b):
+        # V = (a x^3 + b x)^2 / 2 - (4J + 3) a x^2 / 2 with a = (b^2 - 1) / (4J + 3)
+        # is the oscillator at m = omega = 1 plus a b x^4 + a^2 x^6 / 2.  Let
+        # G = exp(-a x^4 / 4 - b x^2 / 2).  At J = 0 the ground state G lies at
+        # E_0 = b / 2.  At J = 1, H maps span{G, x^2 G} into itself by
+        # [[b/2, -1], [-2a, 5b/2]], so levels 0 and 2 are 3b/2 -+ sqrt(b^2 + 2a)
+        a = (b * b - 1) / (4 * J + 3)
         spec = PotentialSpec(1, 1, {2: LAM * (a * b), 4: LAM * LAM * (a * a / 2)})
-        (ground,), _ = converged_levels(OracleProblem(spec, 1, 120, 160, (0,)))
-        assert abs(ground - b / 2) < 1e-12
+        root = math.sqrt(b * b + 2 * a)
+        exact = {0: b / 2} if J == 0 else {0: 3 * b / 2 - root, 2: 3 * b / 2 + root}
+        values, _ = converged_levels(OracleProblem(spec, 1, 120, 160, tuple(exact)))
+        assert len(values) == len(exact)
+        assert all(abs(value - e) < 1e-12 for value, e in zip(values, exact.values()))
 
 
 class TestOptimalTruncation:
