@@ -235,7 +235,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         residues = harmonic.table_residues(table, cfg.potential)
         record("harmonic-crosscheck",
                harmonic.crosscheck_with_engine(table, residues))
-        # level n needs the table's residues up to d_(n//2 + 1)
+        # level n needs residues up to d_(n//2 + 1), and n < 2K keeps that within d_K
         bad = [n for n in range(min(9, 2 * cfg.order))
                if not harmonic.hermite_ratio_check(
                    n, harmonic.reconstruct_polynomial(n, residues))]

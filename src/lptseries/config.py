@@ -18,12 +18,12 @@ A run is described by one file with up to three sections::
     check_basis = 80
     levels = 0, 1, 2, 3
 
-Every exact quantity crosses this boundary as an integer or ``p/q``
-string; decimal literals are rejected everywhere except the oracle
-section, whose numbers feed double-precision work anyway.  An ``fN``
-key gives the coefficient of ``x^(N+2)`` as a sum of monomials in the
-formal coupling: ``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``,
-where ``RAT`` may carry its own sign, as in ``1 lam + +1/2 lam^2``.
+Every exact quantity crosses this boundary as an integer or ``p/q`` string;
+decimal literals are rejected everywhere except ``lambda``, which is read
+exactly (``0.001`` is 1/1000) and kept exact.  An ``fN`` key gives the
+coefficient of ``x^(N+2)`` as a sum of monomials in the formal coupling:
+``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``, where ``RAT`` may
+carry its own sign, as in ``1 lam + +1/2 lam^2``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _lam_poly(text: str) -> BiPoly:
 
 
 def _oracle_number(text: str) -> Fraction:
-    """Oracle-section number: strict rational, or a decimal literal."""
+    """``lambda``: strict rational, or a decimal literal read exactly."""
     s = text.strip()
     try:
         return parse_rational(s)

@@ -35,8 +35,6 @@ from .polys import ZERO, BiPoly, N
 
 def d_sequence(order: int) -> tuple[BiPoly, ...]:
     """``(0, d_1, ..., d_order)``, symbolic in n, from the recursion."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     d: list[BiPoly] = [ZERO, N]
     for k in range(2, order + 1):
         # written out, not folded: the engine's independent reference
@@ -57,11 +55,7 @@ def reconstruct_polynomial(n: int, d: tuple[BiPoly, ...]) -> tuple[Fraction, ...
     0 = 0 by the choice of sigma and m0; the rest is strictly triangular,
     so back-substitution from a_{m0} = 1 determines every coefficient.
     """
-    if n < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {n}")
     m0 = n // 2
-    if len(d) < m0 + 2:
-        raise ValueError(f"need residues up to d_{m0 + 1} for level {n}, have {len(d) - 1}")
     d_at_n = [d[k].evaluate(n, 0) for k in range(m0 + 2)]
     a = [Fraction(0)] * (m0 + 1)
     a[m0] = Fraction(1)

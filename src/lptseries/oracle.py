@@ -36,9 +36,10 @@ Two safeguards make a reported eigenvalue trustworthy:
   only up to (not including) its smallest-magnitude nonzero term, and
   the comparison budget is 10x that first omitted term.
 
-The diagonalization deliberately runs in double precision.  The problem
-record keeps the exact potential and coupling, so its checks judge them
-exactly; the exact side of every comparison lives in `engine`.
+The diagonalization deliberately runs in double precision, and its last
+digit or two depend on the interpreter: ``sum`` of floats is compensated
+from Python 3.12 on.  The problem record keeps the exact potential and
+coupling, so its checks judge them exactly; the exact side lives in `engine`.
 
 Only ``verify`` diagonalizes, so only ``verify`` loads this module: the
 package registers it in ``sys.modules`` unexecuted, and `cli` reads it as
@@ -424,13 +425,10 @@ def lowest_eigenvalues(
     Returns the pair (eigenvalues, unit vectors in H's basis): vector k is
     the one whose Rayleigh quotient is eigenvalue k, or for a bisected
     level the polished vector, so a warm start from it seeks that level
-    again.  Raises ``ValueError`` if ``count`` exceeds the dimension, and
-    `EigensolverError` if an entry of the matrix is not finite or a level
-    cannot be certified.
+    again.  Raises `EigensolverError` if an entry of the matrix is not
+    finite or a level cannot be certified.
     """
     n = len(h)
-    if count > n:
-        raise ValueError(f"asked for {count} eigenvalues of a {n}-dim matrix")
     b = len(h[0]) // 2
     norm = max(sum(map(abs, row[:b + n - i])) for i, row in enumerate(h))
     if not math.isfinite(norm):
@@ -529,18 +527,16 @@ class OracleReport(NamedTuple):
 def optimal_truncation(terms: list[Fraction]) -> tuple[int, Fraction]:
     """Truncation point of an asymptotic partial sum: (k*, first omitted).
 
-    ``terms[k]`` is the hbar^k contribution (terms[0] ignored); the sum
-    to take is ``terms[1:k*]``.  Exactly zero terms carry no information
-    about where the series turns (for even potentials whole stripes of
-    orders vanish identically), so the turn is located on the nonzero
-    subsequence: k* is the index of its smallest-magnitude member.  A
-    single nonzero term means the series terminates -- it is summed in
+    ``terms[k]`` is the hbar^k contribution (terms[0] ignored, terms[1] =
+    E_1 > 0); the sum to take is ``terms[1:k*]``.  Exactly zero terms carry
+    no information about where the series turns (for even potentials whole
+    stripes of orders vanish identically), so the turn is located on the
+    nonzero subsequence: k* is the index of its smallest-magnitude member.
+    A single nonzero term means the series terminates -- it is summed in
     full and the omitted term is zero.  Raises `AsymptoticBreakdown`
     when the first two nonzero terms fail to decrease in magnitude.
     """
     nonzero = [(k, t) for k, t in enumerate(terms) if k >= 1 and t != 0]
-    if not nonzero:
-        return 1, Fraction(0)
     if len(nonzero) == 1:
         return nonzero[0][0] + 1, Fraction(0)
     if abs(nonzero[1][1]) >= abs(nonzero[0][1]):

@@ -559,12 +559,15 @@ class TestVerify:
         assert [(row[1], row[-1]) for row in rows] == [
             ("0.5", "True"), ("1.5", "True"), ("2.5", "True"), ("3.5", "True")]
 
-    def test_oracle_error(self, capsys, monkeypatch):
-        def fail(_problem):
-            raise oracle.OracleError("spectrum is not strictly increasing and positive")
-
-        monkeypatch.setattr(oracle, "converged_levels", fail)
-        code, out, err = run(capsys, "verify", "--config", SEXTIC_INI)
+    def test_oracle_error(self, capsys, tmp_path):
+        # the double well V = x^2/2 + lam x^3 + lam^2 x^4/4: at lam = 1/2 both
+        # bases reach its outer well near x = -5.24, where V is about -11, so
+        # the ground level, about -9.9, passes the gate and is not positive
+        config = tmp_path / "double-well.ini"
+        config.write_text("[potential]\nm = 1\nomega = 1\nf1 = 1 lam\nf2 = 1/4 lam^2\n"
+                          "\n[run]\norder = 8\n"
+                          "\n[oracle]\nlambda = 1/2\nbasis = 60\ncheck_basis = 80\nlevels = 0\n")
+        code, out, err = run(capsys, "verify", "--config", config)
         assert code == EXIT_INVALID and out == ""
         assert err == "oracle error: spectrum is not strictly increasing and positive\n"
 

@@ -39,10 +39,6 @@ class TestDSequence:
             assert d[k].evaluate(0, 0) == 0
             assert d[k].evaluate(1, 0) == 0
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            d_sequence(0)
-
 
 def hermite_coefficients(n: int) -> list[Fraction]:
     """Coefficients of H_n in the standard power basis, exact.
@@ -68,10 +64,6 @@ class TestReconstruction:
     def test_level_five(self):
         a = reconstruct_polynomial(5, d_sequence(3))
         assert a == (Fraction(15, 4), Fraction(-5), Fraction(1))
-
-    def test_requires_enough_residues(self):
-        with pytest.raises(ValueError, match="residues"):
-            reconstruct_polynomial(6, d_sequence(2))
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_textbook_hermite_ratios(self, n):

@@ -215,10 +215,6 @@ class TestJacobi:
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_count_bounded_by_dimension(self):
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(band(np.eye(3)), 4)
-
 
 class TestLapack:
     """`lowest_eigenvalues` held to what the LAPACK solver it replaced gave:
