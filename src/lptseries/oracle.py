@@ -129,7 +129,9 @@ class OracleProblem(_ProblemFields):
 
     * m, omega, lam and each anharmonic coefficient at lam are within the
       range of a double: none overflows it, and none but an exact zero
-      rounds to zero;
+      rounds to zero.  A coefficient whose powers of lam would pass
+      ``polys.MAX_EVAL_BITS`` bits is refused by `BiPoly.evaluate` instead,
+      before it is formed;
     * the potential is bounded below at lam: judged on the exact
       coefficients, its highest term that does not vanish is an even power
       of x with a positive coefficient;
@@ -249,53 +251,21 @@ def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:
     return h
 
 
-def jacobi_eigenvalues(
-    h: np.ndarray, rel_tol: float = 1e-13, max_sweeps: int = 40
-) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a dense symmetric matrix, ascending: numpy's
+    ``eigvalsh`` (LAPACK) behind a symmetry check.
 
-    Sweeps row by row until the off-diagonal Frobenius norm drops below
-    ``rel_tol`` times the Frobenius norm of the input; raises after
-    ``max_sweeps`` full sweeps without reaching it.
-
-    Not on the ``verify`` path, which uses `lowest_eigenvalues`, and the
-    only function of the package that imports numpy.  It stays only because
-    the benchmark's tracer binds its name; deleting it waits on a benchmark
-    change that drops that name.
+    No command runs it; the tests use it as the dense reference for
+    `lowest_eigenvalues`.  Its name stays only because the benchmark's
+    tracer binds it; deleting it waits on a benchmark change that drops
+    that name.
     """
     import numpy as np
 
-    a = np.array(h, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
+    a = np.asarray(h, dtype=float)
     if not np.allclose(a, a.T, atol=0.0):
         raise ValueError("matrix must be symmetric")
-    threshold = rel_tol * float(np.linalg.norm(a))
-    # skipping entries this small cannot push the off-norm above threshold
-    skip_tol = threshold / n
-    for _sweep in range(max_sweeps):
-        # off-diagonal Frobenius norm, summed directly (never by subtracting
-        # near-equal totals, which would drown the 1e-13 scale in rounding)
-        if np.linalg.norm(a - np.diag(a.diagonal())) <= threshold:
-            return np.sort(a.diagonal().copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = (0.5 / theta if abs(theta) > 1e12
-                     else math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0)))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # similarity rotation in the (p, q) plane, rows then columns
-                a[[p, q]] = [c * a[p] - s * a[q], s * a[p] + c * a[q]]
-                a[:, [p, q]] = np.transpose([c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]])
-                a[p, q] = a[q, p] = 0.0
-    raise EigensolverError(
-        f"off-diagonal norm still above {threshold:.3e} after {max_sweeps} sweeps"
-    )
+    return np.linalg.eigvalsh(a)
 
 
 def _ldl(h: Band, sigma: float, tiny: float) -> tuple[list[list[float]], list[float]]:

@@ -507,7 +507,9 @@ class TestVerify:
     # or, where only a series term is out of range, reported like any other
     # breakdown (exit 1); never a traceback.  Each is refused within seconds:
     # 1/100^20000 costs its own powers only, 1/100^400000 only the digits its
-    # message prints, and the term past a double only the series' head
+    # message prints, 1/100^4000000 and past it nothing (its powers would
+    # pass the evaluation bit limit), and the term past a double only the
+    # series' head
     @pytest.mark.parametrize("m, f2, lam, code, message", [
         ("1", "1 lam", "1" + "0" * 400, EXIT_INVALID,
          "error: lam = 1e+400 is outside the range of a double\n"),
@@ -519,11 +521,17 @@ class TestVerify:
          "error: the x^4 coefficient = 1e-40000 is outside the range of a double\n"),
         ("1", "1 lam^400000", "1/100", EXIT_INVALID,
          "error: the x^4 coefficient = 1e-800000 is outside the range of a double\n"),
+        ("1", "1 lam^4000000", "1/100", EXIT_INVALID,
+         "error: evaluating lam^4000000 at n = 0, lam = 1/100 needs powers of up to "
+         "28000000 bits, past the limit of 4194304\n"),
+        ("1", "1 lam^100000000", "1/100", EXIT_INVALID,
+         "error: evaluating lam^100000000 at n = 0, lam = 1/100 needs powers of up to "
+         "700000000 bits, past the limit of 4194304\n"),
         ("1/1" + "0" * 300, "1 lam", "1/100", EXIT_FAIL,
          "verification rejected: first two nonzero series terms do not decrease "
          "(|0.5| then |7.5e+597|): the coupling is too large for an asymptotic partial sum\n"),
     ], ids=["huge-lambda", "huge-m", "tiny-m", "sparse-lambda-power", "sparser-lambda-power",
-            "term-beyond-a-double"])
+            "lambda-power-past-the-bit-limit", "far-past-the-bit-limit", "term-beyond-a-double"])
     def test_exact_inputs_beyond_a_double(self, capsys, tmp_path, m, f2, lam, code, message):
         config = tmp_path / "quartic.ini"
         config.write_text(QUARTIC_INI.replace("m = 1", f"m = {m}").replace("1 lam", f2)
