@@ -7,14 +7,17 @@ and C_k(x) = d_k (m omega)^(1-k) x^(1-2k), where the residues obey
     d_1 = n,        2 d_k = (3-2k) d_{k-1} + sum_{j=1}^{k-1} d_j d_{k-j};
 
 each step of the engine's recursion divides by 2 m omega where this one
-divides by 2.  At m = omega = 1, integrating -x gives the Gaussian factor
-of the eigenfunction; the rest is the node polynomial P_n with
+divides by 2; E_1 = omega (n + 1/2) is the only nonzero energy.  ``check``
+compares table and series with this closed form, `crosscheck_with_engine`.
+
+At m = omega = 1, integrating -x gives the Gaussian factor of the
+eigenfunction; the rest is the node polynomial P_n with
 P_n'/P_n = sum_k d_k x^(1-2k) at large x.  Writing P_n(x) = x^sigma *
 sum_{i=0}^{m0} a_i x^(2i) (sigma the parity of n, n = 2*m0 + sigma)
 turns that relation into a triangular linear system for the a_i, and
 consecutive coefficients end up in the Hermite-polynomial ratio -- so
-the recursion machinery provably restores the textbook eigenfunctions,
-not just the spectrum.
+the residues restore the textbook eigenfunctions, not just the spectrum.
+The residues fix that result, so ``check``, which pins them, skips it.
 
 Note the Laurent series of P_n'/P_n does not terminate for n >= 2 (for
 n = 2, d_3 = 1/2 and every later residue is nonzero); only d_2 .. d_{m0+1}
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import CTable, PotentialSpec
+from .engine import CTable, EnergySeries, PotentialSpec
 from .polys import ZERO, BiPoly, N
 
 
@@ -80,20 +83,13 @@ def hermite_ratio_check(n: int, a: tuple[Fraction, ...]) -> bool:
     )
 
 
-def table_residues(table: CTable, spec: PotentialSpec) -> tuple[BiPoly, ...]:
-    """``(0, d_1, ..., d_order)`` of an engine table, d_k = C[k][0]
-    (m omega)^(k-1): for an oscillator, `d_sequence`'s at any m, omega."""
+def crosscheck_with_engine(table: CTable, series: EnergySeries, spec: PotentialSpec) -> bool:
+    """Whether an oscillator's ``table`` and ``series`` equal the closed
+    form exactly: C[0][0] = -m omega, C[k][0] = d_k (m omega)^(1-k) and no
+    other cell (no d_k is zero), E_1 = omega (n + 1/2), later E_k zero."""
     m_omega = spec.m * spec.omega
-    return (ZERO, *(row.get(0, ZERO) * m_omega ** (k - 1)
-                    for k, row in enumerate(table.cells[1:], 1)))
-
-
-def crosscheck_with_engine(table: CTable, residues: tuple[BiPoly, ...]) -> bool:
-    """Check the generic recursion reproduces the closed-form residues.
-
-    ``table`` is the engine's table for a pure oscillator and ``residues``
-    its `table_residues`, which must equal `d_sequence`'s.  A cell past
-    index 0, off the oscillator's index lattice {0}, is ``check``'s
-    ``power-identity`` line to find.
-    """
-    return residues == d_sequence(table.order)
+    d = d_sequence(table.order)
+    closed = [{0: BiPoly.constant(-m_omega)}]
+    closed += ({0: d[k] * m_omega ** (1 - k)} for k in range(1, table.order + 1))
+    energies = (ZERO, (N + Fraction(1, 2)) * spec.omega, *[ZERO] * (table.order - 1))
+    return table.cells == closed and series.e == energies

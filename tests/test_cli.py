@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lptseries import cli, engine, harmonic, oracle
+from lptseries import cli, engine, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main
 from lptseries.config import parse_config
 from lptseries.engine import expand
@@ -143,6 +143,16 @@ class TestGoldens:
     def test_energies_have_nu_parity(self, ini, golden, order):
         series = expand(parse_config(ini.read_text()).potential, order)[1]
         assert all(has_nu_parity(k, series.e[k]) for k in range(1, order + 1))
+
+    def test_files_with_a_byte_order_mark(self, capsys, tmp_path):
+        """A config and a golden saved with a UTF-8 byte-order mark load."""
+        ini, golden = tmp_path / "sextic.ini", tmp_path / "golden.json"
+        ini.write_text("\ufeff" + SEXTIC_INI.read_text(), encoding="utf-8")
+        golden.write_text("\ufeff" + SEXTIC_GOLDEN.read_text(), encoding="utf-8")
+        assert run(capsys, "expand", "--config", ini) == (EXIT_OK, SEXTIC_GOLDEN.read_text(), "")
+        code, out, _ = run(capsys, "check", "--config", ini, "--golden", golden)
+        assert code == EXIT_OK
+        assert out.splitlines() == ["power-identity: PASS", "golden-comparison: PASS"]
 
     def test_an_energy_off_nu_parity_is_told(self, sextic_expansion):
         series = sextic_expansion[1]
@@ -331,33 +341,25 @@ class TestCheck:
         config.write_text(f"[potential]\nm = {m}\nomega = {omega}\n\n[run]\norder = 6\n")
         code, out, _ = run(capsys, "check", "--config", config)
         assert code == EXIT_OK
-        assert out.splitlines() == [
-            "power-identity: PASS", "harmonic-reduction: PASS", "harmonic-crosscheck: PASS",
-            "hermite-recurrence: PASS",
-        ]
+        assert out.splitlines() == ["power-identity: PASS", "harmonic-crosscheck: PASS"]
         assert len(calls) == 1
 
-    def test_harmonic_check_builds_rows_and_residues_once(self, capsys, tmp_path, monkeypatch):
+    def test_harmonic_check_never_builds_rows(self, capsys, tmp_path, monkeypatch):
         """The check lines read the sparse cells, so the dense rows are never
-        built, and the harmonic lines share one set of residues."""
-        builds = {"rows": 0, "residues": 0}
-        dense_rows, table_residues = engine.CTable.rows.fget, harmonic.table_residues
+        built."""
+        builds = []
+        dense_rows = engine.CTable.rows.fget
 
         def counting_rows(table):
-            builds["rows"] += 1
+            builds.append(table)
             return dense_rows(table)
 
-        def counting_residues(*args):
-            builds["residues"] += 1
-            return table_residues(*args)
-
         monkeypatch.setattr(engine.CTable, "rows", property(counting_rows))
-        monkeypatch.setattr(harmonic, "table_residues", counting_residues)
         config = tmp_path / "harmonic.ini"
         config.write_text(HARMONIC_INI)
         code, out, _ = run(capsys, "check", "--config", config)
         assert code == EXIT_OK and "FAIL" not in out
-        assert builds == {"rows": 0, "residues": 1}
+        assert builds == []
 
     def test_unreadable_golden(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--config", SEXTIC_INI,
@@ -401,17 +403,21 @@ class TestCheckFailures:
     """Each check line fails, with its detail, on a table corrupted after
     the expansion; a check that no corruption can fail checks nothing.
     ``power-identity`` also names a stored cell off the lattice, here an
-    off-lattice residue slot (2, 2) and an odd cell (1, 1) of the sextic."""
+    off-lattice residue slot (2, 2) and an odd cell (1, 1) of the sextic.
+    ``harmonic-crosscheck`` fails on a wrong energy, residue or C[0][0]."""
 
     @pytest.mark.parametrize("ini, corrupt, line", [
         (SEXTIC_INI.read_text(), bump_cell(2, 4, 1), "power-identity: FAIL at (k=2, i=4)"),
         (SEXTIC_INI.read_text(), bump_cell(2, 2, 1), "power-identity: FAIL at (k=2, i=2)"),
         (SEXTIC_INI.read_text(), bump_cell(1, 1, LAM), "power-identity: FAIL at (k=1, i=1)"),
-        (HARMONIC_INI, bump_energy(2, N), "harmonic-reduction: FAIL"),
+        (HARMONIC_INI, bump_energy(2, N), "harmonic-crosscheck: FAIL"),
         (HARMONIC_INI, bump_cell(3, 0, 1), "harmonic-crosscheck: FAIL"),
-        (HARMONIC_INI, bump_cell(2, 0, N), "hermite-recurrence: FAIL at level n=2"),
+        (HARMONIC_INI, bump_cell(2, 0, N), "harmonic-crosscheck: FAIL"),
+        # C[0][0] = -m omega = -6/5 flipped to 6/5
+        (HARMONIC_INI, bump_cell(0, 0, Fraction(12, 5)), "harmonic-crosscheck: FAIL"),
     ], ids=["power-identity", "power-identity-residue-slot", "power-identity-off-lattice",
-            "harmonic-reduction", "harmonic-crosscheck", "hermite-recurrence"])
+            "harmonic-crosscheck-energy", "harmonic-crosscheck", "harmonic-crosscheck-level-two",
+            "harmonic-crosscheck-row-zero"])
     def test_corrupted_table_fails_its_line(
         self, capsys, tmp_path, monkeypatch, ini, corrupt, line
     ):
@@ -566,6 +572,23 @@ class TestVerify:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(row[1], row[-1]) for row in rows] == [
             ("0.5", "True"), ("1.5", "True"), ("2.5", "True"), ("3.5", "True")]
+
+    def test_excited_levels(self, capsys, tmp_path):
+        # up to level 150 of a weak quartic; at levels 100 and 150 the
+        # discrepancy is most of the first omitted term, so the bound, ten
+        # times that term, binds on the series and not on its 1e-10 floor
+        config = tmp_path / "quartic.ini"
+        config.write_text(QUARTIC_INI.replace("order = 11", "order = 12")
+                          + "\n[oracle]\nlambda = 1/10000\nbasis = 600\ncheck_basis = 800\n"
+                          "levels = 0, 10, 50, 100, 150\n")
+        code, out, err = run(capsys, "verify", "--config", config, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            (level, "True") for level in ("0", "10", "50", "100", "150")]
+        for *_, omitted, discrepancy, bound, _ in rows[3:]:
+            assert float(bound) > 1e-10
+            assert 0.5 <= float(discrepancy) / float(omitted) <= 1
 
     def test_oracle_error(self, capsys, tmp_path):
         # the double well V = x^2/2 + lam x^3 + lam^2 x^4/4: at lam = 1/2 both

@@ -10,9 +10,8 @@ from lptseries.harmonic import (
     d_sequence,
     hermite_ratio_check,
     reconstruct_polynomial,
-    table_residues,
 )
-from lptseries.polys import N, BiPoly
+from lptseries.polys import ZERO, N, BiPoly
 
 from conftest import add_to_cell, failed_check_lines
 
@@ -90,13 +89,12 @@ OSCILLATORS = [(1, 1), (2, Fraction(3, 5)), (Fraction(1, 3), 4)]
 
 def assert_check_names(monkeypatch, capsys, tmp_path, spec, table, series, row, slot):
     """``check`` on the oscillator ``spec`` fails on ``table``, corrupted at
-    (row, slot): at a residue (slot 0) on the crosscheck's line, and off the
-    oscillator's lattice {0} on ``power-identity``, at (row, slot)."""
+    (row, slot), on the crosscheck's line, and off the oscillator's lattice
+    {0} on ``power-identity`` too, at (row, slot)."""
     ini = f"[potential]\nm = {spec.m}\nomega = {spec.omega}\n\n[run]\norder = {table.order}\n"
     lines = failed_check_lines(monkeypatch, capsys, tmp_path, ini, table, series)
-    if slot == 0:
-        assert "harmonic-crosscheck: FAIL" in lines
-    else:
+    assert "harmonic-crosscheck: FAIL" in lines
+    if slot:
         assert f"power-identity: FAIL at (k={row}, i={slot})" in lines
 
 
@@ -104,25 +102,24 @@ class TestEngineCrosscheck:
     @pytest.mark.parametrize("order", [2, 10, 20])
     def test_generic_recursion_restores_closed_form(self, order):
         spec = PotentialSpec(1, 1)
-        table, _ = expand(spec, order)
-        assert crosscheck_with_engine(table, table_residues(table, spec))
+        assert crosscheck_with_engine(*expand(spec, order), spec)
 
     @pytest.mark.parametrize("slot", [0, 3])
     def test_passed_table_with_one_corrupted_row_fails(self, monkeypatch, capsys, tmp_path, slot):
         spec = PotentialSpec(1, 1)
         table, series = expand(spec, 8)
-        assert crosscheck_with_engine(table, table_residues(table, spec))
+        assert crosscheck_with_engine(table, series, spec)
         add_to_cell(table, 5, slot, N)
         assert_check_names(monkeypatch, capsys, tmp_path, spec, table, series, 5, slot)
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS)
     def test_rows_are_residues_scaled_by_m_omega(self, m, omega):
         spec = PotentialSpec(m, omega)
-        table, _ = expand(spec, 12)
-        assert crosscheck_with_engine(table, table_residues(table, spec))
+        table, series = expand(spec, 12)
+        assert crosscheck_with_engine(table, series, spec)
         d = d_sequence(12)
         for k in range(1, 13):
-            assert table.rows[k][0] * (Fraction(m) * omega) ** (k - 1) == d[k]
+            assert table.cells[k].get(0, ZERO) * (Fraction(m) * omega) ** (k - 1) == d[k]
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS)
     @pytest.mark.parametrize("row, slot", [(5, 0), (5, 3), (12, 0)])
@@ -136,16 +133,13 @@ class TestEngineCrosscheck:
 
     @pytest.mark.parametrize("m, omega", OSCILLATORS[1:])
     def test_table_of_another_oscillator_fails(self, m, omega):
+        """The unit oscillator's table fails against another oscillator,
+        with that oscillator's own series."""
+        spec = PotentialSpec(m, omega)
         unit_table, _ = expand(PotentialSpec(1, 1), 8)
-        residues = table_residues(unit_table, PotentialSpec(m, omega))
-        assert not crosscheck_with_engine(unit_table, residues)
+        assert not crosscheck_with_engine(unit_table, expand(spec, 8)[1], spec)
 
     def test_anharmonic_rows_are_not_single_residues(self, sextic_expansion):
         table, _ = sextic_expansion
         d = d_sequence(table.order)
-        matches = all(
-            table.rows[k][0] == d[k]
-            and not any(table.rows[k][i] for i in range(1, table.i_max + 1))
-            for k in range(1, table.order + 1)
-        )
-        assert not matches
+        assert not all(table.cells[k] == {0: d[k]} for k in range(1, table.order + 1))
