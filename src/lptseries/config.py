@@ -18,12 +18,13 @@ A run is described by one file with up to three sections::
     check_basis = 80
     levels = 0, 1, 2, 3
 
-Every exact quantity crosses this boundary as an integer or ``p/q`` string;
-decimal literals are rejected everywhere except ``lambda``, which is read
-exactly (``0.001`` is 1/1000) and kept exact.  An ``fN`` key gives the
-coefficient of ``x^(N+2)`` as a sum of monomials in the formal coupling:
-``RAT``, ``RAT lam`` or ``RAT lam^E`` joined by `` + ``, where ``RAT`` may
-carry its own sign, as in ``1 lam + +1/2 lam^2``.
+Every exact quantity crosses this boundary as an integer or ``p/q`` string,
+and `parse_rational` is the one reader of such numbers.  Decimal literals
+are rejected everywhere except ``lambda``, which is read exactly (``0.001``
+is 1/1000) and kept exact.  An ``fN`` key gives the coefficient of
+``x^(N+2)`` as a sum of monomials in the formal coupling: ``RAT``,
+``RAT lam`` or ``RAT lam^E`` joined by `` + ``, where ``RAT`` may carry its
+own sign, as in ``1 lam + +1/2 lam^2``.
 """
 
 from __future__ import annotations
@@ -31,17 +32,19 @@ from __future__ import annotations
 import configparser
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .engine import PotentialError, PotentialSpec
-from .polys import ZERO, BiPoly, parse_rational
+from .polys import ZERO, BiPoly
 
 FORMATS = ("pretty", "csv", "machine")
 
-# numbers are ASCII digits alone: ``int`` would also read "1_2" and other scripts' digits
+# numbers are ASCII digits alone: ``int`` and ``Fraction`` read "1_2" and other scripts' digits
 _F_KEY_RE = re.compile(r"^f([0-9]+)$")
 _LAM_RE = re.compile(r"^lam(?:\^([0-9]+))?$")
-_DECIMAL_RE = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_DECIMAL_RE = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)$")
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
@@ -63,6 +66,22 @@ class RunConfig(NamedTuple):
     oracle: OracleConfig | None
 
 
+def parse_rational(text: str, decimal: bool = False) -> Fraction:
+    """A strict ``"p"`` or ``"p/q"`` string, or with ``decimal`` also a
+    decimal literal, as a Fraction; anything else (exponents, digits other
+    than ASCII 0-9, a zero denominator) raises ``ValueError``."""
+    s = text.strip()
+    if _RATIONAL_RE.match(s) or decimal and _DECIMAL_RE.match(s):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational: {text!r}") from None
+    if decimal:
+        raise ValueError(f"not a rational or decimal number: {text!r}")
+    raise ValueError(f"not an integer or p/q rational: {text!r} "
+                     "(floating-point literals are not accepted)")
+
+
 def _lam_poly(text: str) -> BiPoly:
     """Coupling polynomial: monomials ``RAT [lam[^E]]`` joined by ``+``;
     a joiner follows a term, so a ``+`` at the start or after a joiner is a sign."""
@@ -82,18 +101,6 @@ def _lam_poly(text: str) -> BiPoly:
             raise ValueError(f"too many tokens in term {chunk!r}")
         poly = poly + BiPoly({(0, deg): coeff})
     return poly
-
-
-def _oracle_number(text: str) -> Fraction:
-    """``lambda``: strict rational, or a decimal literal read exactly."""
-    s = text.strip()
-    try:
-        return parse_rational(s)
-    except ValueError:
-        pass
-    if _DECIMAL_RE.match(s):
-        return Fraction(s)
-    raise ValueError(f"not a rational or decimal number: {text!r}")
 
 
 def integer(text: str) -> int:
@@ -126,7 +133,7 @@ _KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "potential": {"m": parse_rational, "omega": parse_rational},
     "run": {"order": integer, "format": _format},
     "oracle": {
-        "lambda": _oracle_number,
+        "lambda": partial(parse_rational, decimal=True),
         "basis": integer,
         "check_basis": integer,
         "levels": _levels,

@@ -4,9 +4,7 @@ Scalars that cross the public API are arbitrary-precision rationals,
 represented by the standard library's ``fractions.Fraction`` (always
 canonical: reduced, positive denominator).  ``str()`` of a Fraction is
 the textual interchange form used everywhere in this package: ``"p/q"``,
-or ``"p"`` when the denominator is 1.  ``parse_rational`` is the strict
-inverse; it rejects floating-point literals on purpose, so exact data can
-never silently lose precision on the way in.
+or ``"p"`` when the denominator is 1.
 
 ``BiPoly`` is a sparse polynomial in two formal symbols:
 
@@ -42,14 +40,11 @@ it.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
-
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 # Most bits `BiPoly.evaluate` lets the powers of n and lam in one term
 # take, so that a value too large to use is refused before it is formed.
@@ -59,25 +54,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 # still refused for that reason in 0.6 s, and the largest E it admits,
 # 599186, in 1.2 s (2-vCPU host).
 MAX_EVAL_BITS = 1 << 22
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a strict ``"p"`` or ``"p/q"`` string into a Fraction.
-
-    Rejects anything else, in particular decimal literals such as
-    ``"0.5"`` (use ``1/2``), digits other than ASCII 0-9 and zero
-    denominators.
-    """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        raise ValueError(
-            f"not an integer or p/q rational: {text!r} "
-            "(floating-point literals are not accepted)"
-        )
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational: {text!r}") from None
 
 
 def _as_fraction(value: Scalar) -> Fraction:

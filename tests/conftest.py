@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from lptseries.polys import ZERO, BiPoly, parse_rational
+from lptseries.config import parse_rational
+from lptseries.polys import ZERO, BiPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from lptseries import config
+from lptseries import cli, config
 from lptseries.config import (
     ConfigError,
     OracleConfig,
     parse_config,
+    parse_rational,
 )
 from lptseries.polys import LAM, BiPoly
 
@@ -33,6 +34,63 @@ levels = 0, 1, 2, 3
 
 # the [potential] lines of the unit oscillator
 UNIT = "m = 1\nomega = 1\n"
+
+# parse_rational's refusals, each formatted with the input's repr
+NOT_RATIONAL = "not an integer or p/q rational: {!r} (floating-point literals are not accepted)"
+NOT_DECIMAL = "not a rational or decimal number: {!r}"
+ZERO_DENOMINATOR = "zero denominator in rational: {!r}"
+
+
+# each input's reading without and with ``decimal``: a Fraction, or the
+# message it is refused with.  Digits are ASCII only: int() and Fraction
+# would read "1_2" and the Arabic-Indic digit three (U+0663)
+READINGS = [
+    ("3/4", Fraction(3, 4), Fraction(3, 4)),
+    ("-2", Fraction(-2), Fraction(-2)),
+    ("+6/10", Fraction(3, 5), Fraction(3, 5)),
+    (" 7 ", Fraction(7), Fraction(7)),
+    ("0", Fraction(0), Fraction(0)),
+    ("22/7", Fraction(22, 7), Fraction(22, 7)),
+    ("0.001", NOT_RATIONAL, Fraction(1, 1000)),
+    ("0.5", NOT_RATIONAL, Fraction(1, 2)),
+    ("1.0", NOT_RATIONAL, Fraction(1)),
+    (".5", NOT_RATIONAL, Fraction(1, 2)),
+    ("5.", NOT_RATIONAL, Fraction(5)),
+    ("-.25", NOT_RATIONAL, Fraction(-1, 4)),
+    ("1/0", ZERO_DENOMINATOR, ZERO_DENOMINATOR),
+    ("1e-3", NOT_RATIONAL, NOT_DECIMAL),
+    ("a", NOT_RATIONAL, NOT_DECIMAL),
+    ("1//2", NOT_RATIONAL, NOT_DECIMAL),
+    ("", NOT_RATIONAL, NOT_DECIMAL),
+    ("3 / 4", NOT_RATIONAL, NOT_DECIMAL),
+    ("1/2.0", NOT_RATIONAL, NOT_DECIMAL),
+    (".", NOT_RATIONAL, NOT_DECIMAL),
+    ("1_0", NOT_RATIONAL, NOT_DECIMAL),
+    ("1_2", NOT_RATIONAL, NOT_DECIMAL),
+    ("0x10", NOT_RATIONAL, NOT_DECIMAL),
+    ("\u0663", NOT_RATIONAL, NOT_DECIMAL),
+    ("1/\u0663", NOT_RATIONAL, NOT_DECIMAL),
+    ("\u0661.5", NOT_RATIONAL, NOT_DECIMAL),
+    ("\uff11", NOT_RATIONAL, NOT_DECIMAL),
+]
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, strict, with_decimal", READINGS,
+                             ids=[row[0] for row in READINGS])
+    @pytest.mark.parametrize("decimal", [False, True], ids=["strict", "decimal"])
+    def test_reads_exactly_or_refuses(self, decimal, text, strict, with_decimal):
+        expected = with_decimal if decimal else strict
+        if isinstance(expected, Fraction):
+            assert parse_rational(text, decimal) == expected
+        else:
+            with pytest.raises(ValueError) as refused:
+                parse_rational(text, decimal)
+            assert str(refused.value) == expected.format(text)
+
+    def test_rendering_is_the_inverse(self):
+        for text in ["3/4", "-2", "0", "22/7"]:
+            assert str(parse_rational(text)) == text
 
 
 class TestParse:
@@ -126,12 +184,19 @@ class TestParse:
              r"oracle\.levels: levels must be nonnegative"),
             (UNIT + "[oracle]\nlambda = \u0660.5",
              r"oracle\.lambda: not a rational or decimal number"),
+            (UNIT + "[oracle]\nlambda = 1/0", r"^oracle\.lambda: zero denominator in rational: '1/0'$"),
             (UNIT + "f\u0663 = 1 lam", "unknown key potential\\.f\u0663"),
             (UNIT + "f2 = 1 lam^\u0663", r"potential\.f2: expected 'lam' or 'lam\^E'"),
             ("m = \u0663\nomega = 1", r"potential\.m: not an integer or p/q rational"),
         ]:
             with pytest.raises(ConfigError, match=why):
                 parse_config(f"[potential]\n{text}\n")
+
+    def test_zero_denominator_lambda_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "problem.ini"
+        path.write_text(f"[potential]\n{UNIT}[oracle]\nlambda = 1/0\n")
+        assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_INVALID == 2
+        assert capsys.readouterr() == ("", "error: oracle.lambda: zero denominator in rational: '1/0'\n")
 
     def test_invalid_potential_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match="quadratic minimum"):

@@ -18,7 +18,7 @@ from lptseries.engine import (
     first_power_identity_failure,
     laurent_row,
 )
-from lptseries.polys import LAM, N, ZERO, BiPoly
+from lptseries.polys import LAM, N, ONE, ZERO, BiPoly
 
 from conftest import GOLDEN_DIR, add_to_cell, rand_bipoly, rand_fraction
 
@@ -559,3 +559,66 @@ class TestExactClosedForms:
         assert poschl_teller_energies(5)[2:] == [BiPoly({(0, 4): Fraction(1, 8)}) * (N + HALF),
                                                  ZERO,
                                                  BiPoly({(0, 8): Fraction(-1, 128)}) * (N + HALF)]
+
+
+def binomial_series(g: list[BiPoly], alpha: Fraction, top: int) -> list[BiPoly]:
+    """Coefficients 0..top of (1 + g(x))^alpha, where g[i] is the x^i
+    coefficient of g (g[0] = 0), from (1 + g) h' = alpha g' h."""
+    h = [ONE]
+    for n in range(1, top + 1):
+        h.append(BiPoly.dot(((g[i], h[n - i] * (alpha * i - (n - i)))
+                             for i in range(1, min(n, len(g) - 1) + 1)), div=n))
+    return h
+
+
+def lagrange_inverse(g: list[BiPoly], power: Fraction, count: int) -> list[BiPoly]:
+    """b_0..b_count of x = sum_j b_j y^j, the inverse of y = x (1 + g(x))^power:
+    b_j = [x^(j-1)] (1 + g)^(-j power) / j, by Lagrange reversion."""
+    return [ZERO] + [binomial_series(g, -j * power, j - 1)[j - 1] * Fraction(1, j)
+                     for j in range(1, count + 1)]
+
+
+def classical_energy(spec: PotentialSpec, order: int) -> list[BiPoly]:
+    """c_0..c_order of the classical E(I) = sum_k c_k I^k, with lam kept
+    symbolic: the inverse of the action I(E) = (1/2pi) closed integral p dx.
+
+    With V = m w^2 s^2 / 2, s = x (1 + g)^(1/2) and x = sum_j b_j s^j, the
+    orbit integral picks the odd b's:
+    I(E) = sum_r (2r+1) b_(2r+1) (2E/w) (2E/(m w^2))^r (2r-1)!!/(2r+2)!!.
+    Exact, with no hbar and no code of the recursion.
+    """
+    m, omega = spec.m, spec.omega
+    g = [ZERO] + [spec.f(i) * (2 / (m * omega**2)) for i in range(1, 2 * order - 1)]
+    b = lagrange_inverse(g, HALF, 2 * order - 1)
+    # a[r] is the E^(r+1) coefficient of I(E); a[0] = 1/w
+    a, ratio = [], HALF  # ratio = (2r-1)!!/(2r+2)!!
+    for r in range(order):
+        a.append(b[2 * r + 1] * ((2 * r + 1) * 2 / omega * (2 / (m * omega**2)) ** r * ratio))
+        ratio *= Fraction(2 * r + 1, 2 * r + 4)
+    # I = a[0] E (1 + psi(E)) with psi_r = a[r] / a[0], so E = sum_k b'_k (w I)^k
+    psi = [ZERO] + [a_r * omega for a_r in a[1:]]
+    return [c * omega**k for k, c in enumerate(lagrange_inverse(psi, Fraction(1), order))]
+
+
+class TestClassicalTopDegree:
+    """ROADMAP item 10: the n^k coefficient of E_k is the I^k coefficient of
+    the classical E(I) (Bohr-Sommerfeld), a reference that shares no code
+    with the recursion."""
+
+    def test_oscillator_and_quartic_by_hand(self):
+        # E(I) = w I for the oscillator; the quartic's first shift is
+        # 3/2 lam (I / (m w))^2, the top of E_2 = 3/2 lam (n^2 + n + 1/2)
+        assert classical_energy(PotentialSpec(2, Fraction(3, 5)), 3) == [
+            ZERO, BiPoly.constant(Fraction(3, 5)), ZERO, ZERO]
+        quartic = classical_energy(PotentialSpec(1, 1, {2: LAM}), 2)
+        assert quartic[2] == LAM * Fraction(3, 2)
+
+    @pytest.mark.parametrize("name", ["quartic", "quintic", "sextic", "multilam", "oddden"])
+    def test_top_degree_is_the_classical_energy(self, name):
+        cfg = parse_config((GOLDEN_DIR / f"{name}.ini").read_text())
+        series = expand(cfg.potential, cfg.order)[1]
+        classical = classical_energy(cfg.potential, cfg.order)
+        for k in range(1, cfg.order + 1):
+            top = BiPoly({(0, dl): c for dn, dl, c in series.e[k].terms_sorted() if dn == k})
+            assert top == classical[k], f"E_{k}"
+        assert any(classical[2:])  # the coupling reaches the top degree

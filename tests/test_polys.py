@@ -4,31 +4,11 @@ from math import gcd
 
 import pytest
 
-from lptseries.polys import (LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _unpack,
-                             parse_rational)
+from lptseries.polys import LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _unpack
 
 from conftest import rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
-
-
-class TestParseRational:
-    def test_integer_and_fraction_forms(self):
-        assert parse_rational("3/4") == Fraction(3, 4)
-        assert parse_rational("-2") == Fraction(-2)
-        assert parse_rational("+6/10") == Fraction(3, 5)
-        assert parse_rational(" 7 ") == Fraction(7)
-
-    def test_rendering_is_the_inverse(self):
-        for text in ["3/4", "-2", "0", "22/7"]:
-            assert str(parse_rational(text)) == text
-
-    # digits are ASCII only: int() would read "1_2" and the Arabic-Indic "\u0663"
-    @pytest.mark.parametrize("bad", ["0.5", "1.0", "1e-3", "a", "1/0", "1//2", "", "3 / 4",
-                                     "1_2", "\u0663", "1/\u0663", "\uff11"])
-    def test_rejects_non_rational_text(self, bad):
-        with pytest.raises(ValueError):
-            parse_rational(bad)
 
 
 class TestBiPolyBasics:
