@@ -18,10 +18,11 @@ A run is described by one file with up to three sections::
     check_basis = 80
     levels = 0, 1, 2, 3
 
-Every exact quantity crosses this boundary as an integer or ``p/q`` string,
-and `parse_rational` is the one reader of such numbers.  Decimal literals
-are rejected everywhere except ``lambda``, which is read exactly (``0.001``
-is 1/1000) and kept exact.  An ``fN`` key gives the coefficient of
+A key left out takes the default its record declares.  Every exact quantity
+crosses this boundary as an integer or ``p/q`` string, and `parse_rational`
+is the one reader of such numbers.  Decimal literals are rejected
+everywhere except ``lambda``, which is read exactly (``0.001`` is 1/1000)
+and kept exact.  An ``fN`` key gives the coefficient of
 ``x^(N+2)`` as a sum of monomials in the formal coupling: ``RAT``,
 ``RAT lam`` or ``RAT lam^E`` joined by `` + ``, where ``RAT`` may carry its
 own sign, as in ``1 lam + +1/2 lam^2``.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import configparser
 import re
+import sys
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
@@ -54,16 +56,16 @@ class ConfigError(ValueError):
 
 class OracleConfig(NamedTuple):
     lam: Fraction
-    basis_size: int
-    check_size: int | None  # None: the oracle derives it from basis_size
-    levels: tuple[int, ...]
+    basis_size: int = 60
+    check_size: int | None = None  # None: the oracle derives it from basis_size
+    levels: tuple[int, ...] = (0, 1, 2, 3)
 
 
 class RunConfig(NamedTuple):
     potential: PotentialSpec
-    order: int
-    fmt: str
-    oracle: OracleConfig | None
+    order: int = 4
+    fmt: str = "pretty"
+    oracle: OracleConfig | None = None
 
 
 def parse_rational(text: str, decimal: bool = False) -> Fraction:
@@ -127,36 +129,40 @@ def _levels(text: str) -> tuple[int, ...]:
     return levels
 
 
-# the value parser of each known key; any ``fN`` key of [potential] takes
-# ``_lam_poly``
-_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
-    "potential": {"m": parse_rational, "omega": parse_rational},
-    "run": {"order": integer, "format": _format},
+# each known key's record field and value parser; any ``fN`` key of
+# [potential] keeps its own name and takes ``_lam_poly``
+_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "potential": {"m": ("m", parse_rational), "omega": ("omega", parse_rational)},
+    "run": {"order": ("order", integer), "format": ("fmt", _format)},
     "oracle": {
-        "lambda": partial(parse_rational, decimal=True),
-        "basis": integer,
-        "check_basis": integer,
-        "levels": _levels,
+        "lambda": ("lam", partial(parse_rational, decimal=True)),
+        "basis": ("basis_size", integer),
+        "check_basis": ("check_size", integer),
+        "levels": ("levels", _levels),
     },
 }
 
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
-    """Every value of one section, parsed by the parser its key names.
+    """Every value of one section by its key's record field, parsed by the
+    parser the key names; a missing section gives no values.
 
-    The one place a value's diagnostic is built: an unknown key, or a
-    value its parser refuses with a ``ValueError``, raises `ConfigError`
-    naming ``section.key``.  A missing section gives no values.
+    The one place a value's diagnostic is built: an unknown key, a key or
+    value with more digits than the interpreter's int-to-str cap, or a value
+    its parser refuses, raises `ConfigError` naming ``section.key``.
     """
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no cap before 3.10.7
     values: dict[str, object] = {}
     for key, raw in parser[name].items() if parser.has_section(name) else ():
-        parse = _KEYS[name].get(key)
+        field, parse = _KEYS[name].get(key, (key, None))
         if parse is None and name == "potential" and _F_KEY_RE.match(key):
             parse = _lam_poly
         if parse is None:
             raise ConfigError(f"unknown key {name}.{key}")
+        if cap and any(len(run) > cap for run in re.findall("[0-9]+", f"{key} {raw}")):
+            raise ConfigError(f"{name}.{key}: a number past the limit of {cap} digits")
         try:
-            values[key] = parse(raw)
+            values[field] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}.{key}: {exc}") from None
     return values
@@ -185,10 +191,8 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     f_keys: dict[int, str] = {}  # index -> the fN key that gave it
     for key in pot:
         if key.startswith("f") and (first := f_keys.setdefault(int(key[1:]), key)) != key:
-            raise ConfigError(
-                f"potential.{first} and potential.{key} both give "
-                f"the coefficient of x^{int(key[1:]) + 2}"
-            )
+            raise ConfigError(f"potential.{first} and potential.{key} both give "
+                              f"the coefficient of x^{int(key[1:]) + 2}")
     try:
         potential = PotentialSpec(
             pot["m"], pot["omega"], {i: pot[key] for i, key in f_keys.items()}
@@ -200,17 +204,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     oracle = None
     if parser.has_section("oracle"):
         values = _section(parser, "oracle")
-        if "lambda" not in values:
+        if "lam" not in values:
             raise ConfigError("oracle.lambda is required when [oracle] is present")
-        oracle = OracleConfig(
-            lam=values["lambda"],
-            basis_size=values.get("basis", 60),
-            check_size=values.get("check_basis"),
-            levels=values.get("levels", (0, 1, 2, 3)),
-        )
-    return RunConfig(
-        potential=potential,
-        order=run.get("order", 4),
-        fmt=run.get("format", "pretty"),
-        oracle=oracle,
-    )
+        oracle = OracleConfig(**values)
+    return RunConfig(potential, **run, oracle=oracle)

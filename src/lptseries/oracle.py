@@ -152,8 +152,12 @@ class OracleProblem(_ProblemFields):
         # the highest term with a nonzero exact coefficient rules at large |x|
         top, coeff = max(((p, c) for p, c in coeffs if c), default=(0, 0))
         if top % 2 or coeff < 0:
+            try:
+                shown = str(coeff)
+            except ValueError:  # past the interpreter's int-to-str digit cap
+                shown = _g6(coeff)
             raise ValueError(f"the potential is unbounded below at lam = {lam}: "
-                             f"its highest term is {coeff} x^{top}")
+                             f"its highest term is {shown} x^{top}")
         levels = tuple(levels)
         if not levels or min(levels) < 0:
             raise ValueError(f"levels must be one or more nonnegative integers, got {levels}")

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,11 @@ from lptseries.config import parse_rational
 from lptseries.polys import ZERO, BiPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def get_digit_cap() -> int:
+    """The interpreter's cap on int-to-str digits; 0, none, before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def load_golden_energies() -> dict[int, BiPoly]:

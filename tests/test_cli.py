@@ -17,7 +17,7 @@ from lptseries.config import parse_config
 from lptseries.engine import expand
 from lptseries.polys import LAM, N, BiPoly
 
-from conftest import GOLDEN_DIR, add_to_cell
+from conftest import GOLDEN_DIR, add_to_cell, get_digit_cap
 
 SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
@@ -61,11 +61,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def get_digit_cap() -> int:
-    """The interpreter's cap on int-to-str digits; 0, none, before 3.10.7."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def write_golden(tmp_path, document) -> str:
@@ -490,6 +485,20 @@ class TestVerify:
         assert err == (
             "error: the potential is unbounded below at lam = -1/100: "
             "its highest term is -1/100 x^4\n"
+        )
+
+    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
+    def test_unbounded_term_past_the_digit_cap(self, capsys, tmp_path):
+        # lam^2000 at 1/1000 leaves a top coefficient whose denominator
+        # str() cannot print: it is named by its six digits instead
+        config = tmp_path / "unbounded.ini"
+        config.write_text("[potential]\nm = 1\nomega = 1\nf2 = -1 lam + 1 lam^2000\n"
+                          "\n[oracle]\nlambda = 1/1000\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == (
+            "error: the potential is unbounded below at lam = 1/1000: "
+            "its highest term is -0.001 x^4\n"
         )
 
     def test_pure_cubic_is_refused(self, capsys, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from lptseries.config import (
 )
 from lptseries.polys import LAM, BiPoly
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, get_digit_cap
 
 SEXTIC_TEXT = """
 [potential]
@@ -34,6 +34,10 @@ levels = 0, 1, 2, 3
 
 # the [potential] lines of the unit oscillator
 UNIT = "m = 1\nomega = 1\n"
+
+# the interpreter's int-to-str digit cap (0: none), and a number one digit past it
+CAP = get_digit_cap()
+PAST_CAP = "1" + "0" * CAP
 
 # parse_rational's refusals, each formatted with the input's repr
 NOT_RATIONAL = "not an integer or p/q rational: {!r} (floating-point literals are not accepted)"
@@ -191,6 +195,57 @@ class TestParse:
         ]:
             with pytest.raises(ConfigError, match=why):
                 parse_config(f"[potential]\n{text}\n")
+
+    # refused by the config reader, naming the key, before any value parser
+    # or the fN index meets the interpreter's own digit-cap message
+    @pytest.mark.skipif(not CAP, reason="no digit cap")
+    @pytest.mark.parametrize("text, where", [
+        (f"m = {PAST_CAP}\nomega = 1", "potential.m"),
+        (f"m = 1/{PAST_CAP}\nomega = 1", "potential.m"),
+        (UNIT + f"[run]\norder = {PAST_CAP}", "run.order"),
+        (UNIT + f"[oracle]\nlambda = 1\nlevels = 0, {PAST_CAP}", "oracle.levels"),
+        (UNIT + f"[oracle]\nlambda = {PAST_CAP}", "oracle.lambda"),
+        (UNIT + f"[oracle]\nlambda = 0.{PAST_CAP}", "oracle.lambda"),
+        (UNIT + f"f2 = 1 lam^{PAST_CAP}", "potential.f2"),
+        (UNIT + f"f{PAST_CAP} = 1 lam", f"potential.f{PAST_CAP}"),
+    ], ids=["m", "m-denominator", "order", "levels", "lambda", "lambda-decimal",
+            "lam-power", "f-index"])
+    def test_number_past_the_digit_cap_named(self, text, where):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(f"[potential]\n{text}\n")
+        assert str(refused.value) == f"{where}: a number past the limit of {CAP} digits"
+
+    @pytest.mark.skipif(not CAP, reason="no digit cap")
+    def test_number_at_the_digit_cap_is_read(self):
+        cfg = parse_config(f"[potential]\nm = {'9' * CAP}\nomega = 1\n")
+        assert cfg.potential.m == 10**CAP - 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("omega = 1", "potential.m is required"),
+        ("m = 1", "potential.omega is required"),
+        (UNIT + "[oracle]\nbasis = 40", "oracle.lambda is required when [oracle] is present"),
+    ], ids=["m", "omega", "lambda"])
+    def test_required_key_named(self, text, message):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(f"[potential]\n{text}\n")
+        assert str(refused.value) == message
+
+    # the keys are the file's words; a record field's name is no key
+    @pytest.mark.parametrize("text, key", [
+        ("[run]\nfmt = csv", "run.fmt"),
+        ("[oracle]\nlam = 1/1000", "oracle.lam"),
+        ("[oracle]\nlambda = 1\nbasis_size = 60", "oracle.basis_size"),
+        ("[oracle]\nlambda = 1\ncheck_size = 80", "oracle.check_size"),
+    ], ids=["fmt", "lam", "basis_size", "check_size"])
+    def test_record_field_is_no_key(self, text, key):
+        with pytest.raises(ConfigError) as refused:
+            parse_config(f"[potential]\n{UNIT}{text}\n")
+        assert str(refused.value) == f"unknown key {key}"
+
+    def test_defaults_of_absent_keys(self):
+        cfg = parse_config(f"[potential]\n{UNIT}[oracle]\nlambda = 1\n")
+        assert (cfg.order, cfg.fmt) == (4, "pretty")
+        assert cfg.oracle == OracleConfig(Fraction(1), 60, None, (0, 1, 2, 3))
 
     def test_zero_denominator_lambda_exits_2(self, capsys, tmp_path):
         path = tmp_path / "problem.ini"

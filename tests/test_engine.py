@@ -622,3 +622,80 @@ class TestClassicalTopDegree:
             top = BiPoly({(0, dl): c for dn, dl, c in series.e[k].terms_sorted() if dn == k})
             assert top == classical[k], f"E_{k}"
         assert any(classical[2:])  # the coupling reaches the top degree
+
+
+def hypervirial_energies(spec: PotentialSpec, order: int) -> list[BiPoly]:
+    """E_0..E_order by hypervirial plus Hellmann-Feynman perturbation theory
+    (Killingbeck, Rep. Prog. Phys. 40, 963 (1977); Fernández and Castro,
+    Hypervirial Theorems, Springer 1987), a reference that shares no code
+    with the recursion.
+
+    With x = sqrt(hbar) y and g = sqrt(hbar), H / hbar = p^2/2m + m w^2 y^2/2
+    + sum_i g^i f_i y^(i+2), whose level is sum_q E^(q) g^q, so that
+    E_k = E^(2k-2); n enters through E^(0) = w (n + 1/2) alone.  The moments
+    M[q][j], the g^q part of <y^j>, start from M[q][0] = [q = 0] and obey
+
+        (j+1) m w^2 M[q][j+1] = 2j sum_p E^(p) M[q-p][j-1]
+            - sum_i (2j+i+2) f_i M[q-i][j+i+1] + j(j-1)(j-2)/(4m) M[q][j-3],
+
+    and Hellmann-Feynman gives q E^(q) = sum_i i f_i M[q-i][i+2].  Order q
+    needs moments up to J(q) = max(i + 2, J(q+i) + i) over the i with
+    q + i <= 2K-2; an order off the lattice (not a multiple of the gcd of
+    the indices) vanishes with its moments.
+    """
+    m, omega, top = spec.m, spec.omega, 2 * order - 2
+    step = math.gcd(*(i for i, _ in spec.terms))
+    need = [0] * (top + 1)
+    for q in range(top, -1, -1):
+        need[q] = max((max(i + 2, need[q + i] + i) for i, _ in spec.terms if q + i <= top),
+                      default=0)
+    energy: list[BiPoly] = []
+    moments: list[list[BiPoly]] = []
+    for q in range(top + 1):
+        if q and (not step or q % step):
+            energy.append(ZERO)
+            moments.append([])
+            continue
+        energy.append(BiPoly.dot(((f * i, moments[q - i][i + 2]) for i, f in spec.terms if i <= q),
+                                 div=q) if q else (N + HALF) * omega)
+        row = [BiPoly.constant(int(q == 0))]
+        moments.append(row)
+        for j in range(need[q]):
+            # an E^(p) that does not vanish has p a sum of indices, so
+            # M[q-p] reaches j-1
+            pairs = [(e, moments[q - p][j - 1] * (2 * j))
+                     for p, e in enumerate(energy) if j and e]
+            pairs += [(f, moments[q - i][j + i + 1] * -(2 * j + i + 2))
+                      for i, f in spec.terms if i <= q]
+            if j >= 3:
+                pairs.append((row[j - 3], BiPoly.constant(Fraction(j * (j - 1) * (j - 2), 4) / m)))
+            row.append(BiPoly.dot(pairs, div=(j + 1) * m * omega**2))
+    return [ZERO, *energy[::2]]
+
+
+class TestHypervirial:
+    """ROADMAP aim 3: every golden's series equals hypervirial plus
+    Hellmann-Feynman perturbation theory, exactly and polynomial for
+    polynomial in n and lam."""
+
+    def test_oscillator_and_quartic_by_hand(self):
+        assert hypervirial_energies(PotentialSpec(2, Fraction(3, 5)), 3) == [
+            ZERO, (N + HALF) * Fraction(3, 5), ZERO, ZERO]
+        assert hypervirial_energies(PotentialSpec(1, 1, {2: LAM}), 2)[2] == (
+            second_order_closed_form(1, 1, 0, 1) * LAM)
+
+    @pytest.mark.parametrize("ini", sorted(GOLDEN_DIR.glob("*.ini")), ids=lambda p: p.stem)
+    def test_golden_series_is_the_hypervirial_series(self, ini):
+        cfg = parse_config(ini.read_text())
+        assert expand(cfg.potential, cfg.order)[1].e == tuple(
+            hypervirial_energies(cfg.potential, cfg.order))
+
+    @pytest.mark.parametrize("f", [{2: LAM}, {4: LAM * HALF}], ids=["quartic", "sextic"])
+    def test_a_wrong_residue_is_found(self, monkeypatch, f):
+        # row 1 pinned to n + 1: the sweep re-sums the recursion's own
+        # identities and finds nothing, the hypervirial series differs
+        spec = PotentialSpec(1, 1, f)
+        monkeypatch.setattr(engine, "N", N + 1)
+        table, series = expand(spec, 8)
+        assert first_power_identity_failure(table, series, spec) is None
+        assert series.e != tuple(hypervirial_energies(spec, 8))
