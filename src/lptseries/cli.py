@@ -35,7 +35,7 @@ from pathlib import Path
 # here, for every command.  Each loads on its first attribute read: `oracle`
 # in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
-from .config import FORMATS, ConfigError, RunConfig, integer, parse_config
+from .config import FORMATS, ConfigError, RunConfig, integer, parse_config, within_digit_cap
 from .engine import EnergySeries, expand, first_power_identity_failure
 
 EXIT_OK = 0
@@ -232,7 +232,9 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         import json
 
         try:
-            golden = json.loads(Path(args.golden).read_text(encoding="utf-8-sig"))
+            # only JSON's integers meet the cap: a coefficient string may be longer
+            golden = json.loads(Path(args.golden).read_text(encoding="utf-8-sig"),
+                                parse_int=lambda digits: int(within_digit_cap(digits)))
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8
             raise ConfigError(f"cannot read golden file {args.golden}: {exc}") from None
         try:

@@ -143,6 +143,17 @@ _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
 }
 
 
+def within_digit_cap(text: str) -> str:
+    """``text``, unless a run of ASCII digits in it is longer than the
+    interpreter's cap on int-to-str digits (Python 3.10.7 on): then
+    ``ValueError`` names the cap, where ``int`` would advise a call that a
+    user of the command line cannot make."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap and any(len(run) > cap for run in re.findall("[0-9]+", text)):
+        raise ValueError(f"a number past the limit of {cap} digits")
+    return text
+
+
 def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
     """Every value of one section by its key's record field, parsed by the
     parser the key names; a missing section gives no values.
@@ -151,7 +162,6 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
     value with more digits than the interpreter's int-to-str cap, or a value
     its parser refuses, raises `ConfigError` naming ``section.key``.
     """
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no cap before 3.10.7
     values: dict[str, object] = {}
     for key, raw in parser[name].items() if parser.has_section(name) else ():
         field, parse = _KEYS[name].get(key, (key, None))
@@ -159,9 +169,8 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
             parse = _lam_poly
         if parse is None:
             raise ConfigError(f"unknown key {name}.{key}")
-        if cap and any(len(run) > cap for run in re.findall("[0-9]+", f"{key} {raw}")):
-            raise ConfigError(f"{name}.{key}: a number past the limit of {cap} digits")
         try:
+            within_digit_cap(f"{key} {raw}")
             values[field] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{name}.{key}: {exc}") from None

@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -135,6 +136,11 @@ class OracleProblem(_ProblemFields):
     * the potential is bounded below at lam: judged on the exact
       coefficients, its highest term that does not vanish is an even power
       of x with a positive coefficient;
+    * the potential is a single well at lam: V'(x)/x = m omega^2 +
+      sum (i+2) f_i x^i has no real root, which a Sturm sequence in
+      Fractions counts exactly.  A second stationary point means another
+      well, which an oscillator basis centred at 0 need not reach: the
+      levels it finds need not be H's lowest;
     * at least one level, none negative;
     * the basis has room for the top level and the highest power of x, the
       check basis is strictly larger, and both are within ``MAX_BASIS``.
@@ -175,6 +181,14 @@ class OracleProblem(_ProblemFields):
                                  + why)
         if check_size <= basis_size:
             raise ValueError("check basis must be strictly larger than the base one")
+        well = [potential.m * potential.omega**2] + [Fraction(0)] * (degree - 2)
+        for p, c in coeffs:
+            well[p - 2] += p * c
+        while not well[-1]:  # well[0] > 0
+            well.pop()
+        if (root := _root_nearest_zero(well)) is not None:
+            raise ValueError(f"the potential is not a single well at lam = {lam}: "
+                             f"V'(x) = 0 at x = {_g6(root)} as well as at x = 0")
         return super().__new__(cls, potential, lam, basis_size, check_size, levels)
 
     @classmethod
@@ -189,6 +203,69 @@ def _double(value: Fraction) -> float:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of two polynomials, as coefficient lists lowest
+    degree first; ``q``'s last coefficient is nonzero, and so is the
+    remainder's (an empty list is zero)."""
+    rest = list(p)
+    quotient = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = c = rest[k + len(q) - 1] / q[-1]
+        for j, q_j in enumerate(q):
+            rest[k + j] -= c * q_j
+    del rest[len(q) - 1 :]
+    while rest and not rest[-1]:
+        rest.pop()
+    return quotient, rest
+
+
+def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
+    """Sturm sequence of the square-free part of ``p`` (degree 1 or more):
+    the part, its derivative, then the negated remainders down to a
+    nonzero constant."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1 and (rest := _poly_divmod(chain[-2], chain[-1])[1]):
+        chain.append([-c for c in rest])
+    if len(chain[-1]) > 1:  # gcd(p, p') is not constant: p has a repeated root
+        return _sturm_chain(_poly_divmod(p, chain[-1])[0])
+    return chain
+
+
+def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
+    values = (reduce(lambda value, c: value * x + c, reversed(q), 0) for q in chain)
+    signs = [value > 0 for value in values if value]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_nearest_zero(p: list[Fraction]) -> Fraction | None:
+    """The real root of ``p`` (coefficients lowest degree first, the first
+    and last nonzero) nearest 0, to within a relative 2**-30 of it, or None
+    if ``p`` has no real root.
+
+    Sturm's theorem: the sign changes of the chain at a, less those at b,
+    count the distinct roots in (a, b], all exactly, in Fractions.
+    """
+    if len(p) < 2:
+        return None
+    chain = _sturm_chain(p)
+
+    def inside(r: Fraction) -> int:  # the roots in (-r, r]
+        return _sign_changes(chain, -r) - _sign_changes(chain, r)
+
+    if not inside(1 + max(abs(c / p[-1]) for c in p)):  # Cauchy's bound on every root
+        return None
+    low = Fraction(1)
+    while inside(low):
+        low /= 2
+    high = 2 * low
+    while not inside(high):
+        low, high = high, 2 * high
+    for _ in range(30):  # the nearest root's magnitude is in [low, high]
+        mid = (low + high) / 2
+        low, high = (low, mid) if inside(mid) else (mid, high)
+    return high if _sign_changes(chain, Fraction(0)) > _sign_changes(chain, high) else -high
 
 
 def _g6(value: Fraction) -> str:

@@ -24,11 +24,13 @@ package goes through.  It multiplies by Kronecker substitution: for each
 ``lam`` degree an operand is packed into one int, the sum over its ``n``
 coefficients of ``num << (width * deg_n)``, so one product of two packed
 ints is the whole product polynomial in ``n``, computed by CPython's
-big-integer multiply.  ``width`` is chosen per call from the operands'
-numerator bit lengths and term counts, their denominators against the
-common one, and the number of pairs, rounded up to a multiple of 64; it
-keeps every coefficient of the signed sum below half a slot, so the sum
-decodes slot by slot as balanced digits.
+big-integer multiply.  One pass over the pairs scales each product to the
+common denominator and adds it into one packed sum per ``lam`` degree.
+``width`` is chosen per call from the operands' numerator bit lengths and
+term counts, their denominators against the common one, and the number of
+pairs, rounded up to a multiple of 64; it keeps every coefficient of the
+signed sum below half a slot, so the sum decodes slot by slot as balanced
+digits.
 
 Values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.  The one piece
@@ -147,17 +149,25 @@ class BiPoly:
         divided by the nonzero scalar ``div``.
 
         Pairs with a zero operand are skipped.  The result is over the
-        common denominator ``den`` of all pairs, so pair (a, b) enters
-        scaled by ``den // (a._den * b._den)``.  The products run on
-        Kronecker-packed ints (module docstring) at one slot width for the
-        call, the smallest multiple of 64 bits that holds every
-        coefficient of the signed sum below half a slot (``_slot_width``
-        derives the bound).  They are summed per ``lam`` degree and per
-        pair denominator, the ``doubled`` partial sums are doubled once,
-        every such group is scaled once, and the sum is decoded and
-        reduced by one gcd.  ``div = p/q`` joins that reduction: the
-        decoded numerators are multiplied by q (negated if p < 0) and the
-        common denominator by |p|, so a quotient costs no second reduction.
+        common denominator ``den`` of all pairs.  One pass over the pairs,
+        doubled ones first, multiplies their Kronecker-packed operands
+        (module docstring), scales each product by ``den // (a._den *
+        b._den)``, twice that for a doubled pair, and adds it into one sum
+        per ``lam`` degree; the sums are then decoded and reduced by one
+        gcd.  ``div = p/q`` joins that reduction: the decoded numerators are
+        multiplied by q (negated if p < 0) and the common denominator by
+        |p|, so a quotient costs no second reduction.
+
+        The slot width is the smallest multiple of 64 bits (so few widths
+        recur and memoised packs are reused) that no coefficient of the
+        signed sum can overflow.  Over ``den``, a coefficient of one product
+        a*b is ``den`` times a sum of at most min(len(a), len(b)) coefficient
+        products, because each term of a meets at most one term of b at a
+        given exponent.  With den < 2**den.bit_length() that is below
+        2**(den.bit_length() + a._slot_bits + b._slot_bits).  The result
+        adds 2*len(doubled) + len(pairs) such products, and balanced
+        decoding needs every coefficient below half a slot: one more bit for
+        the count and one for the sign.
 
         Each operand memoises its packed form per width, so a cell that
         joins many sums, as a table cell does across a row, is packed once
@@ -167,23 +177,24 @@ class BiPoly:
         div_num, div_den = (div, 1) if type(div) is int else _as_fraction(div).as_integer_ratio()
         if not div_num:
             raise ZeroDivisionError("division of a polynomial by zero")
-        twice = [(a, b) for a, b in doubled if a._terms and b._terms]
-        once = [(a, b) for a, b in pairs if a._terms and b._terms]
-        if not twice and not once:
+        weighted = [(a, b, 2) for a, b in doubled if a._terms and b._terms]
+        weighted += [(a, b, 1) for a, b in pairs if a._terms and b._terms]
+        if not weighted:
             return ZERO
-        den = lcm(*(a._den * b._den for a, b in twice + once))
-        width = _slot_width(twice, once, den)
-        sums: dict[tuple[int, int], int] = {}
-        _add_packed_products(sums, twice, width)
-        for key in sums:
-            sums[key] *= 2
-        _add_packed_products(sums, once, width)
-        total: dict[int, int] = {}
-        for (pair_den, deg_lam), value in sums.items():
-            total[deg_lam] = total.get(deg_lam, 0) + value * (den // pair_den)
+        den = lcm(*(a._den * b._den for a, b, _ in weighted))
+        bits = max(a._slot_bits + b._slot_bits for a, b, _ in weighted)
+        bits += den.bit_length() + sum(w for _, _, w in weighted).bit_length() + 1
+        width = -(-bits // 64) * 64
+        sums: dict[int, int] = {}
+        for a, b, w in weighted:
+            scale = den // (a._den * b._den) * w
+            b_packed = (b._packs.get(width) or b._packed(width)).items()
+            for a_lam, a_int in (a._packs.get(width) or a._packed(width)).items():
+                for b_lam, b_int in b_packed:
+                    sums[a_lam + b_lam] = sums.get(a_lam + b_lam, 0) + a_int * b_int * scale
         factor = div_den if div_num > 0 else -div_den
         out: dict[tuple[int, int], int] = {}
-        for deg_lam, value in total.items():
+        for deg_lam, value in sums.items():
             for deg_n, num in _unpack(value, width):
                 out[(deg_n, deg_lam)] = num * factor
         return BiPoly._reduced(out, den * abs(div_num))
@@ -279,7 +290,7 @@ class BiPoly:
 
 
 def _slot_bits(terms: dict[tuple[int, int], int], den: int) -> int:
-    """An operand's share of a slot's bits, as ``_slot_width`` adds them up.
+    """An operand's share of a slot's bits, as ``BiPoly.dot`` adds them up.
 
     With t terms, largest numerator magnitude below 2**nb and
     den >= 2**(den.bit_length() - 1), t * (largest coefficient) is below
@@ -288,39 +299,6 @@ def _slot_bits(terms: dict[tuple[int, int], int], den: int) -> int:
     """
     top = max(map(abs, terms.values()), default=0)
     return top.bit_length() + len(terms).bit_length() - den.bit_length() + 1
-
-
-def _slot_width(twice: list[Pair], once: list[Pair], den: int) -> int:
-    """Bits per ``n`` slot for one ``dot`` call: a multiple of 64 (so few
-    widths recur and memoised packs are reused) that no coefficient of the
-    signed sum can overflow.
-
-    Over the common denominator ``den``, a coefficient of one product a*b
-    is ``den`` times a sum of at most min(len(a), len(b)) coefficient
-    products, because each term of a meets at most one term of b at a
-    given exponent.  With den < 2**den.bit_length() that is below
-    2**(den.bit_length() + a._slot_bits + b._slot_bits).  The result adds
-    2*len(twice) + len(once) such products, and balanced decoding needs
-    every coefficient below half a slot: one more bit for the count and
-    one for the sign.
-    """
-    both = twice + once
-    bits = max(a._slot_bits + b._slot_bits for a, b in both)
-    bits += den.bit_length() + (len(both) + len(twice)).bit_length() + 1
-    return -(-bits // 64) * 64
-
-
-def _add_packed_products(
-    sums: dict[tuple[int, int], int], pairs: list[Pair], width: int
-) -> None:
-    """Add every packed ``a*b`` into ``sums[(a._den * b._den, deg_lam)]``."""
-    for a, b in pairs:
-        pair_den = a._den * b._den
-        b_packed = (b._packs.get(width) or b._packed(width)).items()
-        for a_lam, a_int in (a._packs.get(width) or a._packed(width)).items():
-            for b_lam, b_int in b_packed:
-                key = (pair_den, a_lam + b_lam)
-                sums[key] = sums.get(key, 0) + a_int * b_int
 
 
 def _unpack(value: int, width: int) -> Iterator[tuple[int, int]]:

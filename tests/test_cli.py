@@ -367,7 +367,8 @@ class TestCheck:
     @pytest.mark.parametrize("data, why", [
         (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
         (b'{"a": ' * 100000 + b"1" + b"}" * 100000, "maximum recursion depth exceeded"),
-        pytest.param(b'{"order": 1' + b"0" * 5000 + b"}", "Exceeds the limit",
+        pytest.param(b'{"order": 1' + b"0" * 5000 + b"}",
+                     f"a number past the limit of {get_digit_cap()} digits\n",
                      marks=pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")),
         (b"\xff\xfe", "'utf-8' codec can't decode"),
     ], ids=["nested-arrays", "nested-objects", "long-integer", "not-utf-8"])
@@ -601,15 +602,32 @@ class TestVerify:
 
     def test_oracle_error(self, capsys, tmp_path):
         # the double well V = x^2/2 + lam x^3 + lam^2 x^4/4: at lam = 1/2 both
-        # bases reach its outer well near x = -5.24, where V is about -11, so
-        # the ground level, about -9.9, passes the gate and is not positive
+        # bases reach its outer well near x = -5.24, where V is about -11; it
+        # is refused before anything is diagonalized
         config = tmp_path / "double-well.ini"
         config.write_text("[potential]\nm = 1\nomega = 1\nf1 = 1 lam\nf2 = 1/4 lam^2\n"
                           "\n[run]\norder = 8\n"
                           "\n[oracle]\nlambda = 1/2\nbasis = 60\ncheck_basis = 80\nlevels = 0\n")
         code, out, err = run(capsys, "verify", "--config", config)
         assert code == EXIT_INVALID and out == ""
-        assert err == "oracle error: spectrum is not strictly increasing and positive\n"
+        assert err == ("error: the potential is not a single well at lam = 1/2: "
+                       "V'(x) = 0 at x = -0.763932 as well as at x = 0\n")
+
+    # V = x^2/2 + lam x^3 + f2 x^4 at lam = 1/30: at f2 = lam^2/4 the outer
+    # well near x = -78.5 goes down to about -2495, far past what 60 or 80
+    # oscillator states reach, so every level printed ok at basis 60/80; at
+    # f2 = lam^2/2 the two wells are equally deep, V = x^2 (1 + lam x)^2 / 2
+    @pytest.mark.parametrize("f2, where", [("1/4 lam^2", "-11.459"), ("1/2 lam^2", "-15")],
+                             ids=["deep-outer-well", "degenerate-wells"])
+    def test_second_well_is_refused(self, capsys, tmp_path, f2, where):
+        config = tmp_path / "double-well.ini"
+        config.write_text(f"[potential]\nm = 1\nomega = 1\nf1 = 1 lam\nf2 = {f2}\n"
+                          "\n[run]\norder = 8\n\n[oracle]\nlambda = 1/30\nbasis = 60\n"
+                          "check_basis = 80\nlevels = 0, 1, 2, 3\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == (f"error: the potential is not a single well at lam = 1/30: "
+                       f"V'(x) = 0 at x = {where} as well as at x = 0\n")
 
 
 class TestInvalidInput:

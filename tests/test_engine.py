@@ -690,6 +690,14 @@ class TestHypervirial:
         assert expand(cfg.potential, cfg.order)[1].e == tuple(
             hypervirial_energies(cfg.potential, cfg.order))
 
+    # orders past the goldens': `BiPoly.dot` packs these in 192-bit slots too,
+    # where the goldens reach only 64 and 128
+    @pytest.mark.parametrize("f, order", [({2: LAM}, 24), ({1: LAM, 2: LAM * LAM}, 16)],
+                             ids=["quartic-24", "cubic-quartic-16"])
+    def test_wide_slots_give_the_hypervirial_series(self, f, order):
+        spec = PotentialSpec(1, 1, f)
+        assert expand(spec, order)[1].e == tuple(hypervirial_energies(spec, order))
+
     @pytest.mark.parametrize("f", [{2: LAM}, {4: LAM * HALF}], ids=["quartic", "sextic"])
     def test_a_wrong_residue_is_found(self, monkeypatch, f):
         # row 1 pinned to n + 1: the sweep re-sums the recursion's own

@@ -15,7 +15,10 @@ from lptseries.oracle import (
     BasisNotConverged,
     EigensolverError,
     OracleProblem,
+    _ProblemFields,
+    _g6,
     _hamiltonian_at,
+    _root_nearest_zero,
     compare_series,
     converged_levels,
     jacobi_eigenvalues,
@@ -72,6 +75,12 @@ def x_power_diagonal(m, omega, power, n_basis):
     spec = PotentialSpec(m, omega, {power - 2: LAM})
     h = _hamiltonian_at(OracleProblem(spec, 1, n_basis, None, (0,)), n_basis)
     return [entry(h, n, n) - float(omega) * (n + 0.5) for n in range(n_basis)]
+
+
+def unchecked_problem(spec, lam, basis, check, levels) -> OracleProblem:
+    """A problem built past `OracleProblem`'s checks: the band solver and the
+    gate must still take a second well, which the record refuses."""
+    return _ProblemFields.__new__(OracleProblem, spec, Fraction(lam), basis, check, levels)
 
 
 class TestPositionMatrix:
@@ -259,7 +268,7 @@ class TestBandSolver:
             "dominant-cubic", "cubic-quartic-at-zero", "quartic-121", "sextic-25",
             "quartic-7"])
     def test_matches_eigvalsh_on_oracle_hamiltonians(self, spec, lam, basis):
-        problem = OracleProblem(spec, lam, basis, basis + 20, (0,))
+        problem = unchecked_problem(spec, lam, basis, basis + 20, (0,))
         h = _hamiltonian_at(problem, problem.basis_size)
         values, _ = lowest_eigenvalues(h, 6)
         reference = np.linalg.eigvalsh(dense(h))[:6]
@@ -527,7 +536,7 @@ class TestUnboundedBelow:
 
     @pytest.mark.parametrize("terms, lam", [
         ({1: LAM, 2: LAM * LAM}, Fraction(1, 20)),
-        ({1: LAM, 2: LAM, 4: LAM * LAM}, Fraction(-1, 10)),
+        ({2: LAM, 4: LAM * LAM}, Fraction(-1, 10)),
         ({1: LAM}, 0),
         ({}, 1),
     ], ids=["cubic-quartic", "sextic-at-negative-coupling", "cubic-at-zero", "harmonic"])
@@ -545,6 +554,32 @@ class TestUnboundedBelow:
             quartic._replace(potential=cubic)
         with pytest.raises(ValueError, match="unbounded below"):
             quartic._replace(lam_value=Fraction(-1, 100))
+
+
+class TestSingleWell:
+    """A stationary point besides x = 0 means a second well, or a flat step
+    towards one: refused on the exact coefficients, naming the point nearest
+    0 to six digits."""
+
+    @pytest.mark.parametrize("terms, lam, where", [
+        # V'(x)/x = (1 + x/2)^2: a repeated root, at a point the bisection meets
+        ({1: LAM, 2: LAM * LAM * Fraction(9, 16)}, Fraction(1, 3), "-2"),
+        ({1: LAM, 2: LAM, 4: LAM * LAM}, Fraction(-1, 10), "1.43532"),
+        # V'(x)/x = 1 - 4x^2 + x^4: roots at +-0.517638 and +-1.93185
+        ({2: LAM, 4: LAM * LAM * Fraction(1, 6)}, Fraction(-1), "0.517638"),
+    ], ids=["repeated-root", "sextic-at-negative-coupling", "symmetric"])
+    def test_refused_naming_the_point(self, terms, lam, where):
+        message = (f"not a single well at lam = {lam}: "
+                   f"V'(x) = 0 at x = {where} as well as at x = 0")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OracleProblem(PotentialSpec(1, 1, terms), lam, 60, None, (0,))
+
+    def test_repeated_root_at_a_counted_point(self):
+        # (1 + x/2)^2 (1 - 2x/3) (1 + x/8): the count at r = 2 meets the double
+        # root -2, where every member of the Sturm sequence of the polynomial
+        # itself vanishes; that of its square-free part still finds 3/2
+        coeffs = [Fraction(c) for c in ("1", "11/24", "-3/8", "-7/32", "-1/48")]
+        assert _g6(_root_nearest_zero(coeffs)) == "1.5"
 
 
 class TestDoubleRange:
@@ -630,6 +665,14 @@ class TestConvergenceGate:
         problem = OracleProblem(sextic_spec, 1, 24, 48, (0, 1, 2, 3))
         with pytest.raises(BasisNotConverged):
             converged_levels(problem)
+
+    def test_gate_rejects_a_spectrum_below_zero(self):
+        # the double well V = x^2/2 + lam x^3 + lam^2 x^4/4: at lam = 1/2 both
+        # bases reach its outer well near x = -5.24, where V is about -11, so
+        # the ground level, about -9.9, passes the gate and is not positive
+        spec = PotentialSpec(1, 1, {1: LAM, 2: LAM * LAM * Fraction(1, 4)})
+        with pytest.raises(oracle.OracleError, match="^spectrum is not strictly increasing"):
+            converged_levels(unchecked_problem(spec, Fraction(1, 2), 60, 80, (0,)))
 
     @pytest.mark.parametrize("J, b", [
         (0, Fraction(5, 4)), (0, Fraction(11, 10)), (0, Fraction(103, 100)),
