@@ -58,7 +58,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import MAX_ORDER, EnergySeries, PotentialSpec, evaluate_energy, expand
-from .polys import _as_fraction
+from .polys import _as_fraction, _double, _g6, exact_str
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,12 +158,8 @@ class OracleProblem(_ProblemFields):
         # the highest term with a nonzero exact coefficient rules at large |x|
         top, coeff = max(((p, c) for p, c in coeffs if c), default=(0, 0))
         if top % 2 or coeff < 0:
-            try:
-                shown = str(coeff)
-            except ValueError:  # past the interpreter's int-to-str digit cap
-                shown = _g6(coeff)
-            raise ValueError(f"the potential is unbounded below at lam = {lam}: "
-                             f"its highest term is {shown} x^{top}")
+            raise ValueError(f"the potential is unbounded below at lam = {exact_str(lam)}: "
+                             f"its highest term is {exact_str(coeff)} x^{top}")
         levels = tuple(levels)
         if not levels or min(levels) < 0:
             raise ValueError(f"levels must be one or more nonnegative integers, got {levels}")
@@ -187,7 +183,7 @@ class OracleProblem(_ProblemFields):
         while not well[-1]:  # well[0] > 0
             well.pop()
         if (root := _root_nearest_zero(well)) is not None:
-            raise ValueError(f"the potential is not a single well at lam = {lam}: "
+            raise ValueError(f"the potential is not a single well at lam = {exact_str(lam)}: "
                              f"V'(x) = 0 at x = {_g6(root)} as well as at x = 0")
         return super().__new__(cls, potential, lam, basis_size, check_size, levels)
 
@@ -195,14 +191,6 @@ class OracleProblem(_ProblemFields):
     def _make(cls, iterable) -> OracleProblem:
         # ``_replace`` builds through ``_make``: check there too
         return cls(*iterable)
-
-
-def _double(value: Fraction) -> float:
-    """``float(value)``, or an infinity where that overflows."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -266,28 +254,6 @@ def _root_nearest_zero(p: list[Fraction]) -> Fraction | None:
         mid = (low + high) / 2
         low, high = (low, mid) if inside(mid) else (mid, high)
     return high if _sign_changes(chain, Fraction(0)) > _sign_changes(chain, high) else -high
-
-
-def _g6(value: Fraction) -> str:
-    """``f"{float(value):.6g}"`` at any magnitude: where ``float`` would
-    overflow, or lose digits below the smallest normal double, the six
-    significant digits are rounded in integers, half to even, from a
-    decimal exponent that the bit lengths give to within one."""
-    if sys.float_info.min <= abs(double := _double(value)) < math.inf or not value:
-        return f"{double:.6g}"
-    num, den = abs(value.numerator), value.denominator
-    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
-    while True:  # the digits of num/den * 10^(5 - exp), six of them once exp is right
-        scaled, scale = (num * 10 ** (5 - exp), den) if exp <= 5 else (num, den * 10 ** (exp - 5))
-        digits, rest = divmod(scaled, scale)
-        if 10**5 <= digits < 10**6:
-            break
-        exp += 1 if digits >= 10**6 else -1
-    digits += 2 * rest > scale or (2 * rest == scale and digits % 2)
-    if digits == 10**6:  # rounded up to the next power of ten
-        digits, exp = 10**5, exp + 1
-    # a double prints six significant digits back as they were
-    return f"{'-' if value < 0 else ''}{digits / 10**5:.6g}e{exp:+03d}"
 
 
 def _hamiltonian_at(problem: OracleProblem, n_basis: int) -> Band:
@@ -649,7 +615,7 @@ def report_text(report: OracleReport) -> str:
     lines = [
         f"basis {problem.basis_size} vs {problem.check_size}: "
         f"max eigenvalue shift {report.basis_shift:.3e}",
-        f"coupling lam = {problem.lam_value} ({_g6(problem.lam_value)})",
+        f"coupling lam = {exact_str(problem.lam_value)} ({_g6(problem.lam_value)})",
         "level  eigenvalue            partial sum           k*  omitted     "
         "discrepancy  bound        verdict",
     ]

@@ -2,9 +2,9 @@
 
 Scalars that cross the public API are arbitrary-precision rationals,
 represented by the standard library's ``fractions.Fraction`` (always
-canonical: reduced, positive denominator).  ``str()`` of a Fraction is
-the textual interchange form used everywhere in this package: ``"p/q"``,
-or ``"p"`` when the denominator is 1.
+canonical: reduced, positive denominator).  `exact_str` writes one as
+text: ``str()``'s ``"p/q"`` (``"p"`` over 1), or six digits where the
+interpreter's int-to-str digit cap refuses ``str()``.
 
 ``BiPoly`` is a sparse polynomial in two formal symbols:
 
@@ -14,9 +14,9 @@ or ``"p"`` when the denominator is 1.
 
 Inside, a polynomial is integer numerators over one shared denominator:
 ``_terms`` maps ``(deg_n, deg_lam)`` to a nonzero int and ``_den`` is a
-positive int with ``gcd(_den, *numerators) == 1``.  That form is
-canonical, so structural equality of two polynomials is exactly
-mathematical equality, and arithmetic runs on plain ints with one gcd
+positive int with ``gcd(_den, *numerators) == 1``.  One method, ``_hold``,
+puts every instance in that form, which is canonical: structural equality
+is mathematical equality, and arithmetic runs on plain ints with one gcd
 reduction per result instead of one per coefficient.
 
 ``BiPoly.dot`` is the sum-of-products kernel every convolution in the
@@ -42,8 +42,9 @@ it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, inf, lcm, log10
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -66,6 +67,44 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+def exact_str(value: Scalar) -> str:
+    """``str(value)``, or `_g6`'s six digits where the int-to-str digit cap refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        return _g6(value)
+
+
+def _double(value: Fraction) -> float:
+    """``float(value)``, or an infinity where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf
+
+
+def _g6(value: Fraction) -> str:
+    """``f"{float(value):.6g}"`` at any magnitude: where ``float`` would
+    overflow, or lose digits below the smallest normal double, the six
+    significant digits are rounded in integers, half to even, from a
+    decimal exponent that the bit lengths give to within one."""
+    if sys.float_info.min <= abs(double := _double(value)) < inf or not value:
+        return f"{double:.6g}"
+    num, den = abs(value.numerator), value.denominator
+    exp = floor((num.bit_length() - den.bit_length()) * log10(2))
+    while True:  # the digits of num/den * 10^(5 - exp), six of them once exp is right
+        scaled, scale = (num * 10 ** (5 - exp), den) if exp <= 5 else (num, den * 10 ** (exp - 5))
+        digits, rest = divmod(scaled, scale)
+        if 10**5 <= digits < 10**6:
+            break
+        exp += 1 if digits >= 10**6 else -1
+    digits += 2 * rest > scale or (2 * rest == scale and digits % 2)
+    if digits == 10**6:  # rounded up to the next power of ten
+        digits, exp = 10**5, exp + 1
+    # a double prints six significant digits back as they were
+    return f"{'-' if value < 0 else ''}{digits / 10**5:.6g}e{exp:+03d}"
+
+
 Pair = tuple["BiPoly", "BiPoly"]
 
 
@@ -84,36 +123,29 @@ class BiPoly:
             raise ValueError(f"negative exponent in term {negative[0]}")
         clean = {(int(dn), int(dl)): _as_fraction(c) for (dn, dl), c in terms.items()}
         den = lcm(*(c.denominator for c in clean.values()))
-        self._terms = {
-            key: c.numerator * (den // c.denominator) for key, c in clean.items() if c
-        }
-        self._den = den if self._terms else 1
+        self._hold({key: c.numerator * (den // c.denominator) for key, c in clean.items()}, den)
+
+    def _hold(self, terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
+        """Set every slot from integer numerators over ``den > 0`` in the
+        canonical form, their gcd divided out and zeros dropped; return self."""
+        g = gcd(den, *terms.values())
+        self._terms = {key: num // g for key, num in terms.items() if num}
+        self._den = den // g
         self._packs = {}
         self._slot_bits = _slot_bits(self._terms, self._den)
-
-    @staticmethod
-    def _raw(terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
-        """Instance holding ``terms`` over ``den`` as given, already canonical."""
-        result = BiPoly.__new__(BiPoly)
-        result._terms = terms
-        result._den = den
-        result._packs = {}
-        result._slot_bits = _slot_bits(terms, den)
-        return result
+        return self
 
     @staticmethod
     def _reduced(terms: dict[tuple[int, int], int], den: int) -> "BiPoly":
         """Canonical instance from integer numerators over ``den > 0``."""
-        g = gcd(den, *terms.values())
-        return BiPoly._raw({key: num // g for key, num in terms.items() if num}, den // g)
+        return BiPoly.__new__(BiPoly)._hold(terms, den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, value: Scalar) -> "BiPoly":
-        if type(value) is int:  # the engine's per-cell weights: skip the Fraction round trip
-            return BiPoly._raw({(0, 0): value} if value else {}, 1)
-        return cls({(0, 0): _as_fraction(value)})
+        num, den = (value, 1) if type(value) is int else _as_fraction(value).as_integer_ratio()
+        return cls._reduced({(0, 0): num}, den)
 
     # -- coercion helper ------------------------------------------------
 
@@ -227,8 +259,9 @@ class BiPoly:
         # a^i b^(D-i) is below max(|a|, b)^D, and p^j q^(L-j) below max(|p|, q)^L
         bits = top_n * max(abs(a), b).bit_length() + top_lam * max(abs(p), q).bit_length()
         if bits > MAX_EVAL_BITS:
-            raise ValueError(f"evaluating {self} at n = {n_value}, lam = {lam_value} needs "
-                             f"powers of up to {bits} bits, past the limit of {MAX_EVAL_BITS}")
+            raise ValueError(f"evaluating {self} at n = {exact_str(n_value)}, lam = "
+                             f"{exact_str(lam_value)} needs powers of up to {bits} bits, "
+                             f"past the limit of {MAX_EVAL_BITS}")
         total = sum(num * a**i * b ** (top_n - i) * p**j * q ** (top_lam - j)
                     for (i, j), num in self._terms.items())
         return Fraction(total, self._den * b**top_n * q**top_lam)
@@ -276,9 +309,9 @@ class BiPoly:
             if symbols and magnitude == 1:
                 body = "*".join(symbols)
             elif symbols:
-                body = "*".join([str(magnitude)] + symbols)
+                body = "*".join([exact_str(magnitude)] + symbols)
             else:
-                body = str(magnitude)
+                body = exact_str(magnitude)
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:

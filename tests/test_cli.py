@@ -502,6 +502,37 @@ class TestVerify:
             "its highest term is -0.001 x^4\n"
         )
 
+    @staticmethod
+    def long_coupling_config(tmp_path, terms: str) -> Path:
+        # lambda = 12 + 10^(1 - cap): each run of digits in the file is within
+        # the interpreter's int-to-str cap, but the numerator of the value is not
+        config = tmp_path / "long-coupling.ini"
+        config.write_text(f"[potential]\nm = 1\nomega = 1\n{terms}\n[run]\norder = 6\n"
+                          f"\n[oracle]\nlambda = 12.{'0' * (get_digit_cap() - 2)}1\n"
+                          "basis = 60\ncheck_basis = 80\nlevels = 0, 1\n")
+        return config
+
+    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
+    def test_report_names_a_coupling_past_the_digit_cap(self, capsys, tmp_path):
+        config = self.long_coupling_config(tmp_path, "f2 = 1/1000000000 lam\n")
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert lines[1] == "coupling lam = 12 (12)"
+        assert [line.split()[-1] for line in lines[3:]] == ["ok", "ok"]
+
+    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
+    @pytest.mark.parametrize("terms, message", [
+        ("f2 = -1 lam\n", "the potential is unbounded below at lam = 12: "
+                          "its highest term is -12 x^4"),
+        ("f1 = 1 lam\nf2 = 1/4 lam^2\n", "the potential is not a single well at lam = 12: "
+                                         "V'(x) = 0 at x = -0.0318305 as well as at x = 0"),
+    ], ids=["unbounded-below", "second-well"])
+    def test_refusal_names_a_coupling_past_the_digit_cap(self, capsys, tmp_path, terms, message):
+        config = self.long_coupling_config(tmp_path, terms)
+        code, out, err = run(capsys, "verify", "--config", config)
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
     def test_pure_cubic_is_refused(self, capsys, tmp_path, monkeypatch):
         def fail(*_args):
             raise AssertionError("expanded an unbounded potential")

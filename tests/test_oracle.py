@@ -16,7 +16,6 @@ from lptseries.oracle import (
     EigensolverError,
     OracleProblem,
     _ProblemFields,
-    _g6,
     _hamiltonian_at,
     _root_nearest_zero,
     compare_series,
@@ -28,7 +27,7 @@ from lptseries.oracle import (
     report_csv,
     report_text,
 )
-from lptseries.polys import LAM
+from lptseries.polys import LAM, _g6
 
 from conftest import GOLDEN_DIR
 
@@ -617,11 +616,11 @@ class TestDoubleRange:
     ], ids=["huge", "negative-subnormal", "tiny", "far-below", "tie-down", "tie-up",
             "tie-rolls-over"])
     def test_outside_values_printed_to_six_digits(self, value, text):
-        assert oracle._g6(value) == text
+        assert _g6(value) == text
 
     def test_far_outside_values_are_printed_promptly(self):
         start = time.process_time()
-        assert oracle._g6(Fraction(1, 10**400000)) == "1e-400000"
+        assert _g6(Fraction(1, 10**400000)) == "1e-400000"
         assert time.process_time() - start < 2
 
     def test_largest_and_smallest_doubles_pass(self):

@@ -1,12 +1,14 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from lptseries.polys import LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _unpack
+from lptseries.polys import LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _slot_bits, _unpack
 
-from conftest import rand_bipoly, rand_fraction
+from conftest import get_digit_cap, rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 
@@ -27,6 +29,15 @@ class TestBiPolyBasics:
             assert poly == scalar
         # a non-constant polynomial equals no scalar, its constant term included
         assert N + 1 != 1
+
+    def test_copies_and_pickles_are_equal_and_canonical(self):
+        poly = BiPoly({(2, 1): Fraction(-3, 4), (0, 0): 5})
+        poly * poly  # fills the pack memo
+        for value in (ZERO, ONE, poly):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == value and twin * N == value * N
+                assert_canonical(twin)
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +117,25 @@ class TestBiPolyBasics:
             BiPoly({(2**21 + 1, 0): 1}).evaluate(-2, 0)
 
 
+    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
+    def test_refusal_names_numbers_past_the_digit_cap(self):
+        # str() refuses a coefficient, or a lam, with more digits than the
+        # interpreter's cap: the message gives their six digits instead
+        cap = get_digit_cap()
+        with pytest.raises(ValueError) as refused:
+            BiPoly({(0, 2_200_000): 10**cap}).evaluate(0, Fraction(1, 100))
+        assert str(refused.value) == (
+            f"evaluating 1e+{cap}*lam^2200000 at n = 0, lam = 1/100 needs powers of up to "
+            "15400000 bits, past the limit of 4194304")
+        lam = Fraction(12 * 10**cap + 1, 10**cap)
+        power = MAX_EVAL_BITS // lam.numerator.bit_length() + 1
+        with pytest.raises(ValueError) as refused:
+            BiPoly({(0, power): 1}).evaluate(0, lam)
+        assert str(refused.value) == (
+            f"evaluating lam^{power} at n = 0, lam = 12 needs powers of up to "
+            f"{power * lam.numerator.bit_length()} bits, past the limit of 4194304")
+
+
 class TestRingAxioms:
     def test_randomized_ring_laws(self):
         rng = random.Random(20240811)
@@ -176,6 +206,7 @@ def assert_canonical(poly: BiPoly) -> None:
     assert isinstance(poly._den, int) and poly._den > 0
     assert all(isinstance(num, int) and num != 0 for num in nums)
     assert gcd(poly._den, *nums) == 1
+    assert poly._slot_bits == _slot_bits(poly._terms, poly._den)
 
 
 def odd_bipoly(rng) -> BiPoly:
@@ -316,9 +347,14 @@ class TestScalarLayer:
         for _ in range(150):
             a, b = odd_bipoly(rng), odd_bipoly(rng)
             s = rand_fraction(rng, max_den=15, nonzero=True)
+            built = BiPoly({(rng.randint(0, 3), rng.randint(0, 2)): rand_fraction(rng, max_den=15)
+                            for _ in range(rng.randint(0, 5))})
             for value in (a, b, a + b, a + b * -1, a * -1, a * b, a * s, a + s,
-                          BiPoly.dot(((a, ONE),), div=s)):
+                          BiPoly.dot(((a, ONE),), div=s), built, BiPoly.constant(s),
+                          BiPoly.constant(rng.randint(-9, -1))):
                 assert_canonical(value)
+        for value in (BiPoly.constant(0), ZERO, ONE, N, LAM):
+            assert_canonical(value)
         assert ZERO._den == 1 and (N + N * -1)._den == 1
 
     def test_equal_polynomials_share_one_representation(self):
