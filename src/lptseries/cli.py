@@ -20,6 +20,9 @@ Exit codes: 0 success, 1 failed check/verification or internal error,
 `run` is the process entry (``python -m lptseries`` and the console
 script); `main` is for callers whose process goes on, such as the tests
 and the benchmark's tracer.  `run` freezes the heap once `main` is done.
+`main` lifts the interpreter's int-to-str digit cap for the whole command,
+argument parsing included, and restores the caller's after: inputs keep the
+bound `config.MAX_DIGITS`, and every exact number is written in full.
 """
 
 from __future__ import annotations
@@ -104,20 +107,6 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot write output {args.out or '<stdout>'}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _every_digit():
-    """Lift the interpreter's cap on int-to-str digits (Python 3.10.7 on)
-    while the program's own results render, and restore it after: config
-    input keeps the cap."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_cap(0)
-    try:
-        yield
-    finally:
-        set_cap(cap)
-
-
 def machine_document(cfg: RunConfig, series: EnergySeries) -> dict:
     """Machine format: every polynomial as exponent-sorted term records."""
     return {
@@ -165,9 +154,8 @@ def render_pretty(cfg: RunConfig, series: EnergySeries) -> str:
 
 def cmd_expand(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, series = expand(cfg.potential, cfg.order)
-    with _every_digit():
-        text = (render_machine(cfg, series) if cfg.fmt == "machine"
-                else render_csv(series) if cfg.fmt == "csv" else render_pretty(cfg, series))
+    text = (render_machine(cfg, series) if cfg.fmt == "machine"
+            else render_csv(series) if cfg.fmt == "csv" else render_pretty(cfg, series))
     _emit(text, args)
     return EXIT_OK
 
@@ -238,8 +226,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8
             raise ConfigError(f"cannot read golden file {args.golden}: {exc}") from None
         try:
-            with _every_digit():
-                departure = _golden_departure(golden, machine_document(cfg, series))
+            departure = _golden_departure(golden, machine_document(cfg, series))
         except ConfigError as exc:
             raise ConfigError(f"golden file {args.golden} is not a machine document: {exc}") from None
         record("golden-comparison", departure is None, departure or "")
@@ -275,15 +262,20 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"expand": cmd_expand, "check": cmd_check, "verify": cmd_verify}
+    # the int-to-str digit cap of Python 3.10.7 on: see the module docstring
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
-        cfg = _load_config(args)
-        return handlers[args.command](cfg, args)
+        args = build_parser().parse_args(argv)
+        handlers = {"expand": cmd_expand, "check": cmd_check, "verify": cmd_verify}
+        return handlers[args.command](_load_config(args), args)
     except ValueError as exc:  # ConfigError and PotentialError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def run() -> None:

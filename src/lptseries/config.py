@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import configparser
 import re
-import sys
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
@@ -41,6 +40,10 @@ from .engine import PotentialError, PotentialSpec
 from .polys import ZERO, BiPoly
 
 FORMATS = ("pretty", "csv", "machine")
+
+# the most digits a number in a config, a golden or ``--order`` may have: the
+# interpreter's default int-to-str cap, which `cli.main` lifts for a command
+MAX_DIGITS = 4300
 
 # numbers are ASCII digits alone: ``int`` and ``Fraction`` read "1_2" and other scripts' digits
 _F_KEY_RE = re.compile(r"^f([0-9]+)$")
@@ -106,10 +109,11 @@ def _lam_poly(text: str) -> BiPoly:
 
 
 def integer(text: str) -> int:
-    """Strict ASCII-digit integer, for config values and ``--order``."""
+    """Strict ASCII-digit integer of at most `MAX_DIGITS` digits, for config
+    values and ``--order``."""
     if not _INTEGER_RE.match(text.strip()):
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return int(within_digit_cap(text))
 
 
 def _format(text: str) -> str:
@@ -144,13 +148,10 @@ _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
 
 
 def within_digit_cap(text: str) -> str:
-    """``text``, unless a run of ASCII digits in it is longer than the
-    interpreter's cap on int-to-str digits (Python 3.10.7 on): then
-    ``ValueError`` names the cap, where ``int`` would advise a call that a
-    user of the command line cannot make."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap and any(len(run) > cap for run in re.findall("[0-9]+", text)):
-        raise ValueError(f"a number past the limit of {cap} digits")
+    """``text``, unless a run of ASCII digits in it is longer than
+    `MAX_DIGITS`: then ``ValueError`` names the limit."""
+    if any(len(run) > MAX_DIGITS for run in re.findall("[0-9]+", text)):
+        raise ValueError(f"a number past the limit of {MAX_DIGITS} digits")
     return text
 
 
@@ -159,8 +160,8 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
     parser the key names; a missing section gives no values.
 
     The one place a value's diagnostic is built: an unknown key, a key or
-    value with more digits than the interpreter's int-to-str cap, or a value
-    its parser refuses, raises `ConfigError` naming ``section.key``.
+    value with a number of more than `MAX_DIGITS` digits, or a value its
+    parser refuses, raises `ConfigError` naming ``section.key``.
     """
     values: dict[str, object] = {}
     for key, raw in parser[name].items() if parser.has_section(name) else ():

@@ -2,9 +2,9 @@
 
 Scalars that cross the public API are arbitrary-precision rationals,
 represented by the standard library's ``fractions.Fraction`` (always
-canonical: reduced, positive denominator).  `exact_str` writes one as
-text: ``str()``'s ``"p/q"`` (``"p"`` over 1), or six digits where the
-interpreter's int-to-str digit cap refuses ``str()``.
+canonical: reduced, positive denominator).  Text, a message's too, writes
+one as ``str()`` does, ``"p/q"`` (``"p"`` over 1): in full, since
+`cli.main` lifts the interpreter's int-to-str digit cap for a command.
 
 ``BiPoly`` is a sparse polynomial in two formal symbols:
 
@@ -42,9 +42,8 @@ it.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-from math import floor, gcd, inf, lcm, log10
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -65,44 +64,6 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
-
-
-def exact_str(value: Scalar) -> str:
-    """``str(value)``, or `_g6`'s six digits where the int-to-str digit cap refuses it."""
-    try:
-        return str(value)
-    except ValueError:
-        return _g6(value)
-
-
-def _double(value: Fraction) -> float:
-    """``float(value)``, or an infinity where that overflows."""
-    try:
-        return float(value)
-    except OverflowError:
-        return inf
-
-
-def _g6(value: Fraction) -> str:
-    """``f"{float(value):.6g}"`` at any magnitude: where ``float`` would
-    overflow, or lose digits below the smallest normal double, the six
-    significant digits are rounded in integers, half to even, from a
-    decimal exponent that the bit lengths give to within one."""
-    if sys.float_info.min <= abs(double := _double(value)) < inf or not value:
-        return f"{double:.6g}"
-    num, den = abs(value.numerator), value.denominator
-    exp = floor((num.bit_length() - den.bit_length()) * log10(2))
-    while True:  # the digits of num/den * 10^(5 - exp), six of them once exp is right
-        scaled, scale = (num * 10 ** (5 - exp), den) if exp <= 5 else (num, den * 10 ** (exp - 5))
-        digits, rest = divmod(scaled, scale)
-        if 10**5 <= digits < 10**6:
-            break
-        exp += 1 if digits >= 10**6 else -1
-    digits += 2 * rest > scale or (2 * rest == scale and digits % 2)
-    if digits == 10**6:  # rounded up to the next power of ten
-        digits, exp = 10**5, exp + 1
-    # a double prints six significant digits back as they were
-    return f"{'-' if value < 0 else ''}{digits / 10**5:.6g}e{exp:+03d}"
 
 
 Pair = tuple["BiPoly", "BiPoly"]
@@ -259,8 +220,8 @@ class BiPoly:
         # a^i b^(D-i) is below max(|a|, b)^D, and p^j q^(L-j) below max(|p|, q)^L
         bits = top_n * max(abs(a), b).bit_length() + top_lam * max(abs(p), q).bit_length()
         if bits > MAX_EVAL_BITS:
-            raise ValueError(f"evaluating {self} at n = {exact_str(n_value)}, lam = "
-                             f"{exact_str(lam_value)} needs powers of up to {bits} bits, "
+            raise ValueError(f"evaluating {self} at n = {n_value}, lam = {lam_value} "
+                             f"needs powers of up to {bits} bits, "
                              f"past the limit of {MAX_EVAL_BITS}")
         total = sum(num * a**i * b ** (top_n - i) * p**j * q ** (top_lam - j)
                     for (i, j), num in self._terms.items())
@@ -309,9 +270,9 @@ class BiPoly:
             if symbols and magnitude == 1:
                 body = "*".join(symbols)
             elif symbols:
-                body = "*".join([exact_str(magnitude)] + symbols)
+                body = "*".join([str(magnitude)] + symbols)
             else:
-                body = exact_str(magnitude)
+                body = str(magnitude)
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:

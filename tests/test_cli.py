@@ -13,11 +13,11 @@ import pytest
 
 from lptseries import cli, engine, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main
-from lptseries.config import parse_config
+from lptseries.config import MAX_DIGITS, parse_config
 from lptseries.engine import expand
 from lptseries.polys import LAM, N, BiPoly
 
-from conftest import GOLDEN_DIR, add_to_cell, get_digit_cap
+from conftest import GOLDEN_DIR, add_to_cell, every_digit
 
 SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
@@ -91,18 +91,18 @@ class TestExpand:
             "3,0,1,15/16", "3,1,1,5/2", "3,2,1,15/8", "3,3,1,5/4",
         ]
 
-    # E_4's coefficients have about 6000 digits, past the cap on int-to-str
-    # conversion (4300 digits, Python 3.10.7 on) that config input keeps
+    # E_4's coefficients have about 6000 digits, past the MAX_DIGITS that
+    # input keeps and the interpreter's default int-to-str cap: a result is
+    # written in full
     @pytest.mark.parametrize("fmt", ["csv", "machine", "pretty"])
     def test_coefficients_past_the_digit_cap(self, capsys, tmp_path, fmt):
         config = tmp_path / "tiny.ini"
         config.write_text(QUARTIC_INI.replace("1 lam", "1/1" + "0" * 2000 + " lam")
                           .replace("order = 11", "order = 4"))
-        cap = get_digit_cap()
         code, out, err = run(capsys, "expand", "--config", config, "--format", fmt)
-        assert (code, err, get_digit_cap()) == (EXIT_OK, "", cap)
+        assert (code, err) == (EXIT_OK, "")
         e4 = expand(parse_config(config.read_text()).potential, 4)[1].e[4]
-        with cli._every_digit():  # to write the digits out
+        with every_digit():  # to write the digits out
             records = e4.to_records()
             assert max(len(record["coeff"]) for record in records) > 6000
             if fmt == "csv":
@@ -227,7 +227,8 @@ class TestCheck:
         assert code == EXIT_FAIL
         assert out.splitlines()[-1] == f"golden-comparison: FAIL at {where}"
 
-    # E_4's coefficients have about 6000 digits, past the interpreter's cap
+    # E_4's coefficients have about 6000 digits, past MAX_DIGITS: a
+    # coefficient is a JSON string, and only JSON's integers meet the limit
     def test_golden_past_the_digit_cap(self, capsys, tmp_path):
         config = tmp_path / "tiny.ini"
         config.write_text(QUARTIC_INI.replace("1 lam", "1/1" + "0" * 2000 + " lam")
@@ -235,9 +236,8 @@ class TestCheck:
         golden = tmp_path / "golden.json"
         assert run(capsys, "expand", "--config", config, "--format", "machine",
                    "--out", golden)[0] == EXIT_OK
-        cap = get_digit_cap()
         code, out, err = run(capsys, "check", "--config", config, "--golden", golden)
-        assert (code, err, get_digit_cap()) == (EXIT_OK, "", cap)
+        assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "golden-comparison: PASS"
 
     def test_extra_top_level_key_fails(self, capsys, tmp_path):
@@ -362,14 +362,13 @@ class TestCheck:
         assert code == EXIT_INVALID
         assert "cannot read golden file" in err
 
-    # JSON nested deeper than the parser's recursion, an integer longer than
-    # the interpreter's cap on str-to-int digits, and bytes that are not UTF-8
+    # JSON nested deeper than the parser's recursion, an integer of more than
+    # MAX_DIGITS digits, and bytes that are not UTF-8
     @pytest.mark.parametrize("data, why", [
         (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
         (b'{"a": ' * 100000 + b"1" + b"}" * 100000, "maximum recursion depth exceeded"),
-        pytest.param(b'{"order": 1' + b"0" * 5000 + b"}",
-                     f"a number past the limit of {get_digit_cap()} digits\n",
-                     marks=pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")),
+        (b'{"order": 1' + b"0" * MAX_DIGITS + b"}",
+         f"a number past the limit of {MAX_DIGITS} digits\n"),
         (b"\xff\xfe", "'utf-8' codec can't decode"),
     ], ids=["nested-arrays", "nested-objects", "long-integer", "not-utf-8"])
     def test_golden_the_parser_refuses(self, capsys, tmp_path, data, why):
@@ -488,49 +487,53 @@ class TestVerify:
             "its highest term is -1/100 x^4\n"
         )
 
-    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
     def test_unbounded_term_past_the_digit_cap(self, capsys, tmp_path):
-        # lam^2000 at 1/1000 leaves a top coefficient whose denominator
-        # str() cannot print: it is named by its six digits instead
+        # lam^2000 at 1/1000 leaves a top coefficient whose denominator has
+        # 6001 digits, past MAX_DIGITS: it is named in full
         config = tmp_path / "unbounded.ini"
         config.write_text("[potential]\nm = 1\nomega = 1\nf2 = -1 lam + 1 lam^2000\n"
                           "\n[oracle]\nlambda = 1/1000\n")
         code, out, err = run(capsys, "verify", "--config", config)
         assert (code, out) == (EXIT_INVALID, "")
-        assert err == (
-            "error: the potential is unbounded below at lam = 1/1000: "
-            "its highest term is -0.001 x^4\n"
-        )
+        lam = Fraction(1, 1000)
+        with every_digit():
+            assert err == (
+                "error: the potential is unbounded below at lam = 1/1000: "
+                f"its highest term is {-lam + lam**2000} x^4\n"
+            )
+
+    # lambda = 12 + 10^(1 - MAX_DIGITS): each run of digits in the file is
+    # within MAX_DIGITS, but the numerator of the value is not
+    LONG_COUPLING = Fraction(12 * 10 ** (MAX_DIGITS - 1) + 1, 10 ** (MAX_DIGITS - 1))
 
     @staticmethod
     def long_coupling_config(tmp_path, terms: str) -> Path:
-        # lambda = 12 + 10^(1 - cap): each run of digits in the file is within
-        # the interpreter's int-to-str cap, but the numerator of the value is not
         config = tmp_path / "long-coupling.ini"
         config.write_text(f"[potential]\nm = 1\nomega = 1\n{terms}\n[run]\norder = 6\n"
-                          f"\n[oracle]\nlambda = 12.{'0' * (get_digit_cap() - 2)}1\n"
+                          f"\n[oracle]\nlambda = 12.{'0' * (MAX_DIGITS - 2)}1\n"
                           "basis = 60\ncheck_basis = 80\nlevels = 0, 1\n")
         return config
 
-    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
     def test_report_names_a_coupling_past_the_digit_cap(self, capsys, tmp_path):
         config = self.long_coupling_config(tmp_path, "f2 = 1/1000000000 lam\n")
         code, out, err = run(capsys, "verify", "--config", config)
         assert (code, err) == (EXIT_OK, "")
         lines = out.splitlines()
-        assert lines[1] == "coupling lam = 12 (12)"
+        with every_digit():
+            assert lines[1] == f"coupling lam = {self.LONG_COUPLING} (12)"
         assert [line.split()[-1] for line in lines[3:]] == ["ok", "ok"]
 
-    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
     @pytest.mark.parametrize("terms, message", [
-        ("f2 = -1 lam\n", "the potential is unbounded below at lam = 12: "
-                          "its highest term is -12 x^4"),
-        ("f1 = 1 lam\nf2 = 1/4 lam^2\n", "the potential is not a single well at lam = 12: "
+        ("f2 = -1 lam\n", "the potential is unbounded below at lam = {lam}: "
+                          "its highest term is -{lam} x^4"),
+        ("f1 = 1 lam\nf2 = 1/4 lam^2\n", "the potential is not a single well at lam = {lam}: "
                                          "V'(x) = 0 at x = -0.0318305 as well as at x = 0"),
     ], ids=["unbounded-below", "second-well"])
     def test_refusal_names_a_coupling_past_the_digit_cap(self, capsys, tmp_path, terms, message):
         config = self.long_coupling_config(tmp_path, terms)
         code, out, err = run(capsys, "verify", "--config", config)
+        with every_digit():
+            message = message.format(lam=self.LONG_COUPLING)
         assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
 
     def test_pure_cubic_is_refused(self, capsys, tmp_path, monkeypatch):
@@ -891,6 +894,88 @@ class TestProcessEntry:
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert re.search(r'^lptseries = "lptseries\.cli:run"$', scripts, re.M)
+
+
+class TestDigitCap:
+    """`main` lifts the interpreter's int-to-str digit cap (Python 3.10.7 on)
+    for a whole command and restores the caller's: what a command accepts
+    is bounded by `MAX_DIGITS` alone, and every number it prints is whole."""
+
+    @staticmethod
+    def argv(case: str, tmp_path) -> list[str]:
+        config = tmp_path / f"{case}.ini"
+        if case == "config-value":
+            config.write_text(f"[potential]\nm = 1{'0' * MAX_DIGITS}\nomega = 1\n")
+            return ["expand", "--config", str(config)]
+        if case == "order-flag":
+            return ["expand", "--config", str(SEXTIC_INI), "--order", "1" + "0" * MAX_DIGITS]
+        if case == "e4-expand":  # coefficients of about 6000 digits
+            config.write_text(QUARTIC_INI.replace("1 lam", "1/1" + "0" * 2000 + " lam"))
+            return ["expand", "--config", str(config), "--order", "4", "--format", "csv"]
+        return ["verify", "--config", str(TestVerify.long_coupling_config(
+            tmp_path, "f2 = 1/1000000000 lam\n"))]
+
+    @pytest.mark.parametrize("case, code, err", [
+        ("config-value", EXIT_INVALID, f"error: potential.m: a number past the limit of "
+                                       f"{MAX_DIGITS} digits\n"),
+        ("order-flag", EXIT_INVALID, f"error: argument --order: invalid integer value: "
+                                     f"'1{'0' * MAX_DIGITS}'\n"),
+        ("e4-expand", EXIT_OK, ""),
+        ("long-coupling-verify", EXIT_OK, ""),
+    ], ids=["config-value", "order-flag", "e4-expand", "long-coupling-verify"])
+    def test_the_interpreters_cap_changes_nothing(self, tmp_path, case, code, err):
+        results = []
+        for cap in (None, "0", "640"):
+            env = child_env()
+            env.pop("PYTHONINTMAXSTRDIGITS", None)
+            if cap is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = cap
+            result = subprocess.run(
+                [sys.executable, "-m", "lptseries", *self.argv(case, tmp_path)], env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            results.append((result.returncode, result.stdout, result.stderr))
+        assert results[1:] == results[:1] * 2
+        got, out, stderr = results[0]
+        assert (got, bool(out)) == (code, code == EXIT_OK)
+        assert stderr.endswith(err) if err else stderr == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="an interpreter before 3.10.7 has no digit cap to restore")
+    @pytest.mark.parametrize("case, code", [
+        ("expand", EXIT_OK),
+        ("check-fails", EXIT_FAIL),
+        ("config-error", EXIT_INVALID),
+        ("version", 0),
+        ("missing-config", EXIT_INVALID),
+    ], ids=["expand", "check-fails", "config-error", "version", "missing-config"])
+    def test_main_restores_the_callers_cap(self, tmp_path, monkeypatch, case, code):
+        argv = {
+            "expand": ["expand", "--config", str(SEXTIC_INI), "--order", "3"],
+            "check-fails": ["check", "--config", str(SEXTIC_INI), "--order", "3",
+                            "--golden", str(SEXTIC_GOLDEN)],
+            "config-error": ["expand", "--config", str(tmp_path / "missing.ini")],
+            "version": ["--version"],
+            "missing-config": ["expand"],
+        }[case]
+        seen = []
+
+        def expand_seeing_the_cap(*args):
+            seen.append(sys.get_int_max_str_digits())
+            return expand(*args)
+
+        monkeypatch.setattr(cli, "expand", expand_seeing_the_cap)
+        callers = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exc:  # --version, or argparse's usage error
+                got = exc.code
+            assert (got, sys.get_int_max_str_digits()) == (code, 1000)
+        finally:
+            sys.set_int_max_str_digits(callers)
+        assert seen == ([0] if case.startswith(("expand", "check")) else [])
 
 
 class TestNumpyImport:

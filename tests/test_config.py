@@ -6,6 +6,7 @@ import pytest
 
 from lptseries import cli, config
 from lptseries.config import (
+    MAX_DIGITS,
     ConfigError,
     OracleConfig,
     parse_config,
@@ -13,7 +14,7 @@ from lptseries.config import (
 )
 from lptseries.polys import LAM, BiPoly
 
-from conftest import GOLDEN_DIR, get_digit_cap
+from conftest import GOLDEN_DIR
 
 SEXTIC_TEXT = """
 [potential]
@@ -35,9 +36,8 @@ levels = 0, 1, 2, 3
 # the [potential] lines of the unit oscillator
 UNIT = "m = 1\nomega = 1\n"
 
-# the interpreter's int-to-str digit cap (0: none), and a number one digit past it
-CAP = get_digit_cap()
-PAST_CAP = "1" + "0" * CAP
+# a number one digit past the limit
+PAST_CAP = "1" + "0" * MAX_DIGITS
 
 # parse_rational's refusals, each formatted with the input's repr
 NOT_RATIONAL = "not an integer or p/q rational: {!r} (floating-point literals are not accepted)"
@@ -197,8 +197,7 @@ class TestParse:
                 parse_config(f"[potential]\n{text}\n")
 
     # refused by the config reader, naming the key, before any value parser
-    # or the fN index meets the interpreter's own digit-cap message
-    @pytest.mark.skipif(not CAP, reason="no digit cap")
+    # or the fN index reads the number, whatever the interpreter's digit cap
     @pytest.mark.parametrize("text, where", [
         (f"m = {PAST_CAP}\nomega = 1", "potential.m"),
         (f"m = 1/{PAST_CAP}\nomega = 1", "potential.m"),
@@ -213,12 +212,11 @@ class TestParse:
     def test_number_past_the_digit_cap_named(self, text, where):
         with pytest.raises(ConfigError) as refused:
             parse_config(f"[potential]\n{text}\n")
-        assert str(refused.value) == f"{where}: a number past the limit of {CAP} digits"
+        assert str(refused.value) == f"{where}: a number past the limit of {MAX_DIGITS} digits"
 
-    @pytest.mark.skipif(not CAP, reason="no digit cap")
     def test_number_at_the_digit_cap_is_read(self):
-        cfg = parse_config(f"[potential]\nm = {'9' * CAP}\nomega = 1\n")
-        assert cfg.potential.m == 10**CAP - 1
+        cfg = parse_config(f"[potential]\nm = {'9' * MAX_DIGITS}\nomega = 1\n")
+        assert cfg.potential.m == 10**MAX_DIGITS - 1
 
     @pytest.mark.parametrize("text, message", [
         ("omega = 1", "potential.m is required"),

@@ -16,6 +16,7 @@ from lptseries.oracle import (
     EigensolverError,
     OracleProblem,
     _ProblemFields,
+    _g6,
     _hamiltonian_at,
     _root_nearest_zero,
     compare_series,
@@ -27,7 +28,7 @@ from lptseries.oracle import (
     report_csv,
     report_text,
 )
-from lptseries.polys import LAM, _g6
+from lptseries.polys import LAM
 
 from conftest import GOLDEN_DIR
 

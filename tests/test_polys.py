@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
+from lptseries.config import MAX_DIGITS
 from lptseries.polys import LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _slot_bits, _unpack
 
-from conftest import get_digit_cap, rand_bipoly, rand_fraction
+from conftest import every_digit, rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 
@@ -117,22 +118,23 @@ class TestBiPolyBasics:
             BiPoly({(2**21 + 1, 0): 1}).evaluate(-2, 0)
 
 
-    @pytest.mark.skipif(not get_digit_cap(), reason="no digit cap")
     def test_refusal_names_numbers_past_the_digit_cap(self):
-        # str() refuses a coefficient, or a lam, with more digits than the
-        # interpreter's cap: the message gives their six digits instead
-        cap = get_digit_cap()
-        with pytest.raises(ValueError) as refused:
-            BiPoly({(0, 2_200_000): 10**cap}).evaluate(0, Fraction(1, 100))
+        # a coefficient, or a lam, with more digits than the interpreter's
+        # default int-to-str cap is named in full where the cap is lifted,
+        # as `cli.main` lifts it
+        digits = MAX_DIGITS
+        with every_digit(), pytest.raises(ValueError) as refused:
+            BiPoly({(0, 2_200_000): 10**digits}).evaluate(0, Fraction(1, 100))
         assert str(refused.value) == (
-            f"evaluating 1e+{cap}*lam^2200000 at n = 0, lam = 1/100 needs powers of up to "
-            "15400000 bits, past the limit of 4194304")
-        lam = Fraction(12 * 10**cap + 1, 10**cap)
+            f"evaluating 1{'0' * digits}*lam^2200000 at n = 0, lam = 1/100 needs powers of "
+            "up to 15400000 bits, past the limit of 4194304")
+        lam = Fraction(12 * 10**digits + 1, 10**digits)
         power = MAX_EVAL_BITS // lam.numerator.bit_length() + 1
-        with pytest.raises(ValueError) as refused:
+        with every_digit(), pytest.raises(ValueError) as refused:
             BiPoly({(0, power): 1}).evaluate(0, lam)
+        lam_text = f"12{'0' * (digits - 1)}1/1{'0' * digits}"
         assert str(refused.value) == (
-            f"evaluating lam^{power} at n = 0, lam = 12 needs powers of up to "
+            f"evaluating lam^{power} at n = 0, lam = {lam_text} needs powers of up to "
             f"{power * lam.numerator.bit_length()} bits, past the limit of 4194304")
 
 
