@@ -11,8 +11,8 @@ Three subcommands, all driven by a config file:
                  document ``expand`` prints: its first departure fails the
                  line, or is invalid input where a value has another type;
 * ``verify``  -- compare optimally truncated partial sums against the
-                 basis-diagonalization oracle and print the report as CSV
-                 for ``csv`` and as text for any other format.
+                 basis-diagonalization oracle (`oracle.compare_series`) and
+                 print the report as CSV for ``csv``, as text otherwise.
 
 Exit codes: 0 success, 1 failed check/verification or internal error,
 2 invalid input, output that cannot be written or an unconverged oracle basis.
@@ -20,9 +20,8 @@ Exit codes: 0 success, 1 failed check/verification or internal error,
 `run` is the process entry (``python -m lptseries`` and the console
 script); `main` is for callers whose process goes on, such as the tests
 and the benchmark's tracer.  `run` freezes the heap once `main` is done.
-`main` lifts the interpreter's int-to-str digit cap for the whole command,
-argument parsing included, and restores the caller's after: inputs keep the
-bound `config.MAX_DIGITS`, and every exact number is written in full.
+`main` runs under `config.every_digit`, argument parsing included: every
+exact number is written in full.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ from pathlib import Path
 # here, for every command.  Each loads on its first attribute read: `oracle`
 # in ``verify``, `harmonic` in a harmonic ``check``.
 from . import __version__, harmonic, oracle
-from .config import FORMATS, ConfigError, RunConfig, integer, parse_config, within_digit_cap
+from .config import (FORMATS, ConfigError, RunConfig, every_digit, integer, parse_config,
+                     within_digit_cap)
 from .engine import EnergySeries, expand, first_power_identity_failure
 
 EXIT_OK = 0
@@ -238,14 +238,9 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.oracle is None:
         raise ConfigError("verify requires an [oracle] section in the config")
-    # built first, so a problem it cannot diagonalize (a potential unbounded
-    # below, a quantity no double holds, a bad [oracle] section) is refused
-    # before the expansion
     problem = oracle.OracleProblem(cfg.potential, *cfg.oracle)
     try:
-        oracle.refuse_from_the_head(problem, cfg.order)
-        _, series = expand(cfg.potential, cfg.order)
-        report = oracle.compare_series(series, problem)
+        report = oracle.compare_series(problem, cfg.order)
     except oracle.AsymptoticBreakdown as exc:
         _emit(f"verification rejected: {exc}\n", args)
         return EXIT_FAIL
@@ -261,11 +256,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+@every_digit()
 def main(argv: list[str] | None = None) -> int:
-    # the int-to-str digit cap of Python 3.10.7 on: see the module docstring
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         handlers = {"expand": cmd_expand, "check": cmd_check, "verify": cmd_verify}
@@ -273,9 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and PotentialError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
 
 
 def run() -> None:

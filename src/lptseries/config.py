@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import configparser
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .engine import PotentialError, PotentialSpec
 from .polys import ZERO, BiPoly
@@ -42,7 +44,7 @@ from .polys import ZERO, BiPoly
 FORMATS = ("pretty", "csv", "machine")
 
 # the most digits a number in a config, a golden or ``--order`` may have: the
-# interpreter's default int-to-str cap, which `cli.main` lifts for a command
+# interpreter's default int-to-str cap, which `every_digit` lifts
 MAX_DIGITS = 4300
 
 # numbers are ASCII digits alone: ``int`` and ``Fraction`` read "1_2" and other scripts' digits
@@ -55,6 +57,20 @@ _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 
 class ConfigError(ValueError):
     """A config file could not be understood; the message names the spot."""
+
+
+@contextmanager
+def every_digit() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit cap (Python 3.10.7 on) and restore
+    the caller's after: exact numbers are read and written in full."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 class OracleConfig(NamedTuple):
@@ -178,6 +194,7 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
     return values
 
 
+@every_digit()
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate a config file; diagnostics name section and key,
     and a malformed file by ``source``, its path."""

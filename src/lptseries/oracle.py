@@ -34,7 +34,7 @@ Two safeguards make a reported eigenvalue trustworthy:
   excluded;
 * the truncation policy: the hbar series is asymptotic, so it is summed
   only up to (not including) its smallest-magnitude nonzero term, and
-  the comparison budget is 10x that first omitted term.
+  the comparison budget is max(10x that first omitted term, 1e-10).
 
 The diagonalization deliberately runs in double precision, and its last
 digit or two depend on the interpreter: ``sum`` of floats is compensated
@@ -57,7 +57,7 @@ from functools import reduce
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import MAX_ORDER, EnergySeries, PotentialSpec, evaluate_energy, expand
+from .engine import MAX_ORDER, PotentialSpec, evaluate_energy, expand
 from .polys import _as_fraction
 
 if TYPE_CHECKING:
@@ -596,39 +596,32 @@ def optimal_truncation(terms: list[Fraction]) -> tuple[int, Fraction]:
     return k_star, smallest
 
 
-def refuse_from_the_head(problem: OracleProblem, order: int) -> None:
-    """Raise the breakdown `compare_series` would find in the series to
-    ``order`` where the series' head already shows it.  The head runs to
-    the first k >= 2 whose residue slot 2k-2 is on the lattice (E_k is zero
-    before it); the levels are taken in order up to the first that the head
-    sums in full, with no omitted term.  An order that `expand` refuses, or
-    that the head would reach, is left to the full series."""
+def compare_series(problem: OracleProblem, order: int) -> OracleReport:
+    """The series of ``problem``'s potential to ``order``, truncated by the
+    module's policy, against gated diagonalization, level by level.
+
+    Refusals come in this order, each before the work the next needs:
+    `OracleProblem` (the caller's), `expand`'s limits on ``order``, an order
+    too short to truncate, `AsymptoticBreakdown`, then the oracle's errors.
+    A breakdown is sought first in the series' head, to the first k >= 2
+    whose residue slot 2k - 2 is on the lattice (E_k is zero before it), in
+    level order up to the first level the head sums in full: an input whose
+    whole series is costly is refused at the cost of its head.
+    """
     spec = problem.potential
     orders = range(2, order if order <= MAX_ORDER else 0)
-    head = next((k for k in orders if 2 * k - 2 in spec.lattice(2 * k - 2)), None)
-    if head is None:
-        return
-    series = expand(spec, head)[1]
-    for level in problem.levels:
-        if not optimal_truncation(evaluate_energy(series, level, problem.lam_value))[1]:
-            return
-
-
-def compare_series(series: EnergySeries, problem: OracleProblem) -> OracleReport:
-    """Optimally truncated partial sums vs gated diagonalization.
-
-    For each requested level, the series is summed up to just before its
-    smallest nonzero term; the discrepancy against the eigenvalue must
-    stay within max(10 * |first omitted term|, 1e-10).
-    """
-    if series.order < 3:
-        raise ValueError(f"series order {series.order} too short to truncate")
-    # truncate first: an unusable series should be diagnosed as such, not
-    # reported as a basis-convergence failure after a wasted diagonalization
-    truncations = []
-    for level in problem.levels:
-        terms = evaluate_energy(series, level, problem.lam_value)
-        truncations.append((level, terms, *optimal_truncation(terms)))
+    head = next((k for k in orders if 2 * k - 2 in spec.lattice(2 * k - 2)), order)
+    for k in sorted({head, order}):
+        series = expand(spec, k)[1]
+        if order < 3:
+            raise ValueError(f"series order {order} too short to truncate")
+        truncations = []
+        for level in problem.levels:
+            terms = evaluate_energy(series, level, problem.lam_value)
+            k_star, omitted = optimal_truncation(terms)
+            if k < order and not omitted:
+                break  # the head sums this level in full: the whole series judges it
+            truncations.append((level, terms, k_star, omitted))
     eigenvalues, shift = converged_levels(problem)
     entries = []
     for eig, (level, terms, k_star, omitted) in zip(eigenvalues, truncations):

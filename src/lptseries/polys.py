@@ -4,7 +4,7 @@ Scalars that cross the public API are arbitrary-precision rationals,
 represented by the standard library's ``fractions.Fraction`` (always
 canonical: reduced, positive denominator).  Text, a message's too, writes
 one as ``str()`` does, ``"p/q"`` (``"p"`` over 1): in full, since
-`cli.main` lifts the interpreter's int-to-str digit cap for a command.
+`config.every_digit` lifts the int-to-str digit cap for each command.
 
 ``BiPoly`` is a sparse polynomial in two formal symbols:
 
@@ -211,8 +211,8 @@ class BiPoly:
         With n = a/b, lam = p/q and top degrees D in n and L in lam, the
         term n^i lam^j is num * a^i b^(D-i) * p^j q^(L-j) over the common
         denominator ``_den * b^D * q^L``: ints summed, one Fraction built.
-        Raises ``ValueError`` before forming any power if those powers
-        could take more than ``MAX_EVAL_BITS`` bits.
+        Raises ``ValueError``, naming D and L, before forming any power if
+        those powers could take more than ``MAX_EVAL_BITS`` bits.
         """
         a, b = _as_fraction(n_value).as_integer_ratio()
         p, q = _as_fraction(lam_value).as_integer_ratio()
@@ -220,9 +220,9 @@ class BiPoly:
         # a^i b^(D-i) is below max(|a|, b)^D, and p^j q^(L-j) below max(|p|, q)^L
         bits = top_n * max(abs(a), b).bit_length() + top_lam * max(abs(p), q).bit_length()
         if bits > MAX_EVAL_BITS:
-            raise ValueError(f"evaluating {self} at n = {n_value}, lam = {lam_value} "
-                             f"needs powers of up to {bits} bits, "
-                             f"past the limit of {MAX_EVAL_BITS}")
+            raise ValueError(f"evaluating a polynomial of degree {top_n} in n and {top_lam} in "
+                             f"lam at n = {n_value}, lam = {lam_value} needs powers of up to "
+                             f"{bits} bits, past the limit of {MAX_EVAL_BITS}")
         total = sum(num * a**i * b ** (top_n - i) * p**j * q ** (top_lam - j)
                     for (i, j), num in self._terms.items())
         return Fraction(total, self._den * b**top_n * q**top_lam)

@@ -1,30 +1,14 @@
 import json
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lptseries.config import parse_rational
+# every_digit is the test modules' to import from here
+from lptseries.config import every_digit, parse_rational  # noqa: F401
 from lptseries.polys import ZERO, BiPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@contextmanager
-def every_digit():
-    """Lift the interpreter's int-to-str digit cap (Python 3.10.7 on) and
-    restore it after, as `cli.main` does for a command: a test writes out
-    the exact numbers that a command prints in full."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
 
 
 def load_golden_energies() -> dict[int, BiPoly]:

@@ -460,6 +460,27 @@ class TestVerify:
         assert (code, err) == (EXIT_FAIL, "")
         assert "(|0.5| then |15.8333|)" in out
 
+    def test_breakdown_in_the_head_expands_the_head_alone(self, capsys, tmp_path, monkeypatch):
+        # at m = 1/10^300 the whole series to order 11 takes seconds; the
+        # head, E_1 and E_2, already shows the breakdown, and nothing past it
+        # is expanded, by the oracle or by the command
+        orders = []
+
+        def expand_spy(spec, order):
+            orders.append(order)
+            return expand(spec, order)
+
+        monkeypatch.setattr(oracle, "expand", expand_spy)
+        monkeypatch.setattr(cli, "expand", expand_spy)
+        config = tmp_path / "tiny-mass.ini"
+        config.write_text(QUARTIC_INI.replace("m = 1", "m = 1/1" + "0" * 300)
+                          + "\n[oracle]\nlambda = 1\n")
+        code, out, err = run(capsys, "verify", "--config", config, "--order", 11)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert out.startswith("verification rejected: first two nonzero series terms "
+                              "do not decrease (|0.5| then |7.5e+599|)")
+        assert orders == [2]
+
     def test_order_too_short_to_truncate(self, capsys):
         code, out, err = run(capsys, "verify", "--config", SEXTIC_INI, "--order", 2)
         assert code == EXIT_INVALID and out == ""
@@ -572,11 +593,11 @@ class TestVerify:
         ("1", "1 lam^400000", "1/100", EXIT_INVALID,
          "error: the x^4 coefficient = 1e-800000 is outside the range of a double\n"),
         ("1", "1 lam^4000000", "1/100", EXIT_INVALID,
-         "error: evaluating lam^4000000 at n = 0, lam = 1/100 needs powers of up to "
-         "28000000 bits, past the limit of 4194304\n"),
+         "error: evaluating a polynomial of degree 0 in n and 4000000 in lam at n = 0, "
+         "lam = 1/100 needs powers of up to 28000000 bits, past the limit of 4194304\n"),
         ("1", "1 lam^100000000", "1/100", EXIT_INVALID,
-         "error: evaluating lam^100000000 at n = 0, lam = 1/100 needs powers of up to "
-         "700000000 bits, past the limit of 4194304\n"),
+         "error: evaluating a polynomial of degree 0 in n and 100000000 in lam at n = 0, "
+         "lam = 1/100 needs powers of up to 700000000 bits, past the limit of 4194304\n"),
         ("1/1" + "0" * 300, "1 lam", "1/100", EXIT_FAIL,
          "verification rejected: first two nonzero series terms do not decrease "
          "(|0.5| then |7.5e+597|): the coupling is too large for an asymptotic partial sum\n"),

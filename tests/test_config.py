@@ -1,4 +1,5 @@
 import itertools
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -217,6 +218,19 @@ class TestParse:
     def test_number_at_the_digit_cap_is_read(self):
         cfg = parse_config(f"[potential]\nm = {'9' * MAX_DIGITS}\nomega = 1\n")
         assert cfg.potential.m == 10**MAX_DIGITS - 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="an interpreter before 3.10.7 has no digit cap")
+    def test_callers_digit_cap_is_lifted_and_restored(self):
+        # called in-process, outside `cli.main`, under a cap below the number's digits
+        callers = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            cfg = parse_config(f"[potential]\nm = {'7' * 700}\nomega = 1\n")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(callers)
+        assert cfg.potential.m == (10**700 - 1) // 9 * 7
 
     @pytest.mark.parametrize("text, message", [
         ("omega = 1", "potential.m is required"),

@@ -9,7 +9,7 @@ import pytest
 
 from lptseries import oracle
 from lptseries.cli import EXIT_INVALID, main
-from lptseries.engine import MAX_ORDER, PotentialSpec, expand
+from lptseries.engine import MAX_ORDER, PotentialSpec, evaluate_energy, expand
 from lptseries.oracle import (
     AsymptoticBreakdown,
     BasisNotConverged,
@@ -24,18 +24,12 @@ from lptseries.oracle import (
     jacobi_eigenvalues,
     lowest_eigenvalues,
     optimal_truncation,
-    refuse_from_the_head,
     report_csv,
     report_text,
 )
 from lptseries.polys import LAM
 
 from conftest import GOLDEN_DIR
-
-
-@pytest.fixture(scope="module")
-def sextic_series(sextic_spec):
-    return expand(sextic_spec, 11)[1]
 
 
 def entry(h, i, j):
@@ -187,9 +181,9 @@ class TestHamiltonian:
         assert problem.lam_value == 1 and isinstance(problem.lam_value, Fraction)
         assert problem.levels == (0, 2)
 
-    def test_records_are_immutable(self, sextic_spec, sextic_expansion):
+    def test_records_are_immutable(self, sextic_spec):
         problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, None, (0,))
-        report = compare_series(sextic_expansion[1], problem)
+        report = compare_series(problem, 11)
         for record, field in ((problem, "levels"), (report, "levels"),
                               (report.levels[0], "bound")):
             with pytest.raises(AttributeError):
@@ -733,41 +727,39 @@ class TestOptimalTruncation:
 class TestCompareSeries:
     def test_harmonic_agreement_is_machine_level(self):
         spec = PotentialSpec(1, 1)
-        _, series = expand(spec, 5)
         problem = OracleProblem(spec, 0, 40, 54, (0, 1, 2, 3))
-        report = compare_series(series, problem)
+        report = compare_series(problem, 5)
         assert report.passed
         assert all(entry.discrepancy <= 1e-10 for entry in report.levels)
         assert all(entry.first_omitted_term == 0.0 for entry in report.levels)
 
-    def test_sextic_small_coupling_within_omitted_term_budget(self, sextic_series, sextic_spec):
+    def test_sextic_small_coupling_within_omitted_term_budget(self, sextic_spec):
         problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1, 2, 3))
-        report = compare_series(sextic_series, problem)
+        report = compare_series(problem, 11)
         assert report.passed
         ground = report.levels[0]
         assert ground.partial_sum == pytest.approx(0.5009244, abs=1e-6)
         assert ground.discrepancy < 1e-7
 
-    def test_excited_level_exercises_polynomial_structure(self, sextic_series, sextic_spec):
+    def test_excited_level_exercises_polynomial_structure(self, sextic_spec):
         problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (3,))
-        report = compare_series(sextic_series, problem)
+        report = compare_series(problem, 11)
         assert report.passed
         assert report.levels[0].truncation_order >= 5
 
-    def test_large_coupling_rejected_before_diagonalizing(self, sextic_series, sextic_spec):
+    def test_large_coupling_rejected_before_diagonalizing(self, sextic_spec):
         problem = OracleProblem(sextic_spec, 1, 60, 80, (0,))
         with pytest.raises(AsymptoticBreakdown, match="do not decrease"):
-            compare_series(sextic_series, problem)
+            compare_series(problem, 11)
 
     def test_short_series_rejected(self, sextic_spec):
-        _, series = expand(sextic_spec, 2)
         problem = OracleProblem(sextic_spec, Fraction(1, 1000), 30, 40, (0,))
         with pytest.raises(ValueError, match="too short"):
-            compare_series(series, problem)
+            compare_series(problem, 2)
 
-    def test_report_renderings(self, sextic_series, sextic_spec):
+    def test_report_renderings(self, sextic_spec):
         problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1))
-        report = compare_series(sextic_series, problem)
+        report = compare_series(problem, 11)
         text = report_text(report)
         assert "basis 60 vs 80" in text and "ok" in text
         csv = report_csv(report)
@@ -783,29 +775,54 @@ class TestCompareSeries:
 
 
 class TestRefuseFromTheHead:
+    """`compare_series` seeks a breakdown in the series' head before it
+    builds the whole series: each case spies on the orders it expands."""
+
     # f1 = lam, f2 = 11/6 lam^2: E_2 vanishes at level 0 and not at level 1
     CUBIC_QUARTIC = {1: LAM, 2: LAM * LAM * Fraction(11, 6)}
 
-    @pytest.mark.parametrize("terms, lam, levels, terms_shown", [
-        ({2: LAM}, 1, (0, 1), "|0.5| then |0.75|"),
-        ({4: LAM}, 1, (0,), "|0.5| then |1.875|"),  # the sextic's E_2 is zero
-        (CUBIC_QUARTIC, 1, (1, 0), "|1.5| then |-2|"),
-        # level 0's head holds E_1 alone, so level 1's breakdown must not come
-        # first: the full series refuses level 0 (TestVerify)
-        (CUBIC_QUARTIC, 1, (0, 1), None),
-        ({4: LAM}, Fraction(1, 1000), (0, 1), None),
-    ], ids=["quartic", "sextic", "cubic-quartic", "cubic-quartic-undecided", "sextic-small"])
-    def test_refuses_as_the_full_series_does(self, terms, lam, levels, terms_shown):
-        problem = OracleProblem(PotentialSpec(1, 1, terms), lam, 60, 80, levels)
-        if terms_shown is None:
-            refuse_from_the_head(problem, 8)
-            return
-        with pytest.raises(AsymptoticBreakdown, match=re.escape(terms_shown)) as head:
-            refuse_from_the_head(problem, 8)
-        with pytest.raises(AsymptoticBreakdown) as full:
-            compare_series(expand(problem.potential, 8)[1], problem)
-        assert str(head.value) == str(full.value)
+    @staticmethod
+    def expanded_orders(monkeypatch) -> list[int]:
+        orders: list[int] = []
+        monkeypatch.setattr(oracle, "expand",
+                            lambda spec, k: orders.append(k) or expand(spec, k))
+        return orders
 
+    @staticmethod
+    def full_series_refusal(problem: OracleProblem, order: int) -> str | None:
+        """The first breakdown, level by level, of the whole series alone."""
+        series = expand(problem.potential, order)[1]
+        try:
+            for level in problem.levels:
+                optimal_truncation(evaluate_energy(series, level, problem.lam_value))
+        except AsymptoticBreakdown as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("terms, lam, levels, terms_shown, built", [
+        ({2: LAM}, 1, (0, 1), "|0.5| then |0.75|", [2]),
+        ({4: LAM}, 1, (0,), "|0.5| then |1.875|", [3]),  # the sextic's E_2 is zero
+        (CUBIC_QUARTIC, 1, (1, 0), "|1.5| then |-2|", [2]),
+        # level 0's head holds E_1 alone, so level 1's breakdown must not come
+        # first: the whole series refuses level 0
+        (CUBIC_QUARTIC, 1, (0, 1), "|0.5| then |15.8333|", [2, 8]),
+        ({4: LAM}, Fraction(1, 1000), (0, 1), None, [3, 8]),
+    ], ids=["quartic", "sextic", "cubic-quartic", "cubic-quartic-undecided", "sextic-small"])
+    def test_refuses_as_the_full_series_does(self, monkeypatch, terms, lam, levels,
+                                             terms_shown, built):
+        problem = OracleProblem(PotentialSpec(1, 1, terms), lam, 60, 80, levels)
+        refusal = self.full_series_refusal(problem, 8)
+        orders = self.expanded_orders(monkeypatch)
+        if terms_shown is None:
+            assert refusal is None
+            assert compare_series(problem, 8).passed
+        else:
+            with pytest.raises(AsymptoticBreakdown, match=re.escape(terms_shown)) as refused:
+                compare_series(problem, 8)
+            assert str(refused.value) == refusal
+        assert orders == built
+
+    # ``built`` is the head, expanded alone before the whole series
     @pytest.mark.parametrize("terms, order, built", [
         ({2: LAM}, 11, [2]),
         ({1: LAM, 2: LAM}, 9, [2]),
@@ -817,9 +834,11 @@ class TestRefuseFromTheHead:
         ({2: LAM}, MAX_ORDER + 1, []),  # above the limit
     ])
     def test_expands_the_head_alone(self, monkeypatch, terms, order, built):
-        orders = []
-        monkeypatch.setattr(oracle, "expand",
-                            lambda spec, k: orders.append(k) or expand(spec, k))
+        orders = self.expanded_orders(monkeypatch)
         problem = OracleProblem(PotentialSpec(1, 1, terms), Fraction(1, 100), 60, 80, (0,))
-        refuse_from_the_head(problem, order)
-        assert orders == built
+        if 3 <= order <= MAX_ORDER:
+            compare_series(problem, order)
+        else:
+            with pytest.raises(ValueError, match="too short to truncate|exceeds the limit"):
+                compare_series(problem, order)
+        assert orders == [*built, order]

@@ -112,30 +112,44 @@ class TestBiPolyBasics:
         with pytest.raises(ValueError) as refused:
             BiPoly({(0, 2**21 + 1): 3}).evaluate(0, HALF)
         assert str(refused.value) == (
-            "evaluating 3*lam^2097153 at n = 0, lam = 1/2 needs powers of up to "
-            "4194306 bits, past the limit of 4194304")
-        with pytest.raises(ValueError, match=r"^evaluating n\^2097153 at n = -2, lam = 0 "):
+            "evaluating a polynomial of degree 0 in n and 2097153 in lam at n = 0, lam = 1/2 "
+            "needs powers of up to 4194306 bits, past the limit of 4194304")
+        with pytest.raises(ValueError, match=r"^evaluating a polynomial of degree 2097153 in n "
+                                             r"and 0 in lam at n = -2, lam = 0 "):
             BiPoly({(2**21 + 1, 0): 1}).evaluate(-2, 0)
 
 
     def test_refusal_names_numbers_past_the_digit_cap(self):
-        # a coefficient, or a lam, with more digits than the interpreter's
-        # default int-to-str cap is named in full where the cap is lifted,
-        # as `cli.main` lifts it
+        # a lam with more digits than the interpreter's default int-to-str
+        # cap is named in full where the cap is lifted, as `cli.main` lifts
+        # it; a coefficient is not named at all
         digits = MAX_DIGITS
         with every_digit(), pytest.raises(ValueError) as refused:
             BiPoly({(0, 2_200_000): 10**digits}).evaluate(0, Fraction(1, 100))
         assert str(refused.value) == (
-            f"evaluating 1{'0' * digits}*lam^2200000 at n = 0, lam = 1/100 needs powers of "
-            "up to 15400000 bits, past the limit of 4194304")
+            "evaluating a polynomial of degree 0 in n and 2200000 in lam at n = 0, "
+            "lam = 1/100 needs powers of up to 15400000 bits, past the limit of 4194304")
         lam = Fraction(12 * 10**digits + 1, 10**digits)
         power = MAX_EVAL_BITS // lam.numerator.bit_length() + 1
         with every_digit(), pytest.raises(ValueError) as refused:
             BiPoly({(0, power): 1}).evaluate(0, lam)
         lam_text = f"12{'0' * (digits - 1)}1/1{'0' * digits}"
         assert str(refused.value) == (
-            f"evaluating lam^{power} at n = 0, lam = {lam_text} needs powers of up to "
+            f"evaluating a polynomial of degree 0 in n and {power} in lam at n = 0, "
+            f"lam = {lam_text} needs powers of up to "
             f"{power * lam.numerator.bit_length()} bits, past the limit of 4194304")
+
+    def test_refusal_length_is_bounded_whatever_the_coefficients(self):
+        # 40 terms of 5000-digit coefficients over a 5000-digit denominator
+        # would write about 400 KB; the message names the degrees alone
+        big = 10**5000 + 1
+        poly = BiPoly({(i, 100_000 * (i + 1)): Fraction(big + i, big - 2) for i in range(40)})
+        with every_digit(), pytest.raises(ValueError) as refused:
+            poly.evaluate(3, Fraction(1, 100))
+        assert str(refused.value) == (
+            "evaluating a polynomial of degree 39 in n and 4000000 in lam at n = 3, "
+            "lam = 1/100 needs powers of up to 28000078 bits, past the limit of 4194304")
+        assert len(str(refused.value)) < 200
 
 
 class TestRingAxioms:
