@@ -238,17 +238,14 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.oracle is None:
         raise ConfigError("verify requires an [oracle] section in the config")
-    problem = oracle.OracleProblem(cfg.potential, *cfg.oracle)
+    problem = oracle.OracleProblem(cfg.potential, **cfg.oracle)
     try:
         report = oracle.compare_series(problem, cfg.order)
     except oracle.AsymptoticBreakdown as exc:
         _emit(f"verification rejected: {exc}\n", args)
         return EXIT_FAIL
-    except (oracle.BasisNotConverged, oracle.EigensolverError) as exc:
-        _emit(f"oracle not converged: {exc}\n", args)
-        return EXIT_INVALID
     except oracle.OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
+        _emit(f"oracle not converged: {exc}\n", args)
         return EXIT_INVALID
 
     render = oracle.report_csv if cfg.fmt == "csv" else oracle.report_text

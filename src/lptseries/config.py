@@ -18,7 +18,8 @@ A run is described by one file with up to three sections::
     check_basis = 80
     levels = 0, 1, 2, 3
 
-A key left out takes the default its record declares.  Every exact quantity
+A key left out takes the default that `RunConfig` declares for ``[run]``
+and `oracle.OracleProblem` for ``[oracle]``.  Every exact quantity
 crosses this boundary as an integer or ``p/q`` string, and `parse_rational`
 is the one reader of such numbers.  Decimal literals are rejected
 everywhere except ``lambda``, which is read exactly (``0.001`` is 1/1000)
@@ -36,7 +37,8 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .engine import PotentialError, PotentialSpec
 from .polys import ZERO, BiPoly
@@ -73,18 +75,12 @@ def every_digit() -> Iterator[None]:
             sys.set_int_max_str_digits(cap)
 
 
-class OracleConfig(NamedTuple):
-    lam: Fraction
-    basis_size: int = 60
-    check_size: int | None = None  # None: the oracle derives it from basis_size
-    levels: tuple[int, ...] = (0, 1, 2, 3)
-
-
 class RunConfig(NamedTuple):
     potential: PotentialSpec
     order: int = 4
     fmt: str = "pretty"
-    oracle: OracleConfig | None = None
+    # [oracle]'s values by `oracle.OracleProblem`'s parameter names, read-only
+    oracle: Mapping[str, object] | None = None
 
 
 def parse_rational(text: str, decimal: bool = False) -> Fraction:
@@ -149,13 +145,14 @@ def _levels(text: str) -> tuple[int, ...]:
     return levels
 
 
-# each known key's record field and value parser; any ``fN`` key of
-# [potential] keeps its own name and takes ``_lam_poly``
+# each known key's record field (for [oracle], `OracleProblem`'s parameter)
+# and value parser; any ``fN`` key of [potential] keeps its own name and
+# takes ``_lam_poly``
 _KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "potential": {"m": ("m", parse_rational), "omega": ("omega", parse_rational)},
     "run": {"order": ("order", integer), "format": ("fmt", _format)},
     "oracle": {
-        "lambda": ("lam", partial(parse_rational, decimal=True)),
+        "lambda": ("lam_value", partial(parse_rational, decimal=True)),
         "basis": ("basis_size", integer),
         "check_basis": ("check_size", integer),
         "levels": ("levels", _levels),
@@ -228,10 +225,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         raise ConfigError(f"potential: {exc}") from None
 
     run = _section(parser, "run")
-    oracle = None
-    if parser.has_section("oracle"):
-        values = _section(parser, "oracle")
-        if "lam" not in values:
-            raise ConfigError("oracle.lambda is required when [oracle] is present")
-        oracle = OracleConfig(**values)
+    oracle = MappingProxyType(_section(parser, "oracle")) if parser.has_section("oracle") else None
+    if oracle is not None and "lam_value" not in oracle:
+        raise ConfigError("oracle.lambda is required when [oracle] is present")
     return RunConfig(potential, **run, oracle=oracle)

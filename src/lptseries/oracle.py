@@ -126,7 +126,7 @@ class OracleProblem(_ProblemFields):
 
     Construction checks everything the diagonalization needs, so every
     instance can be diagonalized, and raises ``ValueError`` otherwise, also
-    from ``_replace``:
+    from ``_replace``; ``TypeError`` names a size or level that is no int.
 
     * m, omega, lam and each anharmonic coefficient at lam are within the
       range of a double: none overflows it, and none but an exact zero
@@ -142,28 +142,35 @@ class OracleProblem(_ProblemFields):
       well, which an oscillator basis centred at 0 need not reach: the
       levels it finds need not be H's lowest;
     * at least one level, none negative;
-    * the basis has room for the top level and the highest power of x, the
-      check basis is strictly larger, and both are within ``MAX_BASIS``.
+    * the basis has room for the top level and the highest power of x whose
+      coefficient at lam is not zero, the check basis is strictly larger,
+      and both are within ``MAX_BASIS``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, potential, lam_value, basis_size, check_size, levels) -> OracleProblem:
+    def __new__(cls, potential, lam_value, basis_size=60, check_size=None,
+                levels=(0, 1, 2, 3)) -> OracleProblem:
         lam = _as_fraction(lam_value)
-        coeffs = [(i + 2, poly.evaluate(0, lam)) for i, poly in potential.terms]
+        levels = tuple(levels)
+        sizes = [("basis_size", basis_size), ("check_size", check_size)]
+        for name, value in sizes + [("level", level) for level in levels]:
+            if not (isinstance(value, int) or name == "check_size" and value is None):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        # the terms whose exact coefficient at lam is not zero
+        coeffs = [(i + 2, c) for i, poly in potential.terms if (c := poly.evaluate(0, lam))]
         named = [("m", potential.m), ("omega", potential.omega), ("lam", lam)]
         for name, value in named + [(f"the x^{p} coefficient", c) for p, c in coeffs]:
             if value and not 0.0 < abs(_double(value)) < math.inf:
                 raise ValueError(f"{name} = {_g6(value)} is outside the range of a double")
-        # the highest term with a nonzero exact coefficient rules at large |x|
-        top, coeff = max(((p, c) for p, c in coeffs if c), default=(0, 0))
+        # the highest of them rules at large |x|
+        top, coeff = max(coeffs, default=(0, 0))
         if top % 2 or coeff < 0:
             raise ValueError(f"the potential is unbounded below at lam = {lam}: "
                              f"its highest term is {coeff} x^{top}")
-        levels = tuple(levels)
         if not levels or min(levels) < 0:
             raise ValueError(f"levels must be one or more nonnegative integers, got {levels}")
-        degree = max((p for p, _ in coeffs), default=2)
+        degree = max(top, 2)
         if basis_size <= 2 * max(levels) + degree:
             raise ValueError(f"basis size {basis_size} too small for level {max(levels)} "
                              f"with an x^{degree} potential")
@@ -180,8 +187,6 @@ class OracleProblem(_ProblemFields):
         well = [potential.m * potential.omega**2] + [Fraction(0)] * (degree - 2)
         for p, c in coeffs:
             well[p - 2] += p * c
-        while not well[-1]:  # well[0] > 0
-            well.pop()
         if (root := _root_nearest_zero(well)) is not None:
             raise ValueError(f"the potential is not a single well at lam = {lam}: "
                              f"V'(x) = 0 at x = {_g6(root)} as well as at x = 0")
@@ -653,14 +658,7 @@ def report_text(report: OracleReport) -> str:
 
 
 def report_csv(report: OracleReport) -> str:
-    """CSV rendering: one row per level."""
-    lines = [
-        "level,eigenvalue,partial_sum,truncation_order,"
-        "first_omitted_term,discrepancy,bound,ok"
-    ]
-    for e in report.levels:
-        lines.append(
-            f"{e.level},{e.eigenvalue!r},{e.partial_sum!r},{e.truncation_order},"
-            f"{e.first_omitted_term!r},{e.discrepancy!r},{e.bound!r},{e.ok}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV rendering: `LevelReport`'s fields as ``repr`` and ``ok``, a row per level."""
+    rows = [(*LevelReport._fields, "ok")]
+    rows += [(*map(repr, e), str(e.ok)) for e in report.levels]
+    return "".join(",".join(row) + "\n" for row in rows)

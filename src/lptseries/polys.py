@@ -80,6 +80,8 @@ class BiPoly:
     __slots__ = ("_terms", "_den", "_packs", "_slot_bits")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar]):
+        if inexact := [key for key in terms if not all(isinstance(d, int) for d in key)]:
+            raise TypeError(f"non-integer exponent in term {inexact[0]}")
         if negative := [key for key in terms if min(key) < 0]:
             raise ValueError(f"negative exponent in term {negative[0]}")
         clean = {(int(dn), int(dl)): _as_fraction(c) for (dn, dl), c in terms.items()}

@@ -481,6 +481,28 @@ class TestVerify:
                               "do not decrease (|0.5| then |7.5e+599|)")
         assert orders == [2]
 
+    @pytest.mark.parametrize("error", [oracle.OracleError, oracle.BasisNotConverged,
+                                       oracle.EigensolverError])
+    def test_every_other_oracle_error_is_not_converged(self, capsys, monkeypatch, error):
+        def fail(problem):
+            raise error("spectrum is not strictly increasing and positive")
+
+        monkeypatch.setattr(oracle, "converged_levels", fail)
+        code, out, err = run(capsys, "verify", "--config", SEXTIC_INI)
+        assert (code, out, err) == (
+            EXIT_INVALID, "oracle not converged: spectrum is not strictly increasing and positive\n",
+            "")
+
+    def test_basis_room_is_judged_at_the_coupling(self, capsys, tmp_path):
+        # the x^4 coefficient lam - lam^2 is zero at lam = 1: the problem is
+        # the oscillator, and three states hold its ground level
+        config = tmp_path / "vanishing.ini"
+        config.write_text("[potential]\nm = 1\nomega = 1\nf2 = 1 lam + -1 lam^2\n"
+                          "\n[oracle]\nlambda = 1\nbasis = 3\nlevels = 0\n")
+        code, out, err = run(capsys, "verify", "--config", config, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1:] == ["0,0.5,0.5,2,0.0,0.0,1e-10,True"]
+
     def test_order_too_short_to_truncate(self, capsys):
         code, out, err = run(capsys, "verify", "--config", SEXTIC_INI, "--order", 2)
         assert code == EXIT_INVALID and out == ""

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from lptseries import cli, config
+from lptseries import cli, config, oracle
 from lptseries.config import (
     MAX_DIGITS,
     ConfigError,
-    OracleConfig,
     parse_config,
     parse_rational,
 )
@@ -104,15 +103,19 @@ class TestParse:
         assert cfg.potential.m == 1 and cfg.potential.omega == 1
         assert cfg.potential.f(4) == LAM * Fraction(1, 2)
         assert cfg.order == 11 and cfg.fmt == "pretty"
-        assert cfg.oracle == OracleConfig(
-            lam=Fraction(1, 1000), basis_size=60, check_size=80, levels=(0, 1, 2, 3)
+        assert dict(cfg.oracle) == dict(
+            lam_value=Fraction(1, 1000), basis_size=60, check_size=80, levels=(0, 1, 2, 3)
         )
+        assert oracle.OracleProblem(cfg.potential, **cfg.oracle) == (
+            cfg.potential, Fraction(1, 1000), 60, 80, (0, 1, 2, 3))
 
     def test_records_are_immutable(self):
         cfg = parse_config(SEXTIC_TEXT)
-        for record, field in ((cfg, "order"), (cfg, "fmt"), (cfg.oracle, "levels")):
+        for record, field in ((cfg, "order"), (cfg, "fmt")):
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
+        with pytest.raises(TypeError):
+            cfg.oracle["levels"] = cfg.oracle["levels"]
 
     def test_empty_potential_is_harmonic(self):
         cfg = parse_config("[potential]\nm = 1\nomega = 1\n")
@@ -257,7 +260,10 @@ class TestParse:
     def test_defaults_of_absent_keys(self):
         cfg = parse_config(f"[potential]\n{UNIT}[oracle]\nlambda = 1\n")
         assert (cfg.order, cfg.fmt) == (4, "pretty")
-        assert cfg.oracle == OracleConfig(Fraction(1), 60, None, (0, 1, 2, 3))
+        assert dict(cfg.oracle) == {"lam_value": Fraction(1)}
+        # the defaults are OracleProblem's: check_size None becomes 60 + 20
+        assert oracle.OracleProblem(cfg.potential, **cfg.oracle) == (
+            cfg.potential, Fraction(1), 60, 80, (0, 1, 2, 3))
 
     def test_zero_denominator_lambda_exits_2(self, capsys, tmp_path):
         path = tmp_path / "problem.ini"
@@ -293,7 +299,7 @@ class TestParse:
         cfg = parse_config(
             "[potential]\nm = 1\nomega = 1\n[oracle]\nlambda = 0.001\n"
         )
-        assert cfg.oracle.lam == Fraction(1, 1000)
+        assert cfg.oracle["lam_value"] == Fraction(1, 1000)
 
     def test_oracle_rejects_word_lambda(self):
         with pytest.raises(ConfigError, match="oracle.lambda"):

@@ -14,6 +14,7 @@ from lptseries.oracle import (
     AsymptoticBreakdown,
     BasisNotConverged,
     EigensolverError,
+    LevelReport,
     OracleProblem,
     _ProblemFields,
     _g6,
@@ -154,6 +155,19 @@ class TestHamiltonian:
             OracleProblem(basis_size=10, check_size=11, **{**args, "levels": ()})
         with pytest.raises(ValueError, match=r"levels .* got \(-1,\)"):
             OracleProblem(basis_size=10, check_size=11, **{**args, "levels": (-1,)})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("levels", (1.0,), "level must be an integer, got 1.0"),
+        ("levels", (0, Fraction(2)), "level must be an integer, got Fraction(2, 1)"),
+        ("basis_size", 60.0, "basis_size must be an integer, got 60.0"),
+        ("check_size", 80.0, "check_size must be an integer, got 80.0"),
+        ("check_size", "80", "check_size must be an integer, got '80'"),
+    ], ids=["float-level", "fraction-level", "float-basis", "float-check", "str-check"])
+    def test_non_integer_size_or_level_refused_naming_it(self, field, value, message):
+        args = dict(potential=PotentialSpec(1, 1), lam_value=0, levels=(0,))
+        with pytest.raises(TypeError) as refused:
+            OracleProblem(**{**args, field: value})
+        assert str(refused.value) == message
 
     def test_replace_is_checked(self):
         problem = OracleProblem(PotentialSpec(1, 1), 0, 10, 11, (0,))
@@ -766,6 +780,14 @@ class TestCompareSeries:
         lines = csv.strip().splitlines()
         assert lines[0].startswith("level,eigenvalue")
         assert len(lines) == 3
+
+    def test_csv_columns_are_the_level_records_fields(self, sextic_spec):
+        problem = OracleProblem(sextic_spec, Fraction(1, 1000), 60, 80, (0, 1))
+        levels = (LevelReport(0, 0.5, 0.25, 2, 0.0, 0.25, 1e-10),
+                  LevelReport(1, 1.5, 1.5, 11, -3e-7, 0.0, 3e-6))
+        assert report_csv(oracle.OracleReport(problem, 0.0, levels)) == (
+            "level,eigenvalue,partial_sum,truncation_order,first_omitted_term,discrepancy,"
+            "bound,ok\n0,0.5,0.25,2,0.0,0.25,1e-10,False\n1,1.5,1.5,11,-3e-07,0.0,3e-06,True\n")
 
     def test_text_names_a_coupling_below_the_normal_doubles(self, sextic_spec):
         # float(1/10^320) keeps three digits of it: 9.99989e-321

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -43,6 +44,24 @@ class TestBiPolyBasics:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): 1})
+
+    @pytest.mark.parametrize("key", [(1.5, 0), (Fraction(3, 2), 0), (0, 1.0), (Fraction(1), 0)],
+                             ids=["float", "fraction", "integral-float", "integral-fraction"])
+    def test_non_integer_exponents_rejected(self, key):
+        with pytest.raises(TypeError, match=r"^non-integer exponent in term \("):
+            BiPoly({key: 1})
+
+    def test_bool_exponent_is_written_as_an_int(self):
+        poly = BiPoly({(True, False): 2})
+        assert poly == 2 * N
+        assert json.dumps(poly.to_records()) == '[{"deg_n": 1, "deg_lam": 0, "coeff": "2"}]'
+
+    def test_foreign_operands_are_not_polynomials(self):
+        # each operator's NotImplemented hands the float or str back to Python
+        for operation in (lambda: N + 0.5, lambda: 0.5 + N, lambda: N * 0.5, lambda: 0.5 * N):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                operation()
+        assert (N == "n") is False and (N != "n") is True
 
     def test_addition_examples(self):
         assert N + N * -1 == ZERO
