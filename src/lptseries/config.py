@@ -63,16 +63,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def every_digit() -> Iterator[None]:
-    """Lift the interpreter's int-to-str digit cap (Python 3.10.7 on) and restore
-    the caller's after: exact numbers are read and written in full."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
+    """Lift the interpreter's int-to-str digit cap and restore the caller's
+    after: exact numbers are read and written in full."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
 
 
 class RunConfig(NamedTuple):
@@ -197,6 +195,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     and a malformed file by ``source``, its path."""
     # no header spells "\n", so a [DEFAULT] section is an ordinary, unknown one
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    parser.optionxform = str  # keys are case-sensitive, as sections are
     try:
         parser.read_string(text, source)
     except configparser.Error as exc:

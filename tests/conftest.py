@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-# every_digit is the test modules' to import from here
-from lptseries.config import every_digit, parse_rational  # noqa: F401
+from lptseries.config import parse_rational
 from lptseries.polys import ZERO, BiPoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

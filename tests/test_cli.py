@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,11 @@ import pytest
 
 from lptseries import cli, engine, oracle
 from lptseries.cli import EXIT_FAIL, EXIT_INVALID, EXIT_OK, main
-from lptseries.config import MAX_DIGITS, parse_config
+from lptseries.config import MAX_DIGITS, every_digit, parse_config
 from lptseries.engine import expand
 from lptseries.polys import LAM, N, BiPoly
 
-from conftest import GOLDEN_DIR, add_to_cell, every_digit
+from conftest import GOLDEN_DIR, add_to_cell
 
 SEXTIC_INI = GOLDEN_DIR / "sextic.ini"
 SEXTIC_GOLDEN = GOLDEN_DIR / "sextic_k11_machine.json"
@@ -857,16 +858,18 @@ class TestOutputThatCannotBeWritten:
         self.assert_one_error_line(result, "Broken pipe")
 
 
+def pyproject() -> dict:
+    """The checkout's pyproject.toml, parsed."""
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)
+
+
 class TestVersion:
     def test_prints_the_version_pyproject_declares(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--version"])
         assert exit_info.value.code == 0
-        # the [project] table of pyproject.toml, read without tomllib (3.11+ only)
-        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
-        declared = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
-        assert capsys.readouterr().out == f"{declared}\n"
+        assert capsys.readouterr().out == f"{pyproject()['project']['version']}\n"
 
     def test_module_entry_point(self):
         result = subprocess.run(
@@ -934,15 +937,13 @@ class TestProcessEntry:
             assert (tmp_path / "out.json").read_bytes() == SEXTIC_GOLDEN.read_bytes()
 
     def test_console_script_is_the_process_entry(self):
-        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-        assert re.search(r'^lptseries = "lptseries\.cli:run"$', scripts, re.M)
+        assert pyproject()["project"]["scripts"] == {"lptseries": "lptseries.cli:run"}
 
 
 class TestDigitCap:
-    """`main` lifts the interpreter's int-to-str digit cap (Python 3.10.7 on)
-    for a whole command and restores the caller's: what a command accepts
-    is bounded by `MAX_DIGITS` alone, and every number it prints is whole."""
+    """`main` lifts the interpreter's int-to-str digit cap for a whole
+    command and restores the caller's: what a command accepts is bounded
+    by `MAX_DIGITS` alone, and every number it prints is whole."""
 
     @staticmethod
     def argv(case: str, tmp_path) -> list[str]:
@@ -983,8 +984,6 @@ class TestDigitCap:
         assert (got, bool(out)) == (code, code == EXIT_OK)
         assert stderr.endswith(err) if err else stderr == ""
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                        reason="an interpreter before 3.10.7 has no digit cap to restore")
     @pytest.mark.parametrize("case, code", [
         ("expand", EXIT_OK),
         ("check-fails", EXIT_FAIL),

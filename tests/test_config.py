@@ -222,18 +222,18 @@ class TestParse:
         cfg = parse_config(f"[potential]\nm = {'9' * MAX_DIGITS}\nomega = 1\n")
         assert cfg.potential.m == 10**MAX_DIGITS - 1
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                        reason="an interpreter before 3.10.7 has no digit cap")
     def test_callers_digit_cap_is_lifted_and_restored(self):
-        # called in-process, outside `cli.main`, under a cap below the number's digits
+        # called in-process, outside `cli.main`, under a cap below the number's
+        # digits and under none (PYTHONINTMAXSTRDIGITS=0)
         callers = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
         try:
-            cfg = parse_config(f"[potential]\nm = {'7' * 700}\nomega = 1\n")
-            assert sys.get_int_max_str_digits() == 640
+            for cap in (640, 0):
+                sys.set_int_max_str_digits(cap)
+                cfg = parse_config(f"[potential]\nm = {'7' * 700}\nomega = 1\n")
+                assert sys.get_int_max_str_digits() == cap
+                assert cfg.potential.m == (10**700 - 1) // 9 * 7
         finally:
             sys.set_int_max_str_digits(callers)
-        assert cfg.potential.m == (10**700 - 1) // 9 * 7
 
     @pytest.mark.parametrize("text, message", [
         ("omega = 1", "potential.m is required"),
@@ -251,7 +251,10 @@ class TestParse:
         ("[oracle]\nlam = 1/1000", "oracle.lam"),
         ("[oracle]\nlambda = 1\nbasis_size = 60", "oracle.basis_size"),
         ("[oracle]\nlambda = 1\ncheck_size = 80", "oracle.check_size"),
-    ], ids=["fmt", "lam", "basis_size", "check_size"])
+        # and keys are case-sensitive: M is not m, which is given once
+        ("M = 2", "potential.M"),
+        ("[run]\nORDER = 3", "run.ORDER"),
+    ], ids=["fmt", "lam", "basis_size", "check_size", "upper-m", "upper-order"])
     def test_record_field_is_no_key(self, text, key):
         with pytest.raises(ConfigError) as refused:
             parse_config(f"[potential]\n{UNIT}{text}\n")

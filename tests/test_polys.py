@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
-from lptseries.config import MAX_DIGITS
+from lptseries.config import MAX_DIGITS, every_digit
 from lptseries.polys import LAM, MAX_EVAL_BITS, N, ONE, ZERO, BiPoly, _slot_bits, _unpack
 
-from conftest import every_digit, rand_bipoly, rand_fraction
+from conftest import rand_bipoly, rand_fraction
 
 HALF = Fraction(1, 2)
 
