@@ -19,7 +19,8 @@ powers of x gives one power-matching identity per cell (k, i):
         = m^2 omega^2 [k = i = 0] - 2 m E_k [i = 2k-2]
 
 with no C[k-1] term at k = 0 and f_0 = 0; the k = 0 identities are
-C_0(x)^2 = 2 m V(x).
+C_0(x)^2 = 2 m V(x).  The left side is one sum of products with integer
+weights, the form `BiPoly.dot` sums (`_identity_pairs`).
 
 One recursion for every row.  Each row has one pinned cell.  Row 0 pins
 C[0][0] = -m omega, the root that decays at both ends of the well.  Row
@@ -58,7 +59,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
-from .polys import ZERO, BiPoly, N, Pair, Scalar, _as_fraction
+from .polys import ONE, ZERO, BiPoly, N, Scalar, Term, _as_fraction
 
 # Largest expansion order `expand` accepts.  Cost grows about as K^6.7 and
 # quartic K=60 already takes 77 s on a 2-vCPU host, so a mistyped order
@@ -165,38 +166,37 @@ class CTable:
 
 def _identity_pairs(
     cells: list[dict[int, BiPoly]], k: int, i: int, spec: PotentialSpec
-) -> tuple[list[Pair], list[Pair]]:
+) -> list[Term]:
     """Left side of the power-matching identity at (k, i) (module docstring)
-    as ``(once, doubled)``, for ``BiPoly.dot``.
+    as weighted products ``(a, b, w)``, for ``BiPoly.dot``.
 
     ``cells[j]`` holds row j's nonzero cells by index, in any order, as in
     ``CTable.cells``; cells past i are skipped, and row k may be built only
     up to i-1.  So only terms whose two cells are both nonzero are listed,
     and a missing cell counts as zero.  The term (j, p) equals the term
-    (k-j, i-p), so each pair of rows j < k-j is listed once, in
-    ``doubled``; the middle row j = k/2 is folded the same way in p, with
-    its square term p = i/2 listed once.
+    (k-j, i-p), so each pair of rows j < k-j is listed once with w = 2, as
+    is each pair p < i-p of the middle row j = k/2; its square p = i/2 has
+    w = 1, and C[k-1][i] times ``ONE`` has w = 3-2k+i, listed if nonzero.
     """
-    doubled = [
-        (a, b)
+    terms = [
+        (a, b, 2)
         for j in range((k + 1) // 2)
         for p, a in cells[j].items()
         if p <= i and (b := cells[k - j].get(i - p)) is not None
     ]
-    once: list[Pair] = []
     if k % 2 == 0:
         mid = cells[k // 2]
-        doubled += [
-            (a, b) for p, a in mid.items() if 2 * p < i and (b := mid.get(i - p)) is not None
+        terms += [
+            (a, b, 2) for p, a in mid.items() if 2 * p < i and (b := mid.get(i - p)) is not None
         ]
         if i % 2 == 0 and (a := mid.get(i // 2)) is not None:
-            once.append((a, a))
+            terms.append((a, a, 1))
     # the potential enters row 0 alone; at k = 0, cells[k - 1] would read the last row
     if k == 0 and (f := spec.f(i)):
-        once.append((f, BiPoly.constant(-2 * spec.m)))
+        terms.append((f, BiPoly.constant(-2 * spec.m), 1))
     elif k and (weight := 3 - 2 * k + i) and (previous := cells[k - 1].get(i)) is not None:
-        once.append((previous, BiPoly.constant(weight)))
-    return once, doubled
+        terms.append((previous, ONE, weight))
+    return terms
 
 
 def _row(
@@ -215,7 +215,7 @@ def _row(
             # counting pins it (module docstring)
             cell = (N if k == 1 else ZERO) if k else BiPoly.constant(-spec.m * spec.omega)
         else:
-            cell = BiPoly.dot(*_identity_pairs(cells, k, i, spec), div=two_m_omega)
+            cell = BiPoly.dot(_identity_pairs(cells, k, i, spec), div=two_m_omega)
         if cell:
             row[i] = cell
     return row
@@ -238,7 +238,7 @@ def energy_coefficient(k: int, table: CTable, spec: PotentialSpec) -> BiPoly:
     slot = 2 * k - 2
     if slot not in spec.lattice(slot):
         return ZERO
-    return BiPoly.dot(*_identity_pairs(table.cells, k, slot, spec), div=-2 * spec.m)
+    return BiPoly.dot(_identity_pairs(table.cells, k, slot, spec), div=-2 * spec.m)
 
 
 class EnergySeries(NamedTuple):
@@ -295,7 +295,7 @@ def first_power_identity_failure(
         for i in sorted({*lattice, *row, slot}):
             expected = (series.e[k] * (-2 * spec.m) if i == slot
                         else (spec.m * spec.omega) ** 2 if k == i == 0 else ZERO)
-            left = (BiPoly.dot(*_identity_pairs(table.cells, k, i, spec))
+            left = (BiPoly.dot(_identity_pairs(table.cells, k, i, spec))
                     if i in lattice or i in row else ZERO)
             if left != expected:
                 return (k, i)

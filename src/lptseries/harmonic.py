@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import CTable, EnergySeries, PotentialSpec
-from .polys import ZERO, BiPoly, N
+from .polys import ONE, ZERO, BiPoly, N
 
 
 def d_sequence(order: int) -> tuple[BiPoly, ...]:
@@ -41,9 +41,8 @@ def d_sequence(order: int) -> tuple[BiPoly, ...]:
     d: list[BiPoly] = [ZERO, N]
     for k in range(2, order + 1):
         # written out, not folded: the engine's independent reference
-        pairs = [(d[j], d[k - j]) for j in range(1, k)]
-        pairs.append((d[k - 1], BiPoly.constant(3 - 2 * k)))
-        d.append(BiPoly.dot(pairs, div=2))
+        terms = [(d[j], d[k - j], 1) for j in range(1, k)] + [(d[k - 1], ONE, 3 - 2 * k)]
+        d.append(BiPoly.dot(terms, div=2))
     return tuple(d)
 
 

@@ -24,13 +24,13 @@ package goes through.  It multiplies by Kronecker substitution: for each
 ``lam`` degree an operand is packed into one int, the sum over its ``n``
 coefficients of ``num << (width * deg_n)``, so one product of two packed
 ints is the whole product polynomial in ``n``, computed by CPython's
-big-integer multiply.  One pass over the pairs scales each product to the
-common denominator and adds it into one packed sum per ``lam`` degree.
-``width`` is chosen per call from the operands' numerator bit lengths and
-term counts, their denominators against the common one, and the number of
-pairs, rounded up to a multiple of 64; it keeps every coefficient of the
-signed sum below half a slot, so the sum decodes slot by slot as balanced
-digits.
+big-integer multiply.  One pass over the weighted products ``(a, b, w)``
+scales each to its int weight w and the common denominator and adds it
+into one packed sum per ``lam`` degree.  ``width`` is chosen per call from
+the operands' numerator bit lengths and term counts, their denominators
+against the common one, and the sum of the weights' magnitudes, rounded
+up to a multiple of 64; it keeps every coefficient of the signed sum
+below half a slot, so the sum decodes slot by slot as balanced digits.
 
 Values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.  The one piece
@@ -66,7 +66,7 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
-Pair = tuple["BiPoly", "BiPoly"]
+Term = tuple["BiPoly", "BiPoly", int]
 
 
 class BiPoly:
@@ -126,7 +126,7 @@ class BiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BiPoly.dot(((self, ONE), (other, ONE)))
+        return BiPoly.dot(((self, ONE, 1), (other, ONE, 1)))
 
     __radd__ = __add__
 
@@ -134,24 +134,24 @@ class BiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return BiPoly.dot(((self, other),))
+        return BiPoly.dot(((self, other, 1),))
 
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs: Iterable[Pair], doubled: Iterable[Pair] = (), div: Scalar = 1) -> "BiPoly":
-        """Exact ``sum a*b`` over ``pairs`` plus ``2 * sum a*b`` over ``doubled``,
-        divided by the nonzero scalar ``div``.
+    def dot(terms: Iterable[Term], div: Scalar = 1) -> "BiPoly":
+        """Exact ``sum w*a*b`` over the ``(a, b, w)`` of ``terms``, each weight
+        w an int of either sign, divided by the nonzero scalar ``div``.
 
-        Pairs with a zero operand are skipped.  The result is over the
-        common denominator ``den`` of all pairs.  One pass over the pairs,
-        doubled ones first, multiplies their Kronecker-packed operands
-        (module docstring), scales each product by ``den // (a._den *
-        b._den)``, twice that for a doubled pair, and adds it into one sum
-        per ``lam`` degree; the sums are then decoded and reduced by one
-        gcd.  ``div = p/q`` joins that reduction: the decoded numerators are
-        multiplied by q (negated if p < 0) and the common denominator by
-        |p|, so a quotient costs no second reduction.
+        Terms with a zero operand or a zero weight are skipped.  The result
+        is over the common denominator ``den`` of all terms.  One pass over
+        the terms multiplies their Kronecker-packed operands (module
+        docstring), scales each product by ``den // (a._den * b._den) * w``
+        and adds it into one sum per ``lam`` degree; the sums are then
+        decoded and reduced by one gcd.  ``div = p/q`` joins that reduction:
+        the decoded numerators are multiplied by q (negated if p < 0) and
+        the common denominator by |p|, so a quotient costs no second
+        reduction.
 
         The slot width is the smallest multiple of 64 bits (so few widths
         recur and memoised packs are reused) that no coefficient of the
@@ -160,9 +160,9 @@ class BiPoly:
         products, because each term of a meets at most one term of b at a
         given exponent.  With den < 2**den.bit_length() that is below
         2**(den.bit_length() + a._slot_bits + b._slot_bits).  The result
-        adds 2*len(doubled) + len(pairs) such products, and balanced
-        decoding needs every coefficient below half a slot: one more bit for
-        the count and one for the sign.
+        adds sum |w| such products, a weight w counting |w| times, and
+        balanced decoding needs every coefficient below half a slot: the
+        bit length of that count and one more bit for the sign.
 
         Each operand memoises its packed form per width, so a cell that
         joins many sums, as a table cell does across a row, is packed once
@@ -172,13 +172,12 @@ class BiPoly:
         div_num, div_den = (div, 1) if type(div) is int else _as_fraction(div).as_integer_ratio()
         if not div_num:
             raise ZeroDivisionError("division of a polynomial by zero")
-        weighted = [(a, b, 2) for a, b in doubled if a._terms and b._terms]
-        weighted += [(a, b, 1) for a, b in pairs if a._terms and b._terms]
+        weighted = [(a, b, w) for a, b, w in terms if w and a._terms and b._terms]
         if not weighted:
             return ZERO
         den = lcm(*(a._den * b._den for a, b, _ in weighted))
         bits = max(a._slot_bits + b._slot_bits for a, b, _ in weighted)
-        bits += den.bit_length() + sum(w for _, _, w in weighted).bit_length() + 1
+        bits += den.bit_length() + sum(abs(w) for _, _, w in weighted).bit_length() + 1
         width = -(-bits // 64) * 64
         sums: dict[int, int] = {}
         for a, b, w in weighted:

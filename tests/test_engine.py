@@ -190,7 +190,7 @@ class TestLaurentRows:
         spec = PotentialSpec(rand_fraction(rng, 1, 4), rand_fraction(rng, 1, 4), f)
         key_order = reversed if row_k.endswith("reversed") else list
         cells = [{p: c for p, c in key_order(list(enumerate(row))) if c} for row in rows]
-        once, doubled = _identity_pairs(cells, k, i, spec)
+        terms = _identity_pairs(cells, k, i, spec)
         # at k = 0 the identity has no previous-row term but the potential's -2 m f_i
         weight = 3 - 2 * k + i if k else 0
         plain = rows[k - 1][i] * weight if weight else ZERO
@@ -199,17 +199,21 @@ class TestLaurentRows:
         for j in range(k + 1):
             for p in range(i + 1):
                 plain = plain + cell(j, p) * cell(k - j, i - p)
-        assert BiPoly.dot(once, doubled) == plain
-        # exactly the terms whose two cells are nonzero, each mirror pair listed once
-        assert all(a and b for a, b in doubled + once)
-        nonzero_terms = sum(
+        assert BiPoly.dot(terms) == plain
+        # exactly the terms whose two operands are nonzero, each mirror pair
+        # listed once with weight 2 and a square with weight 1
+        assert all(a and b and w for a, b, w in terms)
+        stored = [c for row in cells for c in row.values()]
+        products = [w for a, b, w in terms
+                    if any(a is c for c in stored) and any(b is c for c in stored)]
+        assert all(w in (1, 2) for w in products)
+        assert sum(products) == sum(
             bool(cell(j, p)) and bool(cell(k - j, i - p))
             for j in range(k + 1)
             for p in range(i + 1)
         )
-        nonzero_terms += bool(weight) and bool(rows[k - 1][i])
-        nonzero_terms += k == 0 and bool(spec.f(i))
-        assert 2 * len(doubled) + len(once) == nonzero_terms
+        others = (bool(weight) and bool(rows[k - 1][i])) + (k == 0 and bool(spec.f(i)))
+        assert len(terms) - len(products) == others
 
 
 class TestEnergyCoefficients:
@@ -266,6 +270,16 @@ class TestExpand:
     def test_propagates_validation_errors(self):
         with pytest.raises(PotentialError):
             expand(PotentialSpec(1, 0), 3)
+
+    @pytest.mark.parametrize("f, order", [({2: LAM}, 12), ({1: LAM, 2: LAM * LAM}, 9)],
+                             ids=["quartic-k12", "cubic-quartic-k9"])
+    def test_integer_weights_build_no_constant(self, monkeypatch, f, order):
+        # the pinned C[0][0] and row 0's -2m, once per f_i, since m is rational;
+        # every other factor of the identity is an integer weight
+        spec = PotentialSpec(1, 1, f)
+        calls = count_calls(monkeypatch, BiPoly, "constant")
+        expand(spec, order)
+        assert len(calls) <= 1 + len(spec.terms)
 
 
 class TestPowerIdentity:
@@ -566,7 +580,7 @@ def binomial_series(g: list[BiPoly], alpha: Fraction, top: int) -> list[BiPoly]:
     coefficient of g (g[0] = 0), from (1 + g) h' = alpha g' h."""
     h = [ONE]
     for n in range(1, top + 1):
-        h.append(BiPoly.dot(((g[i], h[n - i] * (alpha * i - (n - i)))
+        h.append(BiPoly.dot(((g[i], h[n - i] * (alpha * i - (n - i)), 1)
                              for i in range(1, min(n, len(g) - 1) + 1)), div=n))
     return h
 
@@ -656,20 +670,20 @@ def hypervirial_energies(spec: PotentialSpec, order: int) -> list[BiPoly]:
             energy.append(ZERO)
             moments.append([])
             continue
-        energy.append(BiPoly.dot(((f * i, moments[q - i][i + 2]) for i, f in spec.terms if i <= q),
+        energy.append(BiPoly.dot(((f, moments[q - i][i + 2], i) for i, f in spec.terms if i <= q),
                                  div=q) if q else (N + HALF) * omega)
         row = [BiPoly.constant(int(q == 0))]
         moments.append(row)
         for j in range(need[q]):
             # an E^(p) that does not vanish has p a sum of indices, so
             # M[q-p] reaches j-1
-            pairs = [(e, moments[q - p][j - 1] * (2 * j))
-                     for p, e in enumerate(energy) if j and e]
-            pairs += [(f, moments[q - i][j + i + 1] * -(2 * j + i + 2))
+            terms = [(e, moments[q - p][j - 1], 2 * j) for p, e in enumerate(energy) if j and e]
+            terms += [(f, moments[q - i][j + i + 1], -(2 * j + i + 2))
                       for i, f in spec.terms if i <= q]
             if j >= 3:
-                pairs.append((row[j - 3], BiPoly.constant(Fraction(j * (j - 1) * (j - 2), 4) / m)))
-            row.append(BiPoly.dot(pairs, div=(j + 1) * m * omega**2))
+                scale = BiPoly.constant(Fraction(j * (j - 1) * (j - 2), 4) / m)
+                terms.append((row[j - 3], scale, 1))
+            row.append(BiPoly.dot(terms, div=(j + 1) * m * omega**2))
     return [ZERO, *energy[::2]]
 
 

@@ -77,16 +77,16 @@ class TestBiPolyBasics:
         assert left * right == BiPoly({(1, 1): HALF, (0, 1): Fraction(5, 4)})
 
     def test_scale_div_examples(self):
-        # dividing by a scalar is one pair through dot's div
-        assert BiPoly.dot(((2 * N + 1, ONE),), div=2) == N + HALF
-        assert BiPoly.dot(((ZERO, ONE),), div=-2) == ZERO
+        # dividing by a scalar is one weighted product through dot's div
+        assert BiPoly.dot(((2 * N + 1, ONE, 1),), div=2) == N + HALF
+        assert BiPoly.dot(((ZERO, ONE, 1),), div=-2) == ZERO
         # (-lam(2n+5)/2) / (-2) = lam(2n+5)/4
         value = BiPoly({(1, 1): -1, (0, 1): Fraction(-5, 2)})
-        assert BiPoly.dot(((value, ONE),), div=-2) == BiPoly({(1, 1): HALF, (0, 1): Fraction(5, 4)})
+        assert BiPoly.dot(((value, ONE, 1),), div=-2) == BiPoly({(1, 1): HALF, (0, 1): Fraction(5, 4)})
 
     def test_scale_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            BiPoly.dot(((N, ONE),), div=0)
+            BiPoly.dot(((N, ONE, 1),), div=0)
 
     def test_evaluate_examples(self):
         assert (N + HALF).evaluate(0, 0) == HALF
@@ -188,7 +188,7 @@ class TestRingAxioms:
         for _ in range(100):
             a = rand_bipoly(rng)
             s = rand_fraction(rng, nonzero=True)
-            assert BiPoly.dot(((a * s, ONE),), div=s) == a
+            assert BiPoly.dot(((a * s, ONE, 1),), div=s) == a
 
     def test_evaluation_is_a_ring_homomorphism(self):
         rng = random.Random(99)
@@ -225,14 +225,15 @@ def fraction_terms(poly: BiPoly) -> dict[tuple[int, int], Fraction]:
     return {(dn, dl): c for dn, dl, c in poly.terms_sorted()}
 
 
-def reference_dot(pairs) -> dict[tuple[int, int], Fraction]:
-    """Sum of products with one Fraction per coefficient, independent of BiPoly arithmetic."""
+def reference_dot(terms) -> dict[tuple[int, int], Fraction]:
+    """Sum of weighted products ``w*a*b`` over ``(a, b, w)`` with one
+    Fraction per coefficient, independent of BiPoly arithmetic."""
     out: dict[tuple[int, int], Fraction] = {}
-    for a, b in pairs:
+    for a, b, w in terms:
         for (an, al), ac in fraction_terms(a).items():
             for (bn, bl), bc in fraction_terms(b).items():
                 key = (an + bn, al + bl)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
+                out[key] = out.get(key, Fraction(0)) + w * ac * bc
     return {key: c for key, c in out.items() if c}
 
 
@@ -273,37 +274,37 @@ class TestScalarLayer:
     def test_dot_equals_the_fraction_reference(self):
         rng = random.Random(31)
         for _ in range(150):
-            pairs = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 6))]
-            doubled = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 4))]
-            result = BiPoly.dot(pairs, doubled)
+            pairs = [(odd_bipoly(rng), odd_bipoly(rng), 1) for _ in range(rng.randint(0, 6))]
+            doubled = [(odd_bipoly(rng), odd_bipoly(rng), 2) for _ in range(rng.randint(0, 4))]
+            result = BiPoly.dot(pairs + doubled)
             assert_canonical(result)
-            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+            assert fraction_terms(result) == reference_dot(pairs + doubled)
 
     def test_dot_divides_within_its_reduction(self):
         rng = random.Random(36)
         for _ in range(150):
-            pairs = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 6))]
-            doubled = [(odd_bipoly(rng), odd_bipoly(rng)) for _ in range(rng.randint(0, 4))]
+            pairs = [(odd_bipoly(rng), odd_bipoly(rng), 1) for _ in range(rng.randint(0, 6))]
+            doubled = [(odd_bipoly(rng), odd_bipoly(rng), 2) for _ in range(rng.randint(0, 4))]
             div = rng.choice((rand_fraction(rng, max_den=15, nonzero=True), rng.randint(1, 9)))
-            result = BiPoly.dot(pairs, doubled, div=div)
+            result = BiPoly.dot(pairs + doubled, div=div)
             assert_canonical(result)
-            reference = reference_dot(pairs + doubled + doubled)
+            reference = reference_dot(pairs + doubled)
             assert fraction_terms(result) == {key: c / div for key, c in reference.items()}
         with pytest.raises(ZeroDivisionError):
             BiPoly.dot([], div=0)
         with pytest.raises(TypeError, match="exact scalar"):
-            BiPoly.dot([(N, N)], div=0.5)
+            BiPoly.dot([(N, N, 1)], div=0.5)
 
     def test_dot_on_wide_numerators_matches_the_fraction_reference(self):
         rng = random.Random(34)
         for trial in range(40):
             many = trial % 4 == 0
-            pairs = [(wide_bipoly(rng), wide_bipoly(rng))
+            pairs = [(wide_bipoly(rng), wide_bipoly(rng), 1)
                      for _ in range(rng.randint(20, 60) if many else rng.randint(0, 6))]
-            doubled = [(wide_bipoly(rng), wide_bipoly(rng)) for _ in range(rng.randint(0, 4))]
-            result = BiPoly.dot(pairs, doubled)
+            doubled = [(wide_bipoly(rng), wide_bipoly(rng), 2) for _ in range(rng.randint(0, 4))]
+            result = BiPoly.dot(pairs + doubled)
             assert_canonical(result)
-            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+            assert fraction_terms(result) == reference_dot(pairs + doubled)
 
     def test_dot_at_the_largest_slot_values(self):
         # every numerator of full magnitude and one sign, and every term of a
@@ -312,12 +313,12 @@ class TestScalarLayer:
             top = (1 << bits) - 1
             a = BiPoly({(n, lam): top for n in range(4) for lam in range(2)})
             b = BiPoly({(n, lam): -top for n in range(4) for lam in range(2)})
-            pairs, doubled = [(a, b)] * 9, [(b, a)] * 5
-            result = BiPoly.dot(pairs, doubled)
+            pairs, doubled = [(a, b, 1)] * 9, [(b, a, 2)] * 5
+            result = BiPoly.dot(pairs + doubled)
             # the slot (n^d, lam^e) meets 4 - |d - 3| pairs of n terms and 2 - |e - 1| of lam terms
             assert result == BiPoly({(d, e): -19 * top * top * (4 - abs(d - 3)) * (2 - abs(e - 1))
                                      for d in range(7) for e in range(3)})
-            assert fraction_terms(result) == reference_dot(pairs + doubled + doubled)
+            assert fraction_terms(result) == reference_dot(pairs + doubled)
 
     @pytest.mark.parametrize("bits, count, n_terms", [
         (29, 63, 1), (29, 64, 1), (61, 63, 1), (28, 127, 3), (60, 100, 3),
@@ -330,7 +331,7 @@ class TestScalarLayer:
         top = (1 << bits) - 1
         a = BiPoly({(n, 0): top for n in range(n_terms)})
         for b in (a, a * -1):
-            pairs = [(a, b)] * count
+            pairs = [(a, b, 1)] * count
             result = BiPoly.dot(pairs)
             assert fraction_terms(result) == reference_dot(pairs)
 
@@ -338,21 +339,52 @@ class TestScalarLayer:
         rng = random.Random(35)
         for _ in range(20):
             a, b, c = wide_bipoly(rng), wide_bipoly(rng), wide_bipoly(rng)
-            result = BiPoly.dot([(a, b), (b, a), (a * -1, c), (c, a)], [(a * -1, b)])
+            result = BiPoly.dot([(a, b, 1), (b, a, 1), (a * -1, c, 1), (c, a, 1), (a * -1, b, 2)])
             assert result == ZERO and result._den == 1 and not result._terms
+
+    def test_dot_weights_of_either_sign_match_the_fraction_reference(self):
+        rng = random.Random(37)
+        for trial in range(80):
+            make = wide_bipoly if trial % 2 else odd_bipoly
+            terms = [(make(rng), make(rng), rng.randint(-9, 9)) for _ in range(rng.randint(0, 8))]
+            result = BiPoly.dot(terms)
+            assert_canonical(result)
+            assert fraction_terms(result) == reference_dot(terms)
+        assert BiPoly.dot([(N, N, -3), (LAM, ONE, -1)]) == N * N * -3 + LAM * -1
+
+    def test_dot_skips_a_zero_weight(self):
+        x = BiPoly({(0, 0): Fraction(1, 3), (2, 1): -3, (5, 1): Fraction(7, 2)})
+        huge = BiPoly({(1, 2): Fraction(2**300 + 1, 9)})
+        assert BiPoly.dot([(N, N, 0)]) == ZERO
+        # the zero-weight product is neither added nor given room in the slot
+        result = BiPoly.dot([(x, x, 1), (huge, huge, 0)])
+        assert fraction_terms(result) == reference_dot([(x, x, 1), (huge, huge, 0)])
+        assert set(x._packs) == {64} and not huge._packs
+
+    @pytest.mark.parametrize("bits", [30, 62])
+    def test_dot_weights_that_cancel_in_their_sum(self, bits):
+        # 5ab - 5a(-b) = 10ab: the weights sum to 0 and their magnitudes to
+        # 10, and full-magnitude numerators of `bits` bits put 10ab just past
+        # half a 64-bit (128-bit) slot, which a width counting the sum of
+        # the weights instead of their magnitudes would choose
+        top = (1 << bits) - 1
+        a, b = BiPoly({(2, 1): top}), BiPoly({(1, 0): -top})
+        terms = [(a, b, 5), (a, b * -1, -5)]
+        result = fraction_terms(BiPoly.dot(terms))
+        assert result == reference_dot(terms) == {(3, 1): -10 * top * top}
 
     def test_one_pack_serves_two_widths(self):
         x = BiPoly({(0, 0): Fraction(1, 3), (2, 1): -3, (5, 1): Fraction(7, 2)})
-        narrow = BiPoly.dot([(x, x)])
+        narrow = BiPoly.dot([(x, x, 1)])
         assert set(x._packs) == {64}
         packed = x._packs[64]
-        assert BiPoly.dot([(x, ONE), (x, x)]) == narrow + x
+        assert BiPoly.dot([(x, ONE, 1), (x, x, 1)]) == narrow + x
         assert x._packs[64] is packed
         huge = BiPoly({(1, 2): Fraction(2**300 + 1, 9)})
-        wide = BiPoly.dot([(x, huge), (x, x)])
+        wide = BiPoly.dot([(x, huge, 1), (x, x, 1)])
         assert len(x._packs) == 2 and max(x._packs) > 64
-        assert fraction_terms(wide) == reference_dot([(x, huge), (x, x)])
-        assert fraction_terms(narrow) == reference_dot([(x, x)])
+        assert fraction_terms(wide) == reference_dot([(x, huge, 1), (x, x, 1)])
+        assert fraction_terms(narrow) == reference_dot([(x, x, 1)])
 
     @pytest.mark.parametrize("width", [64, 128, 576])
     def test_unpack_balanced_digits_at_the_slot_edges(self, width):
@@ -365,17 +397,18 @@ class TestScalarLayer:
 
     def test_dot_skips_zero_operands_and_cancels(self):
         assert BiPoly.dot([]) == ZERO
-        assert BiPoly.dot([(ZERO, N), (LAM, ZERO)]) == ZERO
-        assert BiPoly.dot([(N, ONE), (N * -1, ONE)]) == ZERO
-        assert BiPoly.dot([(N, HALF * ONE)], [(N, Fraction(1, 4) * ONE)]) == N
+        assert BiPoly.dot([(ZERO, N, 1), (LAM, ZERO, 1)]) == ZERO
+        assert BiPoly.dot([(N, ONE, 1), (N * -1, ONE, 1)]) == ZERO
+        assert BiPoly.dot([(N, HALF * ONE, 1), (N, Fraction(1, 4) * ONE, 2)]) == N
 
     def test_ring_operations_match_the_fraction_reference(self):
         rng = random.Random(32)
         for _ in range(150):
             a, b = odd_bipoly(rng), odd_bipoly(rng)
-            assert fraction_terms(a * b) == reference_dot([(a, b)])
-            assert fraction_terms(a + b) == reference_dot([(a, ONE), (b, ONE)])
-            assert fraction_terms(a + b * -1) == reference_dot([(a, ONE), (b, BiPoly.constant(-1))])
+            assert fraction_terms(a * b) == reference_dot([(a, b, 1)])
+            assert fraction_terms(a + b) == reference_dot([(a, ONE, 1), (b, ONE, 1)])
+            assert fraction_terms(a + b * -1) == reference_dot([(a, ONE, 1),
+                                                                (b, BiPoly.constant(-1), 1)])
 
     def test_every_operation_returns_canonical_form(self):
         rng = random.Random(33)
@@ -385,7 +418,7 @@ class TestScalarLayer:
             built = BiPoly({(rng.randint(0, 3), rng.randint(0, 2)): rand_fraction(rng, max_den=15)
                             for _ in range(rng.randint(0, 5))})
             for value in (a, b, a + b, a + b * -1, a * -1, a * b, a * s, a + s,
-                          BiPoly.dot(((a, ONE),), div=s), built, BiPoly.constant(s),
+                          BiPoly.dot(((a, ONE, 1),), div=s), built, BiPoly.constant(s),
                           BiPoly.constant(rng.randint(-9, -1))):
                 assert_canonical(value)
         for value in (BiPoly.constant(0), ZERO, ONE, N, LAM):
@@ -399,10 +432,10 @@ class TestScalarLayer:
         assert a == b
 
     def test_scale_div_by_a_negative_rational(self):
-        value = BiPoly.dot(((N + HALF, ONE),), div=Fraction(-3, 5))
+        value = BiPoly.dot(((N + HALF, ONE, 1),), div=Fraction(-3, 5))
         assert value == BiPoly({(1, 0): Fraction(-5, 3), (0, 0): Fraction(-5, 6)})
         assert_canonical(value)
-        assert BiPoly.dot(((value, ONE),), div=Fraction(-5, 3)) == N + HALF
+        assert BiPoly.dot(((value, ONE, 1),), div=Fraction(-5, 3)) == N + HALF
 
     def test_coefficients_are_reduced_fractions(self):
         poly = BiPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4), (0, 0): 5})
